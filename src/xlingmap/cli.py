@@ -47,7 +47,7 @@ from .evaluation import (
     precision_at_k,
     synth_generate,
 )
-from .models import ModelConfig, PRESETS
+from .models import EncoderDecoder, ModelConfig, PRESETS
 from .numerics import NumericsError
 from .optim import NonFiniteGradient
 from .sampling import SamplerConfig
@@ -304,19 +304,13 @@ def _cmd_eval(args) -> int:
     tgt = load_embeddings(args.tgt)
     if args.checkpoint:
         encoder, _ = encoder_from_checkpoint(args.checkpoint)
-        if src.dim != encoder.dim:
-            raise UsageError("embedding dimension does not match checkpoint")
-        weight = None
     else:
-        weight = load_matrix(args.encoder_matrix)
-        if weight.shape != (src.dim, src.dim):
-            raise UsageError(
-                f"encoder matrix shape {weight.shape} does not match d={src.dim}"
-            )
-    mapped_matrix = src.matrix @ weight if weight is not None else None
-    if mapped_matrix is None:
-        mapped_matrix = encoder.map_rows(src.matrix)
-    mapped = EmbeddingTable(src.vocab, mapped_matrix)
+        encoder = EncoderDecoder(load_matrix(args.encoder_matrix))
+    if src.dim != encoder.dim:
+        raise UsageError(
+            f"mapping dimension {encoder.dim} does not match d={src.dim}"
+        )
+    mapped = EmbeddingTable(src.vocab, encoder.map_rows(src.matrix))
     dictionary = BilingualDictionary.load(args.dictionary)
     report = {}
     per_entry = None

@@ -3,7 +3,8 @@ tables.
 
 Embedding files use the plain-text format with a ``"<vocab_size> <dim>"``
 header line followed by one ``"<token> <v1> ... <vd>"`` line per word,
-single-space separated, UTF-8, ``\\n`` line endings. Values are written with
+single-space separated (one trailing space per row is accepted, as written
+by word2vec and fastText), UTF-8, ``\\n`` line endings. Values are written with
 17 significant digits, which round-trips IEEE-754 doubles exactly.
 Frequency files are TSV: ``"<token>\\t<count>"`` per line.
 """
@@ -148,7 +149,11 @@ def load_embeddings(path) -> EmbeddingTable:
     seen = set()
     for i, line in enumerate(lines[1:]):
         lineno = i + 2
+        if "\t" in line:
+            raise EmbedFormatError(f"{path}:{lineno}: tab in row")
         parts = line.split(" ")
+        if len(parts) == dim + 2 and parts[-1] == "":
+            parts.pop()  # the one trailing space word2vec and fastText write
         if len(parts) != dim + 1:
             raise EmbedFormatError(
                 f"{path}:{lineno}: expected {dim} values, found {len(parts) - 1}"

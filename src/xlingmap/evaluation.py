@@ -257,8 +257,8 @@ def distribution_match_report(mapped, target_sample,
         "monitor_accuracy": None,
     }
     if monitor is not None:
-        p_t = monitor.predict(target_sample)
-        p_m = monitor.predict(mapped)
+        p_t = monitor.forward(target_sample, training=False)
+        p_m = monitor.forward(mapped, training=False)
         correct = int(np.sum(p_t > 0.5)) + int(np.sum(p_m <= 0.5))
         report["monitor_accuracy"] = correct / (p_t.size + p_m.size)
     return report

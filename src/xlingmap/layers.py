@@ -1,12 +1,7 @@
-"""Differentiable layers and losses: linear maps, leaky ReLU, batch
-normalization, dropout, residual blocks, logistic sigmoid, and the cosine /
-adversarial / binary cross-entropy losses.
-
-Layers are classes with paired ``forward``/``backward`` methods. Forward
-pushes its cache onto a per-layer stack and backward pops it, so a layer may
-be applied several times before backpropagation as long as backward calls
-come in reverse order. Parameter gradients accumulate into ``Param.grad``
-until explicitly zeroed.
+"""Elementwise functions and losses of the discriminator and the
+generator objective: leaky ReLU, logistic sigmoid, and the cosine /
+adversarial / binary cross-entropy losses, each with its hand-derived
+gradient.
 """
 from __future__ import annotations
 
@@ -21,214 +16,9 @@ class LayerError(ValueError):
     pass
 
 
-class Param:
-    """A named trainable array with an accumulating gradient buffer."""
-
-    __slots__ = ("name", "value", "grad")
-
-    def __init__(self, name: str, value):
-        self.name = name
-        self.value = np.array(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
-
-class Linear:
-    """y = x @ W (+ b). Weight shape is (in_dim, out_dim)."""
-
-    def __init__(self, name: str, weight, bias=None):
-        self.weight = Param(f"{name}.weight", weight)
-        if self.weight.value.ndim != 2:
-            raise LayerError("linear weight must be 2-d")
-        self.bias = Param(f"{name}.bias", bias) if bias is not None else None
-        self._cache = []
-
-    def forward(self, x, record: bool = True):
-        if x.shape[1] != self.weight.value.shape[0]:
-            raise LayerError(
-                f"linear shape mismatch: input {x.shape} vs weight "
-                f"{self.weight.value.shape}"
-            )
-        if record:
-            self._cache.append(x)
-        y = x @ self.weight.value
-        if self.bias is not None:
-            y = y + self.bias.value
-        return y
-
-    def backward(self, grad_out):
-        x = self._cache.pop()
-        self.weight.grad += x.T @ grad_out
-        if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.value.T
-
-    def params(self):
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
-
-
-class BatchNorm:
-    """Per-feature batch normalization with running statistics.
-
-    Training mode normalizes with batch statistics (biased variance) and
-    updates the running buffers by exponential moving average; inference mode
-    uses the running buffers. Training mode needs at least 2 rows.
-    """
-
-    def __init__(self, name: str, k: int, eps: float = 1e-5, momentum: float = 0.1):
-        if not (0.0 < momentum < 1.0):
-            raise LayerError(f"momentum {momentum} outside (0, 1)")
-        self.gamma = Param(f"{name}.gamma", np.ones(k))
-        self.beta = Param(f"{name}.beta", np.zeros(k))
-        self.running_mean = np.zeros(k)
-        self.running_var = np.ones(k)
-        self.eps = float(eps)
-        self.momentum = float(momentum)
-        self.training = True
-        self._cache = []
-
-    def forward(self, x, record: bool = True):
-        if self.training:
-            n = x.shape[0]
-            if n < 2:
-                raise LayerError("batch norm training mode needs n >= 2")
-            mean = x.mean(axis=0)
-            centered = x - mean
-            var = np.einsum("ij,ij->j", centered, centered) / n
-            inv = 1.0 / np.sqrt(var + self.eps)
-            m = self.momentum
-            self.running_mean *= 1.0 - m
-            self.running_mean += m * mean
-            self.running_var *= 1.0 - m
-            self.running_var += m * var
-        else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            centered = x - self.running_mean
-        if record:
-            self._cache.append((self.training, centered, inv))
-        out = centered * (self.gamma.value * inv)
-        out += self.beta.value
-        return out
-
-    def backward(self, grad_out):
-        was_training, centered, inv = self._cache.pop()
-        grad_sum = grad_out.sum(axis=0)
-        grad_dot_c = np.einsum("ij,ij->j", grad_out, centered)
-        self.gamma.grad += grad_dot_c * inv
-        self.beta.grad += grad_sum
-        if not was_training:
-            return grad_out * (self.gamma.value * inv)
-        n = grad_out.shape[0]
-        gx = n * grad_out
-        gx -= grad_sum
-        gx -= centered * (grad_dot_c * (inv * inv))
-        gx *= self.gamma.value * (inv / n)
-        return gx
-
-    def params(self):
-        return [self.gamma, self.beta]
-
-
-class Dropout:
-    """Inverted dropout: kept entries are scaled by 1/(1-rate) so the
-    expectation is preserved; inference mode is the identity."""
-
-    def __init__(self, rate: float):
-        if not (0.0 <= rate < 1.0):
-            raise LayerError(f"dropout rate {rate} outside [0, 1)")
-        self.rate = float(rate)
-        self.training = True
-        self._cache = []
-
-    def forward(self, x, rng=None, record: bool = True):
-        if not self.training or self.rate == 0.0:
-            if record:
-                self._cache.append(None)
-            return x
-        kept = rng.uniform(size=x.shape) >= self.rate
-        out = x * kept
-        out *= 1.0 / (1.0 - self.rate)
-        if record:
-            self._cache.append(kept)
-        return out
-
-    def backward(self, grad_out):
-        kept = self._cache.pop()
-        if kept is None:
-            return grad_out
-        out = grad_out * kept
-        out *= 1.0 / (1.0 - self.rate)
-        return out
-
-
 def leaky_relu(x, slope: float):
-    """Elementwise x for x >= 0, slope * x otherwise."""
-    if slope <= 0.0:
-        raise LayerError(f"leaky slope must be positive, got {slope}")
-    if slope >= 1.0:
-        return np.where(x >= 0.0, x, slope * x)
-    # for slope < 1 the max of the two branches is the definition
+    """Elementwise x for x >= 0, slope * x otherwise, for 0 < slope < 1."""
     return np.maximum(x, slope * x)
-
-
-def leaky_relu_backward(grad_out, x, slope: float):
-    return grad_out * (slope + (1.0 - slope) * (x >= 0.0))
-
-
-class ResBlock:
-    """Residual block: dropout(leaky_relu(batchnorm(h @ W))) + h.
-
-    The passthrough path carries no nonlinearity; dropout applies to the
-    transform branch only, so with a zero weight and zero shift the block is
-    the exact identity.
-    """
-
-    def __init__(self, name, k, weight, leaky_slope=0.01, dropout_rate=0.1,
-                 bn_eps=1e-5, bn_momentum=0.1):
-        self.weight = Param(f"{name}.weight", weight)
-        if self.weight.value.shape != (k, k):
-            raise LayerError(f"block weight must be ({k}, {k})")
-        self.bn = BatchNorm(f"{name}.bn", k, eps=bn_eps, momentum=bn_momentum)
-        self.slope = float(leaky_slope)
-        self.dropout = Dropout(dropout_rate)
-        self._cache = []
-
-    @property
-    def training(self):
-        return self.bn.training
-
-    def set_training(self, flag: bool) -> None:
-        self.bn.training = flag
-        self.dropout.training = flag
-
-    def forward(self, h, rng=None, record: bool = True):
-        if h.shape[1] != self.weight.value.shape[0]:
-            raise LayerError(
-                f"block input width {h.shape[1]} != {self.weight.value.shape[0]}"
-            )
-        z = h @ self.weight.value
-        z = self.bn.forward(z, record=record)
-        a = self.dropout.forward(leaky_relu(z, self.slope), rng, record=record)
-        if record:
-            # the sign pattern is all backward needs from the pre-activation
-            self._cache.append((h, z >= 0.0))
-        out = a + h
-        return out
-
-    def backward(self, grad_out):
-        h, positive = self._cache.pop()
-        g = self.dropout.backward(grad_out)
-        g = g * (self.slope + (1.0 - self.slope) * positive)
-        g = self.bn.backward(g)
-        self.weight.grad += h.T @ g
-        out = g @ self.weight.value.T
-        out += grad_out
-        return out
-
-    def params(self):
-        return [self.weight] + self.bn.params()
 
 
 def sigmoid(x):
@@ -296,31 +86,13 @@ def bce_loss(p_pos, p_neg) -> float:
     return float(-(np.log(pp).sum() + np.log(1.0 - pn).sum()) / total)
 
 
-def bce_grad_positive(p_pos, total: int):
-    p_pos = np.asarray(p_pos, dtype=np.float64)
-    pp = np.clip(p_pos, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    active = (p_pos >= PROB_CLAMP) & (p_pos <= 1.0 - PROB_CLAMP)
-    return np.where(active, -1.0 / (total * pp), 0.0)
-
-
-def bce_grad_negative(p_neg, total: int):
-    p_neg = np.asarray(p_neg, dtype=np.float64)
-    pn = np.clip(p_neg, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    active = (p_neg >= PROB_CLAMP) & (p_neg <= 1.0 - PROB_CLAMP)
-    return np.where(active, 1.0 / (total * (1.0 - pn)), 0.0)
-
-
 def bce_loss_grads(p_pos, p_neg):
-    total = np.asarray(p_pos).size + np.asarray(p_neg).size
-    return bce_grad_positive(p_pos, total), bce_grad_negative(p_neg, total)
-
-
-def combined_encoder_loss(f, e, e_hat, recon, p,
-                          lambda_r: float, lambda_a: float,
-                          lambda_c: float) -> float:
-    """Weighted sum: reconstruction + adversarial + latent-cosine penalty."""
-    return (
-        lambda_r * cosine_dissim_loss(f, recon)
-        + lambda_a * adversarial_loss(p)
-        + lambda_c * cosine_dissim_loss(e, e_hat)
-    )
+    """Gradients of :func:`bce_loss` w.r.t. both arguments; zero where the
+    clamp is active, matching the forward value."""
+    p_pos = np.asarray(p_pos, dtype=np.float64)
+    p_neg = np.asarray(p_neg, dtype=np.float64)
+    total = p_pos.size + p_neg.size
+    pp = np.clip(p_pos, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    pn = np.clip(p_neg, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return (np.where(pp == p_pos, -1.0 / (total * pp), 0.0),
+            np.where(pn == p_neg, 1.0 / (total * (1.0 - pn)), 0.0))

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import PROB_CLAMP, Linear, Param, ResBlock, sigmoid, sigmoid_backward
+from .layers import PROB_CLAMP, leaky_relu, sigmoid, sigmoid_backward
 from .numerics import Rng
+from .optim import Param
 
 
 @dataclass(frozen=True)
@@ -24,11 +25,18 @@ class ModelConfig:
     dropout_rate: float = 0.1
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
-    encoder_bias: bool = False
 
     def __post_init__(self):
         if self.dim < 1 or self.block_dim < 1 or self.depth < 1:
             raise ValueError("dim, block_dim and depth must be positive")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ValueError(f"leaky slope {self.leaky_slope} outside (0, 1)")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout rate {self.dropout_rate} outside [0, 1)")
+        if not 0.0 < self.bn_momentum < 1.0:
+            raise ValueError(f"batch-norm momentum {self.bn_momentum} outside (0, 1)")
+        if not self.bn_eps > 0.0:
+            raise ValueError(f"batch-norm eps {self.bn_eps} must be positive")
 
 
 # The two experimental configurations shipped as presets.
@@ -62,104 +70,73 @@ def init_semi_orthogonal(rows: int, cols: int, rng: Rng) -> np.ndarray:
 
 class EncoderDecoder:
     """Linear map f -> f @ W with the reverse map z -> z @ W.T sharing the
-    single stored weight; gradients from both directions accumulate there."""
+    single stored weight. Stateless: the generator objective computes the
+    weight gradient from the rows it mapped."""
 
-    def __init__(self, weight, enc_bias=None, dec_bias=None):
+    def __init__(self, weight):
         self.weight = Param("encoder.weight", weight)
         if self.weight.value.ndim != 2 or (
             self.weight.value.shape[0] != self.weight.value.shape[1]
         ):
             raise ValueError("encoder weight must be square")
-        self.enc_bias = Param("encoder.enc_bias", enc_bias) if enc_bias is not None else None
-        self.dec_bias = Param("encoder.dec_bias", dec_bias) if dec_bias is not None else None
-        self._enc_cache = []
-        self._dec_cache = []
 
     @property
     def dim(self) -> int:
         return self.weight.value.shape[0]
 
-    def encode(self, f, record: bool = True):
-        if record:
-            self._enc_cache.append(f)
-        z = f @ self.weight.value
-        if self.enc_bias is not None:
-            z = z + self.enc_bias.value
-        return z
+    def encode(self, f):
+        return f @ self.weight.value
 
-    def encode_backward(self, grad_out):
-        f = self._enc_cache.pop()
-        self.weight.grad += f.T @ grad_out
-        if self.enc_bias is not None:
-            self.enc_bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.value.T
+    def decode(self, z):
+        return z @ self.weight.value.T
 
-    def decode(self, z, record: bool = True):
-        if record:
-            self._dec_cache.append(z)
-        x = z @ self.weight.value.T
-        if self.dec_bias is not None:
-            x = x + self.dec_bias.value
-        return x
-
-    def decode_backward(self, grad_out):
-        z = self._dec_cache.pop()
-        self.weight.grad += grad_out.T @ z
-        if self.dec_bias is not None:
-            self.dec_bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.value
-
-    def map_rows(self, f):
-        """Apply the learned mapping without recording anything."""
-        return self.encode(f, record=False)
+    # the same map, under the name the commands use for whole tables
+    map_rows = encode
 
     def params(self):
-        out = [self.weight]
-        if self.enc_bias is not None:
-            out.append(self.enc_bias)
-        if self.dec_bias is not None:
-            out.append(self.dec_bias)
-        return out
-
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
+        return [self.weight]
 
 
 class Discriminator:
-    """Input projection d->k, a stack of residual blocks, and a sigmoid
-    output layer. The output layer starts at zero so a fresh discriminator
-    scores every input exactly 0.5."""
+    """Input projection d->k, T residual blocks, and a sigmoid output layer.
+
+    Block i computes ``h + dropout(leaky_relu(batchnorm(h @ W_i)))``: the
+    passthrough path carries no nonlinearity and dropout applies to the
+    transform branch only. The output layer starts at zero so a fresh
+    discriminator scores every input exactly 0.5.
+
+    Training mode normalizes with batch statistics (biased variance),
+    updates the running statistics by exponential moving average and draws
+    inverted-dropout masks; inference mode uses the running statistics and
+    no dropout. ``forward`` keeps what ``backward`` needs from the last
+    training-mode call in one slot.
+    """
 
     def __init__(self, name: str, cfg: ModelConfig, rng: Rng):
         k = cfg.block_dim
         self.name = name
-        self.input_proj = Linear(
-            f"{name}.input", init_semi_orthogonal(cfg.dim, k, rng.substream("input"))
+        self.cfg = cfg
+        self.input = Param(
+            f"{name}.input.weight",
+            init_semi_orthogonal(cfg.dim, k, rng.substream("input")),
         )
         self.blocks = [
-            ResBlock(
-                f"{name}.block{i}",
-                k,
-                init_orthogonal(k, rng.substream(f"block{i}")),
-                leaky_slope=cfg.leaky_slope,
-                dropout_rate=cfg.dropout_rate,
-                bn_eps=cfg.bn_eps,
-                bn_momentum=cfg.bn_momentum,
+            (
+                Param(f"{name}.block{i}.weight",
+                      init_orthogonal(k, rng.substream(f"block{i}"))),
+                Param(f"{name}.block{i}.bn.gamma", np.ones(k)),
+                Param(f"{name}.block{i}.bn.beta", np.zeros(k)),
             )
             for i in range(cfg.depth)
         ]
-        self.output = Linear(f"{name}.output", np.zeros((k, 1)), bias=np.zeros(1))
-        self.training = True
-        self._out_cache = []
+        self.output = Param(f"{name}.output.weight", np.zeros((k, 1)))
+        self.output_bias = Param(f"{name}.output.bias", np.zeros(1))
+        self.running = [(np.zeros(k), np.ones(k)) for _ in range(cfg.depth)]
+        self._cache = None
 
-    def set_training(self, flag: bool) -> None:
-        self.training = flag
-        for b in self.blocks:
-            b.set_training(flag)
-
-    def forward(self, x, rng: Rng | None = None, record: bool = True):
-        """Probability column for a batch; training mode needs n >= 2.
+    def forward(self, x, rng: Rng | None = None, training: bool = True):
+        """Probability column for a batch; training mode needs n >= 2 rows
+        and an ``rng`` for the dropout masks.
 
         Outputs are clamped strictly inside (0, 1). Besides keeping the
         losses finite, using the clamped value in the backward chain keeps
@@ -167,61 +144,108 @@ class Discriminator:
         the exact sigmoid derivative underflows to zero there, while the
         clamped chain reproduces the analytic -(1 - p) logit gradient.
         """
-        h = self.input_proj.forward(x, record=record)
-        for b in self.blocks:
-            h = b.forward(h, rng, record=record)
-        p = sigmoid(self.output.forward(h, record=record))
+        cfg = self.cfg
+        m = cfg.bn_momentum
+        rate = cfg.dropout_rate
+        steps = []
+        h = x @ self.input.value
+        for (weight, gamma, beta), (running_mean, running_var) in zip(
+            self.blocks, self.running
+        ):
+            z = h @ weight.value
+            if training:
+                n = z.shape[0]
+                if n < 2:
+                    raise ValueError("batch norm training mode needs n >= 2")
+                mean = z.mean(axis=0)
+                centered = z - mean
+                var = np.einsum("ij,ij->j", centered, centered) / n
+                inv = 1.0 / np.sqrt(var + cfg.bn_eps)
+                running_mean *= 1.0 - m
+                running_mean += m * mean
+                running_var *= 1.0 - m
+                running_var += m * var
+            else:
+                inv = 1.0 / np.sqrt(running_var + cfg.bn_eps)
+                centered = z - running_mean
+            z = centered * (gamma.value * inv)
+            z += beta.value
+            a = leaky_relu(z, cfg.leaky_slope)
+            kept = None
+            if training and rate != 0.0:
+                kept = rng.uniform(size=a.shape) >= rate
+                a = a * kept
+                a *= 1.0 / (1.0 - rate)
+            # the sign pattern is all backward needs from the pre-activation
+            steps.append((h, centered, inv, z >= 0.0, kept))
+            h = a + h
+        p = sigmoid(h @ self.output.value + self.output_bias.value)
         np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
-        if record:
-            self._out_cache.append(p)
+        if training:
+            self._cache = (x, steps, h, p)
         return p
 
-    def backward(self, grad_p):
-        g = sigmoid_backward(grad_p, self._out_cache.pop())
-        g = self.output.backward(g)
-        for b in reversed(self.blocks):
-            g = b.backward(g)
-        return self.input_proj.backward(g)
-
-    def predict(self, x):
-        """Inference-mode forward with no caches; model must not be training."""
-        if self.training:
-            raise ValueError("predict requires inference mode")
-        return self.forward(x, rng=None, record=False)
+    def backward(self, grad_p, param_grads: bool = True):
+        """Gradient w.r.t. the input of the last training-mode forward.
+        With ``param_grads`` the parameter gradients are written to each
+        ``Param.grad``; without, no parameter gradient is computed."""
+        x, steps, h, p = self._cache
+        self._cache = None
+        slope = self.cfg.leaky_slope
+        rate = self.cfg.dropout_rate
+        g = sigmoid_backward(grad_p, p)
+        if param_grads:
+            self.output.grad = h.T @ g
+            self.output_bias.grad = g.sum(axis=0)
+        g = g @ self.output.value.T
+        for (weight, gamma, beta), (h, centered, inv, positive, kept) in zip(
+            reversed(self.blocks), reversed(steps)
+        ):
+            grad_out = g
+            if kept is not None:
+                g = grad_out * kept
+                g *= 1.0 / (1.0 - rate)
+            g = g * (slope + (1.0 - slope) * positive)
+            grad_sum = g.sum(axis=0)
+            grad_dot_c = np.einsum("ij,ij->j", g, centered)
+            n = g.shape[0]
+            gz = n * g
+            gz -= grad_sum
+            gz -= centered * (grad_dot_c * (inv * inv))
+            gz *= gamma.value * (inv / n)
+            if param_grads:
+                gamma.grad = grad_dot_c * inv
+                beta.grad = grad_sum
+                weight.grad = h.T @ gz
+            g = gz @ weight.value.T
+            g += grad_out
+        if param_grads:
+            self.input.grad = x.T @ g
+        return g @ self.input.value.T
 
     def params(self):
-        out = self.input_proj.params()
-        for b in self.blocks:
-            out.extend(b.params())
-        out.extend(self.output.params())
+        out = [self.input]
+        for block in self.blocks:
+            out.extend(block)
+        out += [self.output, self.output_bias]
         return out
-
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
 
     def norm_state(self) -> dict:
         """Batch-norm running statistics, keyed like parameters."""
         out = {}
-        for b in self.blocks:
-            out[f"{b.bn.gamma.name[:-6]}.running_mean"] = b.bn.running_mean
-            out[f"{b.bn.gamma.name[:-6]}.running_var"] = b.bn.running_var
+        for i, (mean, var) in enumerate(self.running):
+            out[f"{self.name}.block{i}.bn.running_mean"] = mean
+            out[f"{self.name}.block{i}.bn.running_var"] = var
         return out
 
     def load_norm_state(self, state: dict) -> None:
-        for b in self.blocks:
-            prefix = b.bn.gamma.name[:-6]
-            b.bn.running_mean = np.array(state[f"{prefix}.running_mean"], dtype=np.float64)
-            b.bn.running_var = np.array(state[f"{prefix}.running_var"], dtype=np.float64)
+        for key, buf in self.norm_state().items():
+            buf[...] = state[key]
 
 
 def build_models(cfg: ModelConfig, rng: Rng):
     """Encoder/decoder plus two independently initialized discriminators."""
-    weight = init_orthogonal(cfg.dim, rng.substream("encoder_init"))
-    if cfg.encoder_bias:
-        enc = EncoderDecoder(weight, enc_bias=np.zeros(cfg.dim), dec_bias=np.zeros(cfg.dim))
-    else:
-        enc = EncoderDecoder(weight)
+    enc = EncoderDecoder(init_orthogonal(cfg.dim, rng.substream("encoder_init")))
     d_train = Discriminator("disc_train", cfg, rng.substream("disc_train_init"))
     d_monitor = Discriminator("disc_monitor", cfg, rng.substream("disc_monitor_init"))
     return enc, d_train, d_monitor

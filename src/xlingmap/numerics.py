@@ -1,10 +1,8 @@
-"""Dense float64 matrix primitives, a splittable deterministic RNG, and a
-central finite-difference gradient checker.
+"""A splittable deterministic RNG and a central finite-difference gradient
+checker.
 
-Everything downstream (layers, models, training) builds on these few
-functions, so they are deliberately small and strict: shapes are validated,
-inputs are float64, and all randomness flows through named :class:`Rng`
-substreams so that runs are reproducible bit-for-bit.
+All randomness flows through named :class:`Rng` substreams so that runs are
+reproducible bit-for-bit.
 """
 from __future__ import annotations
 
@@ -18,44 +16,6 @@ RNG_ALGORITHM = "pcg64/sha256-named-substreams/v1"
 
 class NumericsError(ValueError):
     pass
-
-
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a 2-d float64 array, rejecting other ranks."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise NumericsError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise NumericsError(f"matrix must be non-empty, got shape {a.shape}")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape checking.
-
-    Summation order is fixed by the backend for a given thread count; the
-    CLI caps BLAS threads (default 1) so repeated runs are identical.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise NumericsError(
-            f"matmul shape mismatch: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
-def cosine(u, v) -> float:
-    """Cosine similarity of two vectors, clamped to [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise NumericsError(f"cosine length mismatch: {u.size} vs {v.size}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise NumericsError("cosine undefined for zero-norm vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def grad_check(f, grad, x0, eps: float = 1e-5) -> float:

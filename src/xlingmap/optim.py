@@ -1,9 +1,21 @@
-"""Adam optimizer with bias correction, one instance per parameter group."""
+"""Trainable parameters and the Adam optimizer with bias correction, one
+instance per parameter group."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+
+class Param:
+    """A named trainable array and the gradient the next optimizer step uses."""
+
+    __slots__ = ("name", "value", "grad")
+
+    def __init__(self, name: str, value):
+        self.name = name
+        self.value = np.array(value, dtype=np.float64)
+        self.grad = np.zeros_like(self.value)
 
 
 class NonFiniteGradient(FloatingPointError):
@@ -57,10 +69,6 @@ class Adam:
             update = m / denom
             update *= scale
             p.value -= update
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
     def state_dict(self) -> dict:
         return {

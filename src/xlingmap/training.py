@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -91,7 +92,12 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        d["model"] = ModelConfig(**d["model"])
+        model = dict(d["model"])
+        # Headers written before the encoder bias was removed carry
+        # "encoder_bias": false; a biased encoder cannot be rebuilt.
+        if model.pop("encoder_bias", False):
+            raise CheckpointError("encoder bias is not supported")
+        d["model"] = ModelConfig(**model)
         d["sampler"] = SamplerConfig(**d["sampler"])
         return cls(**d)
 
@@ -128,6 +134,52 @@ def _collapse_stats(outputs: np.ndarray):
     if nonzero.shape[0] < 2:
         return 1.0, std
     return collapse_metric(nonzero).mean_pairwise_cosine, std
+
+
+def _generator_pass(cfg: TrainConfig, encoder: EncoderDecoder,
+                    disc: Discriminator, f: np.ndarray, e: np.ndarray, rng):
+    """The generator objective and its gradient w.r.t. the encoder weight.
+
+    Maps the source rows ``f`` and scores them alone with ``disc`` in
+    training mode, which moves its running statistics and draws dropout
+    masks from ``rng``; ``disc`` gets no parameter gradients. ``gan`` mode
+    uses the adversarial loss alone and ignores the loss weights; ``aae``
+    adds reconstruction through the tied decoder and the cosine penalty
+    against the target rows ``e``. Returns (mapped rows, loss values,
+    encoder weight gradient).
+    """
+    e_hat = encoder.encode(f)
+    p = disc.forward(e_hat, rng)
+    loss_adv = adversarial_loss(p)
+    if cfg.mode == "gan":
+        grad_e_hat = disc.backward(adversarial_loss_grad(p), param_grads=False)
+        losses = {"loss_recon": 0.0, "loss_adv": loss_adv, "loss_cos": 0.0,
+                  "loss_total": loss_adv}
+        return e_hat, losses, f.T @ grad_e_hat
+
+    recon = encoder.decode(e_hat)
+    loss_recon = cosine_dissim_loss(f, recon)
+    loss_cos = cosine_dissim_loss(e, e_hat)
+    loss_total = (
+        cfg.lambda_r * loss_recon
+        + cfg.lambda_a * loss_adv
+        + cfg.lambda_c * loss_cos
+    )
+    _, grad_recon = cosine_dissim_grads(f, recon)
+    grad_recon = cfg.lambda_r * grad_recon
+    grad_from_disc = disc.backward(
+        cfg.lambda_a * adversarial_loss_grad(p), param_grads=False
+    )
+    _, grad_from_cos = cosine_dissim_grads(e, e_hat)
+    grad_e_hat = (
+        grad_recon @ encoder.weight.value
+        + grad_from_disc
+        + cfg.lambda_c * grad_from_cos
+    )
+    losses = {"loss_recon": loss_recon, "loss_adv": loss_adv,
+              "loss_cos": loss_cos, "loss_total": loss_total}
+    # the tied weight gets one term from the decoder and one from the encoder
+    return e_hat, losses, grad_recon.T @ e_hat + f.T @ grad_e_hat
 
 
 class Trainer:
@@ -167,94 +219,30 @@ class Trainer:
 
     def step(self) -> StepMetrics:
         t0 = time.perf_counter()
-        if self.cfg.mode == "gan":
-            vals = self._gan_step()
-        else:
-            vals = self._aae_step()
+        n = self.cfg.batch_size
+        f, _ = sample_batch(self.src_dist, self.src, n, self.rngs["sample_src"])
+        e, _ = sample_batch(self.tgt_dist, self.tgt, n, self.rngs["sample_tgt"])
+        e_hat, losses, grad_w = _generator_pass(
+            self.cfg, self.encoder, self.d_train, f, e, self.rngs["dropout_train"]
+        )
+        collapse_cos, collapse_std = _collapse_stats(e_hat)
+        self.encoder.weight.grad = grad_w
+        self.opt_gen.step()
+        disc_bce, monitor_bce, monitor_acc = self._disc_update(e_hat, e)
         self.step_count += 1
         metrics = StepMetrics(
             step=self.step_count,
+            **losses,
+            disc_bce=disc_bce,
+            monitor_bce=monitor_bce,
+            monitor_acc=monitor_acc,
+            collapse_cos=collapse_cos,
+            collapse_std=collapse_std,
             wall_time=time.perf_counter() - t0,
-            **vals,
         )
         if not metrics.finite():
             raise NonFiniteMetric(self.step_count, repr(metrics))
         return metrics
-
-    def _gan_step(self) -> dict:
-        n = self.cfg.batch_size
-        f, _ = sample_batch(self.src_dist, self.src, n, self.rngs["sample_src"])
-
-        e_hat = self.encoder.encode(f)
-        p = self.d_train.forward(e_hat, self.rngs["dropout_train"])
-        loss_adv = adversarial_loss(p)
-        collapse_cos, collapse_std = _collapse_stats(e_hat)
-
-        grad_e_hat = self.d_train.backward(adversarial_loss_grad(p))
-        self.encoder.encode_backward(grad_e_hat)
-        self.opt_gen.step()
-        self.opt_gen.zero_grad()
-        # The generator pass leaked gradients into the discriminator; drop them.
-        self.d_train.zero_grads()
-
-        e, _ = sample_batch(self.tgt_dist, self.tgt, n, self.rngs["sample_tgt"])
-        disc_bce, monitor_bce, monitor_acc = self._disc_update(e_hat, e)
-        return {
-            "loss_recon": 0.0,
-            "loss_adv": loss_adv,
-            "loss_cos": 0.0,
-            "loss_total": loss_adv,
-            "disc_bce": disc_bce,
-            "monitor_bce": monitor_bce,
-            "monitor_acc": monitor_acc,
-            "collapse_cos": collapse_cos,
-            "collapse_std": collapse_std,
-        }
-
-    def _aae_step(self) -> dict:
-        cfg = self.cfg
-        n = cfg.batch_size
-        f, _ = sample_batch(self.src_dist, self.src, n, self.rngs["sample_src"])
-        e, _ = sample_batch(self.tgt_dist, self.tgt, n, self.rngs["sample_tgt"])
-
-        e_hat = self.encoder.encode(f)
-        recon = self.encoder.decode(e_hat)
-        p = self.d_train.forward(e_hat, self.rngs["dropout_train"])
-        loss_recon = cosine_dissim_loss(f, recon)
-        loss_adv = adversarial_loss(p)
-        loss_cos = cosine_dissim_loss(e, e_hat)
-        loss_total = (
-            cfg.lambda_r * loss_recon
-            + cfg.lambda_a * loss_adv
-            + cfg.lambda_c * loss_cos
-        )
-        collapse_cos, collapse_std = _collapse_stats(e_hat)
-
-        _, grad_recon = cosine_dissim_grads(f, recon)
-        grad_from_recon = self.encoder.decode_backward(cfg.lambda_r * grad_recon)
-        grad_from_disc = self.d_train.backward(
-            cfg.lambda_a * adversarial_loss_grad(p)
-        )
-        _, grad_from_cos = cosine_dissim_grads(e, e_hat)
-        self.encoder.encode_backward(
-            grad_from_recon + grad_from_disc + cfg.lambda_c * grad_from_cos
-        )
-        self.opt_gen.step()
-        self.opt_gen.zero_grad()
-        self.d_train.zero_grads()
-
-        disc_bce, monitor_bce, monitor_acc = self._disc_update(e_hat, e)
-        return {
-            "loss_recon": loss_recon,
-            "loss_adv": loss_adv,
-            "loss_cos": loss_cos,
-            "loss_total": loss_total,
-            "disc_bce": disc_bce,
-            "monitor_bce": monitor_bce,
-            "monitor_acc": monitor_acc,
-            "collapse_cos": collapse_cos,
-            "collapse_std": collapse_std,
-        }
 
     def _disc_update(self, e_hat: np.ndarray, e: np.ndarray):
         """Update both discriminators on target (positive) vs mapped source
@@ -278,10 +266,8 @@ class Trainer:
             p = disc.forward(joint, rng)
             p_pos, p_neg = p[:n], p[n:]
             loss = bce_loss(p_pos, p_neg)
-            grad_pos, grad_neg = bce_loss_grads(p_pos, p_neg)
-            disc.backward(np.vstack([grad_pos, grad_neg]))
+            disc.backward(np.vstack(bce_loss_grads(p_pos, p_neg)))
             opt.step()
-            opt.zero_grad()
             results.append((loss, p_pos, p_neg))
         (disc_bce, _, _), (monitor_bce, mp, mn) = results
         # p = 0.5 classifies as negative, so the tie case is deterministic.
@@ -298,13 +284,9 @@ class Trainer:
         rng = self.rngs["eval"]
         f, _ = sample_batch(self.src_dist, self.src, m, rng)
         e, _ = sample_batch(self.tgt_dist, self.tgt, m, rng)
-        self.set_training(False)
-        try:
-            mapped = self.encoder.map_rows(f)
-            collapse_cos, collapse_std = _collapse_stats(mapped)
-            report = distribution_match_report(mapped, e, self.d_monitor)
-        finally:
-            self.set_training(True)
+        mapped = self.encoder.map_rows(f)
+        collapse_cos, collapse_std = _collapse_stats(mapped)
+        report = distribution_match_report(mapped, e, self.d_monitor)
         return {
             "type": "eval",
             "step": self.step_count,
@@ -314,10 +296,6 @@ class Trainer:
             "cov_frobenius_error": report["cov_frobenius_error"],
             "monitor_accuracy": report["monitor_accuracy"],
         }
-
-    def set_training(self, flag: bool) -> None:
-        self.d_train.set_training(flag)
-        self.d_monitor.set_training(flag)
 
     # -- the outer loop ------------------------------------------------------
 
@@ -429,7 +407,6 @@ class Trainer:
                     f"{arrays[p.name].shape} vs model {p.value.shape}"
                 )
             p.value[...] = arrays[p.name]
-            p.zero_grad()
         self.d_train.load_norm_state(arrays)
         self.d_monitor.load_norm_state(arrays)
         for label, opt in (
@@ -447,16 +424,6 @@ class Trainer:
         for name in self.STREAMS:
             self.rngs[name].set_state(header["rng"]["streams"][name])
         self.step_count = int(header["step"])
-
-
-def train(cfg: TrainConfig, src: EmbeddingTable, tgt: EmbeddingTable,
-          src_freq: FrequencyTable | None = None,
-          tgt_freq: FrequencyTable | None = None,
-          out_dir=None, on_record=None) -> Trainer:
-    """Build a trainer and run it to completion."""
-    trainer = Trainer(cfg, src, tgt, src_freq, tgt_freq)
-    trainer.run(out_dir=out_dir, on_record=on_record)
-    return trainer
 
 
 # -- checkpoint container format -------------------------------------------
@@ -490,7 +457,20 @@ def write_checkpoint(path, header: dict, arrays: dict) -> None:
         chunks.append(arr.tobytes(order="C"))
     payload = b"".join(chunks)
     digest = hashlib.sha256(payload).digest()
-    Path(path).write_bytes(payload + digest)
+    # Write beside the target and rename over it, so a crash leaves either
+    # the previous checkpoint or the complete new one at ``path``.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.write(digest)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path):
@@ -547,24 +527,6 @@ def encoder_from_checkpoint(path):
     header, arrays = read_checkpoint(path)
     if "encoder.weight" not in arrays:
         raise CheckpointError(f"{path}: checkpoint has no encoder weight")
-    enc = EncoderDecoder(
-        arrays["encoder.weight"],
-        enc_bias=arrays.get("encoder.enc_bias"),
-        dec_bias=arrays.get("encoder.dec_bias"),
-    )
-    return enc, header
-
-
-def monitor_from_checkpoint(path) -> Discriminator:
-    """Rebuild the monitoring discriminator in inference mode."""
-    header, arrays = read_checkpoint(path)
-    cfg = TrainConfig.from_dict(header["config"])
-    rng = Rng(0, "rebuild")
-    disc = Discriminator("disc_monitor", cfg.model, rng)
-    for p in disc.params():
-        if p.name not in arrays:
-            raise CheckpointError(f"{path}: checkpoint missing array {p.name!r}")
-        p.value[...] = arrays[p.name]
-    disc.load_norm_state(arrays)
-    disc.set_training(False)
-    return disc
+    if "encoder.enc_bias" in arrays:
+        raise CheckpointError(f"{path}: encoder bias is not supported")
+    return EncoderDecoder(arrays["encoder.weight"]), header

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from xlingmap.embed_io import EmbeddingTable, Vocabulary
+from xlingmap.models import Discriminator, ModelConfig
+from xlingmap.numerics import Rng, grad_check
 
 
 class FixedRng:
@@ -23,10 +25,76 @@ class FixedRng:
         raise NotImplementedError("FixedRng only replays uniforms")
 
 
+def cosine(u, v) -> float:
+    """Brute-force cosine similarity of two vectors, the reference the
+    vectorized retrieval and collapse statistics are checked against."""
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if u.shape != v.shape:
+        raise ValueError(f"cosine length mismatch: {u.size} vs {v.size}")
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine undefined for zero-norm vector")
+    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
 def random_table(n_words, dim, seed=0, prefix="w"):
     rng = np.random.default_rng(seed)
     vocab = Vocabulary([f"{prefix}{i}" for i in range(n_words)])
     return EmbeddingTable(vocab, rng.normal(size=(n_words, dim)))
+
+
+def probe(k, depth=1, **cfg):
+    """A k-wide discriminator whose input projection is the identity, so the
+    first block sees the input rows themselves."""
+    disc = Discriminator("d", ModelConfig(dim=k, block_dim=k, depth=depth, **cfg),
+                         Rng(0))
+    disc.input.value[...] = np.eye(k)
+    return disc
+
+
+def final_state(disc, x, rng=None):
+    """The training-mode hidden state that feeds the output layer, read back
+    exactly: with the output layer at zero every score is 0.5, so an
+    upstream gradient of 4 on row i alone makes the output weight's gradient
+    row i of the state. ``rng`` must replay the same masks on every call."""
+    assert not np.any(disc.output.value)
+    rows = []
+    for i in range(x.shape[0]):
+        disc.forward(x, rng)
+        grad_p = np.zeros((x.shape[0], 1))
+        grad_p[i] = 4.0
+        disc.backward(grad_p)
+        rows.append(disc.output.grad[:, 0].copy())
+    return np.array(rows)
+
+
+def disc_grad_errors(disc, x, uniforms, readout, eps):
+    """Finite-difference errors of a training-mode discriminator's input
+    gradient and of every parameter's gradient, under the frozen dropout
+    field ``uniforms``. The objective is ``sum(p * readout)``; returns
+    ``{"input" or parameter name: relative error}``."""
+    inp = np.array(x, dtype=np.float64)
+
+    def loss(vec, arr):
+        arr[...] = vec.reshape(arr.shape)
+        return float(np.sum(disc.forward(inp, FixedRng(uniforms)) * readout))
+
+    def grad(vec, arr, param):
+        arr[...] = vec.reshape(arr.shape)
+        disc.forward(inp, FixedRng(uniforms))
+        g_in = disc.backward(readout)
+        return (g_in if param is None else param.grad).ravel().copy()
+
+    errors = {}
+    targets = [("input", inp, None)] + [(p.name, p.value, p) for p in disc.params()]
+    for name, arr, param in targets:
+        start = arr.ravel().copy()
+        errors[name] = grad_check(lambda v: loss(v, arr),
+                                  lambda v: grad(v, arr, param), start, eps=eps)
+        arr[...] = start.reshape(arr.shape)
+    return errors
 
 
 @pytest.fixture

@@ -1,16 +1,16 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured values (run with -s to see them).
 
-The two training experiments (criteria 6 and 7) are the slow tests; both
-print progress and stop early once their target is reached.
+Criteria 6 and 7, the two training experiments (``gan`` collapse and
+``aae`` distribution match), have no test yet: their bounds are still to be
+measured.
 """
 import dataclasses
-import json
 import math
+import re
 import time
 
 import numpy as np
-import pytest
 
 from xlingmap.embed_io import (
     EmbeddingTable,
@@ -28,28 +28,21 @@ from xlingmap.evaluation import (
     synth_generate,
 )
 from xlingmap.layers import (
-    BatchNorm,
-    Dropout,
-    Linear,
-    ResBlock,
     adversarial_loss,
     adversarial_loss_grad,
     bce_loss,
     bce_loss_grads,
-    combined_encoder_loss,
     cosine_dissim_grads,
     cosine_dissim_loss,
-    leaky_relu,
-    leaky_relu_backward,
     sigmoid,
     sigmoid_backward,
 )
-from xlingmap.models import ModelConfig, build_models, init_orthogonal
+from xlingmap.models import Discriminator, ModelConfig, build_models
 from xlingmap.numerics import Rng, grad_check
 from xlingmap.sampling import SamplerConfig, build_adjusted
-from xlingmap.training import TrainConfig, Trainer
+from xlingmap.training import TrainConfig, Trainer, _generator_pass
 
-from conftest import FixedRng, random_table
+from conftest import FixedRng, disc_grad_errors, random_table
 
 GRAD_TOL = 1e-4
 GRAD_EPS = 1e-5
@@ -70,108 +63,27 @@ def test_criterion_1_gradient_suite():
     t_start = time.perf_counter()
     worst = {}
 
+    def record(name, err):
+        worst[name] = max(worst.get(name, 0.0), err)
+
     for seed in range(5):
         rng = np.random.default_rng(1000 + seed)
 
-        # linear: weight and input gradients
-        w0 = rng.normal(size=(4, 3))
-        x = rng.normal(size=(5, 4))
-        ro = rng.normal(size=(5, 3))
-
-        def f_lin(vec):
-            return float(np.sum(Linear("l", vec.reshape(4, 3)).forward(x) * ro))
-
-        def g_lin(vec):
-            lin = Linear("l", vec.reshape(4, 3))
-            lin.forward(x)
-            lin.backward(ro)
-            return lin.weight.grad.ravel()
-
-        worst["linear.weight"] = max(
-            worst.get("linear.weight", 0.0), _readout_check(f_lin, g_lin, w0.ravel())
-        )
-
-        lin = Linear("l", w0)
-        x0 = rng.normal(size=(5, 4))
-
-        def f_lin_x(vec):
-            return float(np.sum(lin.forward(vec.reshape(5, 4), record=False) * ro))
-
-        def g_lin_x(vec):
-            lin.forward(vec.reshape(5, 4))
-            return lin.backward(ro).ravel()
-
-        worst["linear.input"] = max(
-            worst.get("linear.input", 0.0), _readout_check(f_lin_x, g_lin_x, x0.ravel())
-        )
-
-        # tied accumulation through both uses of one weight
-        from xlingmap.models import EncoderDecoder
-
-        f_rows = rng.normal(size=(4, 4))
-
-        def f_tied(vec):
-            enc = EncoderDecoder(vec.reshape(4, 4))
-            recon = enc.decode(enc.encode(f_rows, record=False), record=False)
-            return cosine_dissim_loss(f_rows, recon)
-
-        def g_tied(vec):
-            enc = EncoderDecoder(vec.reshape(4, 4))
-            recon = enc.decode(enc.encode(f_rows))
-            _, gr = cosine_dissim_grads(f_rows, recon)
-            enc.encode_backward(enc.decode_backward(gr))
-            return enc.weight.grad.ravel()
-
-        w_tied = rng.normal(size=(4, 4)) + 0.3 * np.eye(4)
-        worst["tied"] = max(worst.get("tied", 0.0), _readout_check(f_tied, g_tied, w_tied.ravel()))
-
-        # batch norm, training mode, input gradient
-        xb = rng.normal(size=(6, 4))
-        rob = rng.normal(size=(6, 4))
-
-        def bn_fresh():
-            bn = BatchNorm("bn", 4)
-            return bn
-
-        def f_bn(vec):
-            return float(np.sum(bn_fresh().forward(vec.reshape(6, 4), record=False) * rob))
-
-        def g_bn(vec):
-            bn = bn_fresh()
-            bn.forward(vec.reshape(6, 4))
-            return bn.backward(rob).ravel()
-
-        worst["batchnorm"] = max(worst.get("batchnorm", 0.0), _readout_check(f_bn, g_bn, xb.ravel()))
-
-        # leaky relu
-        xl = rng.normal(size=(4, 4)) + 0.05  # keep clear of the kink
-        rol = rng.normal(size=(4, 4))
-
-        def f_lr(vec):
-            return float(np.sum(leaky_relu(vec.reshape(4, 4), 0.01) * rol))
-
-        def g_lr(vec):
-            return leaky_relu_backward(rol, vec.reshape(4, 4), 0.01).ravel()
-
-        worst["leaky_relu"] = max(worst.get("leaky_relu", 0.0), _readout_check(f_lr, g_lr, xl.ravel()))
-
-        # residual block with frozen dropout mask
-        xr = rng.normal(size=(4, 5))
-        ror = rng.normal(size=(4, 5))
-        wr = rng.normal(size=(5, 5))
-        mask_u = rng.uniform(size=(4, 5))
-
-        def f_rb(vec):
-            block = ResBlock("b", 5, wr, dropout_rate=0.3)
-            return float(np.sum(
-                block.forward(vec.reshape(4, 5), FixedRng(mask_u), record=False) * ror))
-
-        def g_rb(vec):
-            block = ResBlock("b", 5, wr, dropout_rate=0.3)
-            block.forward(vec.reshape(4, 5), FixedRng(mask_u))
-            return block.backward(ror).ravel()
-
-        worst["resblock"] = max(worst.get("resblock", 0.0), _readout_check(f_rb, g_rb, xr.ravel()))
+        # discriminator in training mode under a frozen dropout mask: the
+        # input gradient and every parameter group
+        disc = Discriminator("d", ModelConfig(dim=5, block_dim=4, depth=2,
+                                              dropout_rate=0.3), Rng(seed))
+        disc.output.value[...] = rng.normal(size=(4, 1))
+        disc.output_bias.value[...] = 0.1
+        for _, gamma, beta in disc.blocks:
+            gamma.value[...] = rng.uniform(0.5, 1.5, size=4)
+            beta.value[...] = rng.normal(size=4) * 0.3
+        errors = disc_grad_errors(disc, rng.normal(size=(6, 5)),
+                                  rng.uniform(size=(6, 4)), rng.normal(size=(6, 1)),
+                                  GRAD_EPS)
+        for name, err in errors.items():
+            # one entry per group: d.block1.bn.gamma -> disc:d.block.bn.gamma
+            record("disc:" + re.sub(r"block\d+", "block", name), err)
 
         # sigmoid
         xs = rng.normal(size=(3, 4))
@@ -184,7 +96,7 @@ def test_criterion_1_gradient_suite():
             out = sigmoid(vec.reshape(3, 4))
             return sigmoid_backward(ros, out).ravel()
 
-        worst["sigmoid"] = max(worst.get("sigmoid", 0.0), _readout_check(f_sg, g_sg, xs.ravel()))
+        record("sigmoid", _readout_check(f_sg, g_sg, xs.ravel()))
 
         # losses
         a0 = rng.normal(size=(4, 3))
@@ -196,7 +108,7 @@ def test_criterion_1_gradient_suite():
         def g_cd(vec):
             return cosine_dissim_grads(vec.reshape(4, 3), b0)[0].ravel()
 
-        worst["cosine_dissim"] = max(worst.get("cosine_dissim", 0.0), _readout_check(f_cd, g_cd, a0.ravel()))
+        record("cosine_dissim", _readout_check(f_cd, g_cd, a0.ravel()))
 
         p0 = rng.uniform(0.1, 0.9, size=(5, 1))
 
@@ -206,7 +118,7 @@ def test_criterion_1_gradient_suite():
         def g_adv(vec):
             return adversarial_loss_grad(vec.reshape(5, 1)).ravel()
 
-        worst["adversarial"] = max(worst.get("adversarial", 0.0), _readout_check(f_adv, g_adv, p0.ravel()))
+        record("adversarial", _readout_check(f_adv, g_adv, p0.ravel()))
 
         pp = rng.uniform(0.1, 0.9, size=(3, 1))
         pn = rng.uniform(0.1, 0.9, size=(3, 1))
@@ -218,51 +130,40 @@ def test_criterion_1_gradient_suite():
             gp, gn = bce_loss_grads(vec[:3].reshape(3, 1), vec[3:].reshape(3, 1))
             return np.concatenate([gp.ravel(), gn.ravel()])
 
-        worst["bce"] = max(worst.get("bce", 0.0),
-                           _readout_check(f_bce, g_bce, np.concatenate([pp.ravel(), pn.ravel()])))
+        record("bce", _readout_check(f_bce, g_bce,
+                                     np.concatenate([pp.ravel(), pn.ravel()])))
 
-        # full composite dL_GR/dW with frozen discriminator in the loop
-        d, k, T, n = 5, 4, 2, 4
-        cfg = ModelConfig(dim=d, block_dim=k, depth=T, dropout_rate=0.0)
-        enc, disc, _ = build_models(cfg, Rng(seed))
+        # dL/dW of the generator pass Trainer.step calls, with the training
+        # discriminator in the loop: reconstruction alone (the tied weight's
+        # two uses), the full aae objective, and gan
+        d, k, n = 5, 4, 4
+        model = ModelConfig(dim=d, block_dim=k, depth=2, dropout_rate=0.3)
+        enc, disc, _ = build_models(model, Rng(seed))
         data = Rng(100 + seed)
         fr = data.normal((n, d))
         er = data.normal((n, d))
-        disc.output.weight.value[...] = data.normal((k, 1)) * 0.5
-        disc.output.bias.value[...] = 0.1
+        mask = FixedRng(data.uniform((n, k)))
+        disc.output.value[...] = data.normal((k, 1)) * 0.5
+        disc.output_bias.value[...] = 0.1
+        for name, cfg in (
+            ("tied", TrainConfig(model=model, lambda_a=0.0, lambda_c=0.0)),
+            ("composite_LGR", TrainConfig(model=model)),
+            ("gan", TrainConfig(model=model, mode="gan")),
+        ):
+            def run(vec, cfg=cfg):
+                enc.weight.value[...] = vec.reshape(d, d)
+                return _generator_pass(cfg, enc, disc, fr, er, mask)
 
-        def f_full(vec):
-            enc.weight.value[...] = vec.reshape(d, d)
-            e_hat = enc.encode(fr, record=False)
-            recon = enc.decode(e_hat, record=False)
-            p = disc.forward(e_hat, record=False)
-            return combined_encoder_loss(fr, er, e_hat, recon, p, 1.0, 1.0, 1.0)
-
-        def g_full(vec):
-            enc.weight.value[...] = vec.reshape(d, d)
-            enc.zero_grads()
-            disc.zero_grads()
-            e_hat = enc.encode(fr)
-            recon = enc.decode(e_hat)
-            p = disc.forward(e_hat)
-            _, gr = cosine_dissim_grads(fr, recon)
-            g1 = enc.decode_backward(gr)
-            g2 = disc.backward(adversarial_loss_grad(p))
-            _, g3 = cosine_dissim_grads(er, e_hat)
-            enc.encode_backward(g1 + g2 + g3)
-            return enc.weight.grad.ravel().copy()
-
-        worst["composite_LGR"] = max(
-            worst.get("composite_LGR", 0.0),
-            _readout_check(f_full, g_full, enc.weight.value.ravel().copy()),
-        )
+            w0 = rng.normal(size=(d, d)) * 0.3 + np.eye(d)
+            record(name, _readout_check(lambda v: run(v)[1]["loss_total"],
+                                        lambda v: run(v)[2].ravel(), w0.ravel()))
 
     elapsed = time.perf_counter() - t_start
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
     for name, err in worst.items():
         assert err < GRAD_TOL, f"{name}: relative error {err:.2e}"
     worst_name = max(worst, key=worst.get)
-    report(1, f"10 checks x 5 seeds, worst {worst_name} {worst[worst_name]:.2e} "
+    report(1, f"{len(worst)} checks x 5 seeds, worst {worst_name} {worst[worst_name]:.2e} "
               f"(< {GRAD_TOL}), {elapsed:.1f}s")
 
 
@@ -303,8 +204,8 @@ def test_criterion_3_orthogonal_init():
         w = enc.weight.value
         worst = max(worst, float(np.max(np.abs(w.T @ w - np.eye(100)))))
         for disc in (d1, d2):
-            for b in disc.blocks:
-                bw = b.weight.value
+            for weight, _, _ in disc.blocks:
+                bw = weight.value
                 worst = max(worst, float(np.max(np.abs(bw.T @ bw - np.eye(40)))))
     assert worst < 1e-10
     report(3, f"encoder (d=100) and all block weights, 5 seeds: "

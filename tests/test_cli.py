@@ -54,6 +54,16 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert "sha256" in manifest["inputs"]["src"]
 
 
+def test_train_rejects_model_settings_before_manifest(tmp_path, capsys):
+    sp, tp, _, _ = write_tables(tmp_path)
+    for flag, value, fragment in (("leaky_slope", 1.5, "leaky slope"),
+                                  ("dropout", 1.0, "dropout rate")):
+        out = tmp_path / f"run-{flag}"
+        assert main(train_args(sp, tp, out, **{flag: value})) == 1
+        assert fragment in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 def test_train_twice_same_seed_identical_checkpoints(tmp_path):
     sp, tp, _, _ = write_tables(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -58,12 +58,25 @@ def test_load_dimension_mismatch_reports_line(tmp_path):
     ("1 2\na 1 x\n", "unparseable"),
     ("x 2\na 1 0\n", "non-integer"),
     ("0 2\n", "positive"),
+    ("1 2\na 1 0  \n", "found 4"),
+    ("1 2\na 1 0\t\n", "tab"),
+    ("1 2\na 1\t0\n", "tab"),
+    ("1 2 \na 1 0 \n", "header"),
 ])
 def test_load_rejects_malformed(tmp_path, content, fragment):
     path = tmp_path / "e.vec"
     path.write_text(content, encoding="utf-8")
     with pytest.raises(EmbedFormatError, match=fragment):
         load_embeddings(path)
+
+
+def test_load_word2vec_trailing_space(tmp_path):
+    # word2vec -binary 0 and fastText end every row with one space
+    path = tmp_path / "w2v.vec"
+    path.write_text("3 2\na 1 0 \nb 0 1 \nc 0.5 -2\n", encoding="utf-8")
+    t = load_embeddings(path)
+    assert t.vocab.tokens == ("a", "b", "c")
+    assert np.array_equal(t.matrix, [[1, 0], [0, 1], [0.5, -2]])
 
 
 def test_save_one_word_table(tmp_path):

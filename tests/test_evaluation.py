@@ -12,9 +12,9 @@ from xlingmap.evaluation import (
     synth_generate,
 )
 from xlingmap.models import Discriminator, ModelConfig
-from xlingmap.numerics import Rng, cosine
+from xlingmap.numerics import Rng
 
-from conftest import random_table
+from conftest import cosine, random_table
 
 
 def brute_force_knn(query, table, k):
@@ -228,7 +228,6 @@ def test_match_report_untrained_monitor_tie_rule():
     # negative: every target row is wrong, every mapped row is right
     cfg = ModelConfig(dim=4, block_dim=4, depth=2)
     disc = Discriminator("d", cfg, Rng(19))
-    disc.set_training(False)
     rng = np.random.default_rng(20)
     rep = distribution_match_report(
         rng.normal(size=(8, 4)), rng.normal(size=(8, 4)), disc

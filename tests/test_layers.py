@@ -4,70 +4,62 @@ import numpy as np
 import pytest
 
 from xlingmap.layers import (
-    BatchNorm,
-    Dropout,
     LayerError,
-    Linear,
-    ResBlock,
     adversarial_loss,
     adversarial_loss_grad,
     bce_loss,
     bce_loss_grads,
-    combined_encoder_loss,
     cosine_dissim_grads,
     cosine_dissim_loss,
     leaky_relu,
     sigmoid,
     sigmoid_backward,
 )
+from xlingmap.models import Discriminator, ModelConfig
 from xlingmap.numerics import Rng, grad_check
 
-from conftest import FixedRng
+from conftest import FixedRng, disc_grad_errors, final_state, probe
 
 GRAD_TOL = 1e-4
 EPS = 1e-5
 
 
 def test_linear_identity_weight():
-    lin = Linear("l", np.eye(4))
-    x = np.random.default_rng(0).normal(size=(3, 4))
-    assert np.array_equal(lin.forward(x), x)
+    # with zero block weights every block is the identity, which leaves the
+    # two linear layers: the score's logit is x @ W_in @ w + b
+    disc = Discriminator("d", ModelConfig(dim=5, block_dim=4, depth=2), Rng(0))
+    for weight, _, _ in disc.blocks:
+        weight.value[...] = 0.0
+    rng = np.random.default_rng(0)
+    disc.output.value[...] = rng.normal(size=(4, 1)) * 0.3
+    disc.output_bias.value[...] = 0.2
+    x = rng.normal(size=(3, 5))
+    p = disc.forward(x, Rng(1), training=False)
+    logit = x @ disc.input.value @ disc.output.value + 0.2
+    assert np.max(np.abs(np.log(p / (1.0 - p)) - logit)) < 1e-12
+
+
+def _live_disc(seed, **cfg):
+    disc = Discriminator("d", ModelConfig(dim=4, block_dim=3, depth=2, **cfg), Rng(seed))
+    disc.output.value[...] = np.random.default_rng(seed).normal(size=(3, 1))
+    return disc
 
 
 def test_linear_grad_check():
     rng = np.random.default_rng(1)
-    w0 = rng.normal(size=(4, 3))
     x = rng.normal(size=(5, 4))
-    readout = rng.normal(size=(5, 3))
-
-    def f(vec):
-        lin = Linear("l", vec.reshape(4, 3))
-        return float(np.sum(lin.forward(x) * readout))
-
-    def grad(vec):
-        lin = Linear("l", vec.reshape(4, 3))
-        lin.forward(x)
-        lin.backward(readout)
-        return lin.weight.grad.ravel()
-
-    assert grad_check(f, grad, w0.ravel(), eps=EPS) < GRAD_TOL
+    errors = disc_grad_errors(_live_disc(1, dropout_rate=0.0), x, np.ones((5, 3)),
+                              rng.normal(size=(5, 1)), EPS)
+    for name in ("d.input.weight", "d.output.weight", "d.output.bias"):
+        assert errors[name] < GRAD_TOL, name
 
 
 def test_linear_input_grad_check():
     rng = np.random.default_rng(2)
-    w = rng.normal(size=(4, 3))
-    x0 = rng.normal(size=(2, 4))
-    readout = rng.normal(size=(2, 3))
-    lin = Linear("l", w)
-
-    def f(vec):
-        return float(np.sum(lin.forward(vec.reshape(2, 4), record=False) * readout))
-
-    def grad(vec):
-        lin.forward(vec.reshape(2, 4))
-        return lin.backward(readout).ravel()
-
-    assert grad_check(f, grad, x0.ravel(), eps=EPS) < GRAD_TOL
+    x = rng.normal(size=(5, 4))
+    errors = disc_grad_errors(_live_disc(2, dropout_rate=0.0), x, np.ones((5, 3)),
+                              rng.normal(size=(5, 1)), EPS)
+    assert errors["input"] < GRAD_TOL
 
 
 def test_tied_pair_orthogonal_inverts():
@@ -76,209 +68,198 @@ def test_tied_pair_orthogonal_inverts():
     w = init_orthogonal(6, Rng(3))
     enc = EncoderDecoder(w)
     x = np.random.default_rng(4).normal(size=(5, 6))
-    out = enc.decode(enc.encode(x, record=False), record=False)
+    out = enc.decode(enc.encode(x))
     assert np.max(np.abs(out - x)) < 1e-10
 
 
 def test_tied_gradient_accumulates_both_uses():
-    # f(W) = || (x W) W^T - x ||^2 exercises the double use of one weight
-    from xlingmap.models import EncoderDecoder
+    # reconstruction alone uses the one weight twice, in encode and decode;
+    # the generator pass must return the sum of both contributions
+    from xlingmap.models import build_models
+    from xlingmap.training import TrainConfig, _generator_pass
 
     rng = np.random.default_rng(5)
+    model = ModelConfig(dim=4, block_dim=3, depth=1)
+    cfg = TrainConfig(model=model, lambda_r=2.0, lambda_a=0.0, lambda_c=0.0)
+    enc, disc, _ = build_models(model, Rng(5))
     x = rng.normal(size=(3, 4))
-    w0 = rng.normal(size=(4, 4))
+    e = rng.normal(size=(3, 4))
+    w0 = rng.normal(size=(4, 4)) + np.eye(4)
 
-    def f(vec):
-        enc = EncoderDecoder(vec.reshape(4, 4))
-        r = enc.decode(enc.encode(x, record=False), record=False) - x
-        return float(np.sum(r * r))
+    def run(vec):
+        enc.weight.value[...] = vec.reshape(4, 4)
+        return _generator_pass(cfg, enc, disc, x, e, FixedRng(np.ones((3, 3))))
 
-    def grad(vec):
-        enc = EncoderDecoder(vec.reshape(4, 4))
-        z = enc.encode(x)
-        r = enc.decode(z) - x
-        g = enc.decode_backward(2.0 * r)
-        enc.encode_backward(g)
-        return enc.weight.grad.ravel()
-
-    assert grad_check(f, grad, w0.ravel(), eps=EPS) < GRAD_TOL
+    assert grad_check(lambda v: run(v)[1]["loss_total"],
+                      lambda v: run(v)[2].ravel(), w0.ravel(), eps=EPS) < GRAD_TOL
 
 
 def test_leaky_relu_values_and_grad():
     assert leaky_relu(np.array([[1.0]]), 0.01)[0, 0] == 1.0
     assert leaky_relu(np.array([[-1.0]]), 0.01)[0, 0] == -0.01
-    with pytest.raises(LayerError):
-        leaky_relu(np.array([[1.0]]), 0.0)
-    # backward at x = -2 has slope gradient
-    from xlingmap.layers import leaky_relu_backward
-
-    g = leaky_relu_backward(np.array([[1.0]]), np.array([[-2.0]]), 0.01)
-    assert g[0, 0] == 0.01
+    # the slope is validated once, where the model is configured
+    for bad in (0.0, -0.1, 1.0, 1.5):
+        with pytest.raises(ValueError, match="leaky slope"):
+            ModelConfig(dim=2, leaky_slope=bad)
+    # gradient: slope below zero, 1 above, checked through a block whose
+    # normalized pre-activations take both signs
+    disc = probe(2, leaky_slope=0.25, dropout_rate=0.0)
+    disc.output.value[...] = [[1.0], [-0.5]]
+    x = np.array([[1.0, -2.0], [-0.5, 3.0], [2.0, 0.5]])
+    errors = disc_grad_errors(disc, x, np.ones((3, 2)), np.ones((3, 1)), EPS)
+    assert errors["input"] < GRAD_TOL
+    assert errors["d.block0.weight"] < GRAD_TOL
 
 
 def test_batchnorm_two_point_column():
-    bn = BatchNorm("bn", 1, eps=1e-12)
-    out = bn.forward(np.array([[1.0], [3.0]]))
-    assert np.allclose(out.ravel(), [-1.0, 1.0], atol=1e-6)
+    disc = probe(1, bn_eps=1e-12, dropout_rate=0.0)
+    disc.blocks[0][0].value[...] = 1.0
+    # bn([1, 3]) = [-1, 1]; leaky_relu -> [-0.01, 1]; plus the residual
+    out = final_state(disc, np.array([[1.0], [3.0]]))
+    assert np.allclose(out.ravel(), [0.99, 4.0], atol=1e-6)
 
 
 def test_batchnorm_gamma_zero_gives_beta():
-    bn = BatchNorm("bn", 3)
-    bn.gamma.value[...] = 0.0
-    bn.beta.value[...] = 7.0
-    out = bn.forward(np.random.default_rng(0).normal(size=(6, 3)))
-    assert np.allclose(out, 7.0)
+    disc = probe(3, dropout_rate=0.0)
+    _, gamma, beta = disc.blocks[0]
+    gamma.value[...] = 0.0
+    beta.value[...] = 7.0
+    x = np.random.default_rng(0).normal(size=(6, 3))
+    assert np.allclose(final_state(disc, x) - x, 7.0)
 
 
 def test_batchnorm_output_statistics():
-    bn = BatchNorm("bn", 8)
+    disc = probe(8, dropout_rate=0.0)
+    weight, _, beta = disc.blocks[0]
+    weight.value[...] = np.eye(8)
+    # a shift of 10 keeps every normalized entry (|z| <= sqrt(63)) on the
+    # identity side of the leaky ReLU
+    beta.value[...] = 10.0
     x = np.random.default_rng(1).normal(loc=3.0, scale=2.5, size=(64, 8))
-    out = bn.forward(x)
+    out = final_state(disc, x) - x - 10.0
     assert np.max(np.abs(out.mean(axis=0))) < 1e-12
     assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-4
 
 
 def test_batchnorm_needs_two_rows_in_training():
-    bn = BatchNorm("bn", 2)
-    with pytest.raises(LayerError):
-        bn.forward(np.ones((1, 2)))
+    disc = probe(2)
+    with pytest.raises(ValueError, match="n >= 2"):
+        disc.forward(np.ones((1, 2)), Rng(0))
+    assert disc.forward(np.ones((1, 2)), training=False).shape == (1, 1)
 
 
 def test_batchnorm_inference_uses_running_stats():
-    bn = BatchNorm("bn", 2, momentum=0.5)
+    disc = probe(2, bn_momentum=0.5, dropout_rate=0.0)
+    disc.blocks[0][0].value[...] = np.eye(2)
+    disc.output.value[...] = 1.0
     rng = np.random.default_rng(2)
     for _ in range(30):
-        bn.forward(rng.normal(loc=2.0, size=(32, 2)))
-    bn.training = False
-    x = np.array([[2.0, 2.0], [2.0, 2.0]])
-    out1 = bn.forward(x, record=False)
-    out2 = bn.forward(x, record=False)
-    assert np.array_equal(out1, out2)
-    assert np.max(np.abs(out1)) < 0.5  # running mean is near 2
+        disc.forward(rng.normal(loc=2.0, size=(32, 2)))
+    running_mean, _ = disc.running[0]
+    assert np.max(np.abs(running_mean - 2.0)) < 0.5
+    # inference normalizes every row with the running statistics, so a
+    # row's score does not depend on the rest of the batch
+    x = rng.normal(size=(5, 2))
+    batch = disc.forward(x, training=False)
+    single = np.vstack([disc.forward(x[i:i + 1], training=False) for i in range(5)])
+    assert np.max(np.abs(batch - single)) < 1e-15
+    assert np.array_equal(batch, disc.forward(x, training=False))
 
 
 def test_batchnorm_grad_check_training_mode():
     rng = np.random.default_rng(3)
-    x0 = rng.normal(size=(6, 4))
-    readout = rng.normal(size=(6, 4))
-
-    def fresh():
-        bn = BatchNorm("bn", 4)
-        bn.gamma.value[...] = rng0_gamma
-        bn.beta.value[...] = rng0_beta
-        return bn
-
-    rng0_gamma = rng.normal(size=4)
-    rng0_beta = rng.normal(size=4)
-
-    def f(vec):
-        return float(np.sum(fresh().forward(vec.reshape(6, 4), record=False) * readout))
-
-    def grad(vec):
-        bn = fresh()
-        bn.forward(vec.reshape(6, 4))
-        return bn.backward(readout).ravel()
-
-    assert grad_check(f, grad, x0.ravel(), eps=EPS) < GRAD_TOL
-
-    # parameter gradients
-    def f_gamma(vec):
-        bn = fresh()
-        bn.gamma.value[...] = vec
-        return float(np.sum(bn.forward(x0, record=False) * readout))
-
-    def grad_gamma(vec):
-        bn = fresh()
-        bn.gamma.value[...] = vec
-        bn.forward(x0)
-        bn.backward(readout)
-        return bn.gamma.grad
-
-    assert grad_check(f_gamma, grad_gamma, rng0_gamma, eps=EPS) < GRAD_TOL
+    disc = _live_disc(3, dropout_rate=0.0)
+    for _, gamma, beta in disc.blocks:
+        gamma.value[...] = rng.normal(size=3)
+        beta.value[...] = rng.normal(size=3)
+    errors = disc_grad_errors(disc, rng.normal(size=(6, 4)), np.ones((6, 3)),
+                              rng.normal(size=(6, 1)), EPS)
+    for i in range(2):
+        for group in ("bn.gamma", "bn.beta"):
+            assert errors[f"d.block{i}.{group}"] < GRAD_TOL
+    assert errors["input"] < GRAD_TOL
 
 
 def test_dropout_rate_zero_is_identity():
-    d = Dropout(0.0)
-    x = np.random.default_rng(4).normal(size=(5, 5))
-    assert d.forward(x, Rng(0)) is x
+    # rate 0 draws no mask: training mode runs without an rng
+    x = np.random.default_rng(4).normal(size=(5, 3))
+    disc = probe(3, dropout_rate=0.0)
+    disc.output.value[...] = 1.0
+    assert np.array_equal(disc.forward(x), disc.forward(x, Rng(0)))
 
 
 def test_dropout_inference_is_identity():
-    d = Dropout(0.9)
-    d.training = False
-    x = np.random.default_rng(5).normal(size=(5, 5))
-    assert d.forward(x, Rng(0)) is x
+    x = np.random.default_rng(5).normal(size=(5, 3))
+    heavy = probe(3, dropout_rate=0.9)
+    none = probe(3, dropout_rate=0.0)
+    for disc in (heavy, none):
+        disc.output.value[...] = 1.0
+    assert np.array_equal(heavy.forward(x, training=False),
+                          none.forward(x, training=False))
 
 
 def test_dropout_preserves_expectation():
-    d = Dropout(0.5)
-    x = np.ones((1000, 1000))
-    out = d.forward(x, Rng(6).substream("dropout"))
-    assert 0.99 < out.mean() < 1.01
+    # zero input and gamma: the branch is exactly 1 before dropout, and the
+    # output layer averages the k dropped-out entries of each row
+    k, n = 100, 1000
+    disc = probe(k, dropout_rate=0.5)
+    disc.input.value[...] = 0.0
+    _, gamma, beta = disc.blocks[0]
+    gamma.value[...] = 0.0
+    beta.value[...] = 1.0
+    disc.output.value[...] = 1.0 / k
+    p = disc.forward(np.ones((n, k)), Rng(6).substream("dropout"))
+    assert 0.99 < np.log(p / (1.0 - p)).mean() < 1.01
 
 
 def test_dropout_backward_uses_same_mask():
-    d = Dropout(0.3)
-    x = np.ones((50, 50))
-    out = d.forward(x, Rng(7))
-    g = d.backward(np.ones_like(x))
-    assert np.array_equal((out != 0), (g != 0))
+    # the analytic gradient after a draw from Rng(7) agrees with finite
+    # differences that replay exactly that draw
+    rng = np.random.default_rng(7)
+    disc = probe(5, dropout_rate=0.3)
+    disc.output.value[...] = rng.normal(size=(5, 1))
+    x0 = rng.normal(size=(6, 5))
+    readout = rng.normal(size=(6, 1))
+    drawn = Rng(7).uniform(size=(6, 5))
+    assert np.mean(drawn < 0.3) > 0.1  # some entries really are dropped
+
+    def f(vec):
+        return float(np.sum(disc.forward(vec.reshape(6, 5), Rng(7)) * readout))
+
+    def grad(vec):
+        disc.forward(vec.reshape(6, 5), Rng(7))
+        return disc.backward(readout).ravel()
+
+    assert grad_check(f, grad, x0.ravel(), eps=EPS) < GRAD_TOL
 
 
 def test_resblock_zero_weight_is_identity():
-    block = ResBlock("b", 4, np.zeros((4, 4)), dropout_rate=0.0)
+    disc = probe(4, dropout_rate=0.0)
+    disc.blocks[0][0].value[...] = 0.0
     x = np.random.default_rng(8).normal(size=(6, 4))
-    assert np.array_equal(block.forward(x, Rng(0)), x)
+    assert np.array_equal(final_state(disc, x), x)
 
 
 def test_resblock_inference_deterministic():
     rng = np.random.default_rng(9)
-    block = ResBlock("b", 4, rng.normal(size=(4, 4)), dropout_rate=0.5)
-    block.forward(rng.normal(size=(8, 4)), Rng(1).substream("d"), record=False)
-    block.set_training(False)
+    disc = probe(4, dropout_rate=0.5)
+    disc.output.value[...] = rng.normal(size=(4, 1))
+    disc.forward(rng.normal(size=(8, 4)), Rng(1).substream("d"))
     x = rng.normal(size=(5, 4))
-    assert np.array_equal(block.forward(x, record=False),
-                          block.forward(x, record=False))
+    assert np.array_equal(disc.forward(x, training=False),
+                          disc.forward(x, training=False))
 
 
 def test_resblock_full_grad_check():
     rng = np.random.default_rng(10)
-    x0 = rng.normal(size=(4, 5))
-    readout = rng.normal(size=(4, 5))
-    w = rng.normal(size=(5, 5))
+    disc = probe(5, dropout_rate=0.3)
+    disc.blocks[0][0].value[...] = rng.normal(size=(5, 5))
+    disc.output.value[...] = rng.normal(size=(5, 1))
     mask_uniforms = rng.uniform(size=(4, 5))  # frozen dropout field
-
-    def fresh():
-        block = ResBlock("b", 5, w, dropout_rate=0.3)
-        return block
-
-    def f(vec):
-        block = fresh()
-        return float(np.sum(
-            block.forward(vec.reshape(4, 5), FixedRng(mask_uniforms), record=False)
-            * readout
-        ))
-
-    def grad(vec):
-        block = fresh()
-        block.forward(vec.reshape(4, 5), FixedRng(mask_uniforms))
-        return block.backward(readout).ravel()
-
-    assert grad_check(f, grad, x0.ravel(), eps=EPS) < GRAD_TOL
-
-    # weight gradient through the same frozen mask
-    def f_w(vec):
-        block = ResBlock("b", 5, vec.reshape(5, 5), dropout_rate=0.3)
-        return float(np.sum(block.forward(x0, FixedRng(mask_uniforms), record=False)
-                            * readout))
-
-    def grad_w(vec):
-        block = ResBlock("b", 5, vec.reshape(5, 5), dropout_rate=0.3)
-        block.forward(x0, FixedRng(mask_uniforms))
-        block.backward(readout)
-        return block.weight.grad.ravel()
-
-    assert grad_check(f_w, grad_w, w.ravel(), eps=EPS) < GRAD_TOL
+    errors = disc_grad_errors(disc, rng.normal(size=(4, 5)), mask_uniforms,
+                              rng.normal(size=(4, 1)), EPS)
+    assert errors["input"] < GRAD_TOL
+    assert errors["d.block0.weight"] < GRAD_TOL
 
 
 def test_sigmoid_values():
@@ -416,23 +397,29 @@ def test_bce_grad_check():
 
 
 def test_combined_loss_composition():
+    # the generator pass's aae objective is the weighted sum of its parts
+    from xlingmap.models import build_models
+    from xlingmap.training import TrainConfig, _generator_pass
+
     rng = np.random.default_rng(18)
+    model = ModelConfig(dim=4, block_dim=3, depth=1, dropout_rate=0.0)
+    enc, disc, _ = build_models(model, Rng(18))
+    disc.output.value[...] = rng.normal(size=(3, 1))
     f_rows = rng.normal(size=(5, 4))
     e_rows = rng.normal(size=(5, 4))
-    e_hat = rng.normal(size=(5, 4))
-    recon = rng.normal(size=(5, 4))
-    p = rng.uniform(0.2, 0.8, size=(5, 1))
 
-    total = combined_encoder_loss(f_rows, e_rows, e_hat, recon, p, 1.0, 1.0, 1.0)
-    parts = (
-        cosine_dissim_loss(f_rows, recon)
-        + adversarial_loss(p)
-        + cosine_dissim_loss(e_rows, e_hat)
-    )
-    assert total == pytest.approx(parts, rel=1e-12)
+    def losses(**weights):
+        cfg = TrainConfig(model=model, **weights)
+        return _generator_pass(cfg, enc, disc, f_rows, e_rows, None)[1]
 
-    assert combined_encoder_loss(f_rows, e_rows, e_hat, f_rows.copy(), p,
-                                 1.0, 0.0, 0.0) < 1e-15
-    assert combined_encoder_loss(
-        f_rows, e_rows, e_hat, recon, np.full((5, 1), 0.5), 0.0, 1.0, 0.0
-    ) == pytest.approx(math.log(2))
+    parts = losses()
+    assert parts["loss_total"] == pytest.approx(
+        parts["loss_recon"] + parts["loss_adv"] + parts["loss_cos"], rel=1e-12)
+    weighted = losses(lambda_r=2.0, lambda_a=0.5, lambda_c=3.0)
+    assert weighted["loss_total"] == pytest.approx(
+        2.0 * parts["loss_recon"] + 0.5 * parts["loss_adv"] + 3.0 * parts["loss_cos"],
+        rel=1e-12)
+    # an orthogonal encoder reconstructs exactly; a fresh output layer scores 0.5
+    assert losses(lambda_a=0.0, lambda_c=0.0)["loss_total"] < 1e-15
+    disc.output.value[...] = 0.0
+    assert losses(lambda_r=0.0, lambda_c=0.0)["loss_total"] == pytest.approx(math.log(2))

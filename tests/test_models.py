@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from xlingmap.layers import cosine_dissim_grads, cosine_dissim_loss
 from xlingmap.models import (
     Discriminator,
     EncoderDecoder,
@@ -12,6 +11,8 @@ from xlingmap.models import (
     init_semi_orthogonal,
 )
 from xlingmap.numerics import Rng, grad_check
+
+from conftest import FixedRng, disc_grad_errors
 
 
 def det_via_lu(a):
@@ -65,50 +66,129 @@ def test_model_config_presets():
     assert (cfg.dim, cfg.block_dim, cfg.depth) == (40, 40, 4)
 
 
+def test_model_config_validation():
+    for bad in (dict(leaky_slope=0.0), dict(leaky_slope=1.0),
+                dict(dropout_rate=-0.1), dict(dropout_rate=1.0),
+                dict(bn_momentum=0.0), dict(bn_momentum=1.0),
+                dict(bn_eps=0.0), dict(depth=0)):
+        with pytest.raises(ValueError):
+            ModelConfig(dim=4, **bad)
+    ModelConfig(dim=4, leaky_slope=0.99, dropout_rate=0.0, bn_momentum=0.5, bn_eps=1e-12)
+
+
 def test_encode_identity_weight():
     enc = EncoderDecoder(np.eye(5))
     f = np.random.default_rng(0).normal(size=(4, 5))
-    assert np.array_equal(enc.encode(f, record=False), f)
-    assert np.array_equal(enc.decode(f, record=False), f)
-    assert np.array_equal(enc.decode(np.zeros((3, 5)), record=False),
-                          np.zeros((3, 5)))
+    assert np.array_equal(enc.encode(f), f)
+    assert np.array_equal(enc.decode(f), f)
+    assert np.array_equal(enc.decode(np.zeros((3, 5))), np.zeros((3, 5)))
 
 
 def test_encode_orthogonal_preserves_norms():
     enc = EncoderDecoder(init_orthogonal(8, Rng(2)))
     f = np.random.default_rng(1).normal(size=(6, 8))
-    z = enc.encode(f, record=False)
+    z = enc.encode(f)
     assert np.max(np.abs(np.linalg.norm(z, axis=1) - np.linalg.norm(f, axis=1))) < 1e-10
-    back = enc.decode(z, record=False)
+    back = enc.decode(z)
     assert np.max(np.abs(back - f)) < 1e-10
 
 
 def test_tied_cosine_loss_grad_check():
-    # loss(W) = cosine dissimilarity between f and decode(encode(f))
+    # reconstruction plus the latent cosine penalty, discriminator weight 0:
+    # the generator pass's weight gradient against finite differences
+    from xlingmap.training import TrainConfig, _generator_pass
+
     rng = np.random.default_rng(3)
+    model = ModelConfig(dim=5, block_dim=3, depth=1, dropout_rate=0.0)
+    cfg = TrainConfig(model=model, lambda_a=0.0)
+    enc, disc, _ = build_models(model, Rng(3))
     f = rng.normal(size=(4, 5))
+    e = rng.normal(size=(4, 5))
     w0 = rng.normal(size=(5, 5)) + 0.5 * np.eye(5)
 
-    def loss_at(vec):
-        enc = EncoderDecoder(vec.reshape(5, 5))
-        recon = enc.decode(enc.encode(f, record=False), record=False)
-        return cosine_dissim_loss(f, recon)
+    def run(vec):
+        enc.weight.value[...] = vec.reshape(5, 5)
+        return _generator_pass(cfg, enc, disc, f, e, None)
 
-    def grad_at(vec):
-        enc = EncoderDecoder(vec.reshape(5, 5))
-        recon = enc.decode(enc.encode(f))
-        _, g_recon = cosine_dissim_grads(f, recon)
-        enc.encode_backward(enc.decode_backward(g_recon))
-        return enc.weight.grad.ravel()
+    assert grad_check(lambda v: run(v)[1]["loss_total"],
+                      lambda v: run(v)[2].ravel(), w0.ravel(), eps=1e-5) < 1e-4
 
-    assert grad_check(loss_at, grad_at, w0.ravel(), eps=1e-5) < 1e-4
+
+def reference_forward(disc, x, uniforms=None, training=True):
+    """The discriminator's forward pass restated plainly: input projection,
+    blocks h + dropout(leaky_relu(batchnorm(h @ W))), clamped sigmoid."""
+    cfg = disc.cfg
+    h = x @ disc.input.value
+    for (w, gamma, beta), (run_mean, run_var) in zip(disc.blocks, disc.running):
+        z = h @ w.value
+        mean, var = (z.mean(axis=0), z.var(axis=0)) if training else (run_mean, run_var)
+        z = gamma.value * (z - mean) / np.sqrt(var + cfg.bn_eps) + beta.value
+        a = np.where(z >= 0.0, z, cfg.leaky_slope * z)
+        if training:
+            a = a * (uniforms >= cfg.dropout_rate) / (1.0 - cfg.dropout_rate)
+        h = h + a
+    logit = h @ disc.output.value + disc.output_bias.value
+    return np.clip(1.0 / (1.0 + np.exp(-logit)), 1e-12, 1.0 - 1e-12)
+
+
+def test_discriminator_matches_reference():
+    cfg = ModelConfig(dim=6, block_dim=5, depth=3, leaky_slope=0.2,
+                      dropout_rate=0.3, bn_momentum=0.2)
+    disc = Discriminator("d", cfg, Rng(20))
+    rng = np.random.default_rng(20)
+    disc.output.value[...] = rng.normal(size=(5, 1))
+    disc.output_bias.value[...] = 0.3
+    for _, gamma, beta in disc.blocks:
+        gamma.value[...] = rng.uniform(0.5, 1.5, size=5)
+        beta.value[...] = rng.normal(size=5) * 0.3
+    x = rng.normal(size=(9, 6))
+    uniforms = rng.uniform(size=(9, 5))
+
+    expected = reference_forward(disc, x, uniforms)
+    assert np.max(np.abs(disc.forward(x, FixedRng(uniforms)) - expected)) < 1e-12
+
+    # after one training pass from (0, 1) the running statistics moved by
+    # the momentum towards block 0's batch statistics
+    z0 = x @ disc.input.value @ disc.blocks[0][0].value
+    run_mean, run_var = disc.running[0]
+    assert np.max(np.abs(run_mean - 0.2 * z0.mean(axis=0))) < 1e-12
+    assert np.max(np.abs(run_var - (0.8 + 0.2 * z0.var(axis=0)))) < 1e-12
+
+    expected = reference_forward(disc, x, training=False)
+    assert np.max(np.abs(disc.forward(x, training=False) - expected)) < 1e-12
+
+
+def test_discriminator_grad_check_every_group():
+    cfg = ModelConfig(dim=4, block_dim=3, depth=2, dropout_rate=0.3)
+    disc = Discriminator("d", cfg, Rng(21))
+    rng = np.random.default_rng(21)
+    disc.output.value[...] = rng.normal(size=(3, 1))
+    errors = disc_grad_errors(disc, rng.normal(size=(5, 4)), rng.uniform(size=(5, 3)),
+                              rng.normal(size=(5, 1)), 1e-5)
+    assert set(errors) == {"input"} | {p.name for p in disc.params()}
+    assert max(errors.values()) < 1e-4
+
+
+def test_discriminator_backward_without_param_grads():
+    cfg = ModelConfig(dim=4, block_dim=3, depth=2)
+    disc = Discriminator("d", cfg, Rng(22))
+    rng = np.random.default_rng(22)
+    disc.output.value[...] = rng.normal(size=(3, 1))
+    x = rng.normal(size=(5, 4))
+    grad_p = rng.normal(size=(5, 1))
+    before = [p.grad.copy() for p in disc.params()]
+    disc.forward(x, Rng(1))
+    g_skip = disc.backward(grad_p, param_grads=False)
+    assert all(np.array_equal(p.grad, b) for p, b in zip(disc.params(), before))
+    disc.forward(x, Rng(1))
+    assert np.array_equal(g_skip, disc.backward(grad_p))
 
 
 def test_discriminator_zero_output_layer_gives_half():
     cfg = ModelConfig(dim=6, block_dim=5, depth=3)
     disc = Discriminator("d", cfg, Rng(4))
     x = np.random.default_rng(2).normal(size=(8, 6))
-    p = disc.forward(x, Rng(5).substream("drop"), record=False)
+    p = disc.forward(x, Rng(5).substream("drop"))
     assert np.array_equal(p, np.full((8, 1), 0.5))
 
 
@@ -117,12 +197,12 @@ def test_discriminator_outputs_valid_for_huge_inputs():
     disc = Discriminator("d", cfg, Rng(6))
     x = np.random.default_rng(4).normal(size=(8, 4)) * 1e3
     # as built (zero output layer) huge inputs still score exactly 0.5
-    p = disc.forward(x, Rng(7), record=False)
+    p = disc.forward(x, Rng(7))
     assert np.all((p > 0.0) & (p < 1.0))
     # with a live output layer the passthrough path carries the full input
     # magnitude; sigmoid must saturate cleanly instead of producing NaN
-    disc.output.weight.value[...] = np.random.default_rng(3).normal(size=(4, 1))
-    p = disc.forward(x, Rng(8), record=False)
+    disc.output.value[...] = np.random.default_rng(3).normal(size=(4, 1))
+    p = disc.forward(x, Rng(8))
     assert np.all(np.isfinite(p))
     assert np.all((p >= 0.0) & (p <= 1.0))
 
@@ -131,10 +211,10 @@ def test_discriminator_inference_deterministic():
     cfg = ModelConfig(dim=4, block_dim=4, depth=2, dropout_rate=0.5)
     disc = Discriminator("d", cfg, Rng(8))
     disc.forward(np.random.default_rng(5).normal(size=(16, 4)),
-                 Rng(9).substream("d"), record=False)
-    disc.set_training(False)
+                 Rng(9).substream("d"))
     x = np.random.default_rng(6).normal(size=(5, 4))
-    assert np.array_equal(disc.predict(x), disc.predict(x))
+    assert np.array_equal(disc.forward(x, training=False),
+                          disc.forward(x, training=False))
 
 
 def test_discriminator_training_needs_two_rows():
@@ -152,15 +232,15 @@ def test_build_models_contract():
     assert np.max(np.abs(w.T @ w - np.eye(7))) < 1e-10
     # block weights orthogonal
     for d in (d1, d2):
-        for b in d.blocks:
-            bw = b.weight.value
+        for weight, _, _ in d.blocks:
+            bw = weight.value
             assert np.max(np.abs(bw.T @ bw - np.eye(5))) < 1e-10
     # the two discriminators differ
-    assert not np.array_equal(d1.blocks[0].weight.value, d2.blocks[0].weight.value)
+    assert not np.array_equal(d1.blocks[0][0].value, d2.blocks[0][0].value)
     # zero output layers
     x = np.random.default_rng(7).normal(size=(4, 7))
-    assert np.all(d1.forward(x, Rng(13), record=False) == 0.5)
-    assert np.all(d2.forward(x, Rng(14), record=False) == 0.5)
+    assert np.all(d1.forward(x, Rng(13)) == 0.5)
+    assert np.all(d2.forward(x, Rng(14)) == 0.5)
 
 
 def test_build_models_deterministic():

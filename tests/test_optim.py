@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from xlingmap.layers import Param
-from xlingmap.optim import Adam, NonFiniteGradient
+from xlingmap.optim import Adam, NonFiniteGradient, Param
 
 
 def make_param(name, value):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,12 +16,11 @@ from xlingmap.training import (
     TrainConfig,
     Trainer,
     encoder_from_checkpoint,
-    monitor_from_checkpoint,
     read_checkpoint,
     write_checkpoint,
 )
 
-from conftest import random_table
+from conftest import FixedRng, random_table
 
 
 def tiny_cfg(**over):
@@ -150,45 +150,29 @@ def test_metrics_finite_over_many_steps(tables):
 
 
 def test_aae_composite_gradient_via_trainer_math(tables):
-    # d(L_GR)/dW with the discriminator in the loop, frozen
-    from xlingmap.layers import (
-        adversarial_loss_grad,
-        combined_encoder_loss,
-        cosine_dissim_grads,
-    )
-    from xlingmap.models import build_models
+    # d(loss_total)/dW of the generator pass Trainer.step calls, with the
+    # training discriminator in the loop under a frozen dropout mask
+    from xlingmap.training import _generator_pass
 
-    d, k, T, n = 5, 4, 2, 4
-    cfg = ModelConfig(dim=d, block_dim=k, depth=T, dropout_rate=0.0)
-    enc, disc, _ = build_models(cfg, Rng(0))
-    data = Rng(1)
-    f = data.normal((n, d))
-    e = data.normal((n, d))
-    disc.output.weight.value[...] = data.normal((k, 1)) * 0.5
+    src, tgt = tables
+    for mode in ("aae", "gan"):
+        cfg = tiny_cfg(mode=mode, lambda_r=0.7, lambda_a=1.3, lambda_c=0.4)
+        tr = Trainer(cfg, src, tgt)
+        n, k = cfg.batch_size, cfg.model.block_dim
+        data = Rng(1)
+        f = data.normal((n, 6))
+        e = data.normal((n, 6))
+        tr.d_train.output.value[...] = data.normal((k, 1)) * 0.5
+        tr.d_train.output_bias.value[...] = 0.1
+        mask = FixedRng(data.uniform((n, k)))
 
-    def loss_at(vec):
-        enc.weight.value[...] = vec.reshape(d, d)
-        e_hat = enc.encode(f, record=False)
-        recon = enc.decode(e_hat, record=False)
-        p = disc.forward(e_hat, record=False)
-        return combined_encoder_loss(f, e, e_hat, recon, p, 1.0, 1.0, 1.0)
+        def run(vec):
+            tr.encoder.weight.value[...] = vec.reshape(6, 6)
+            return _generator_pass(cfg, tr.encoder, tr.d_train, f, e, mask)
 
-    def grad_at(vec):
-        enc.weight.value[...] = vec.reshape(d, d)
-        enc.zero_grads()
-        disc.zero_grads()
-        e_hat = enc.encode(f)
-        recon = enc.decode(e_hat)
-        p = disc.forward(e_hat)
-        _, g_recon = cosine_dissim_grads(f, recon)
-        g1 = enc.decode_backward(g_recon)
-        g2 = disc.backward(adversarial_loss_grad(p))
-        _, g3 = cosine_dissim_grads(e, e_hat)
-        enc.encode_backward(g1 + g2 + g3)
-        return enc.weight.grad.ravel().copy()
-
-    w0 = enc.weight.value.ravel().copy()
-    assert grad_check(loss_at, grad_at, w0, eps=1e-5) < 1e-4
+        w0 = tr.encoder.weight.value.ravel().copy()
+        assert grad_check(lambda v: run(v)[1]["loss_total"],
+                          lambda v: run(v)[2].ravel(), w0, eps=1e-5) < 1e-4, mode
 
 
 def test_checkpoint_save_load_save_byte_identical(tables, tmp_path):
@@ -335,10 +319,93 @@ def test_encoder_and_monitor_rebuild_from_checkpoint(tables, tmp_path):
     assert np.array_equal(enc.weight.value, tr.encoder.weight.value)
     assert header["step"] == 3
 
-    mon = monitor_from_checkpoint(path)
+    # the monitor, running statistics included, scores like the original
+    mon = Trainer.resume(path, src, tgt).d_monitor
     x = np.random.default_rng(0).normal(size=(4, 6))
-    tr.d_monitor.set_training(False)
-    assert np.array_equal(mon.predict(x), tr.d_monitor.predict(x))
+    assert np.array_equal(mon.forward(x, training=False),
+                          tr.d_monitor.forward(x, training=False))
+
+
+def test_checkpoint_array_layout(tables, tmp_path):
+    # names and order of the arrays fix the XLAAE001 layout
+    src, tgt = tables
+    cfg = tiny_cfg(model=ModelConfig(dim=6, block_dim=4, depth=1))
+    path = tmp_path / "layout.ckpt"
+    Trainer(cfg, src, tgt).save_checkpoint(path)
+    header, arrays = read_checkpoint(path)
+    disc = [f"{d}.{a}" for d in ("disc_train", "disc_monitor") for a in (
+        "input.weight", "block0.weight", "block0.bn.gamma", "block0.bn.beta",
+        "output.weight", "output.bias")]
+    params = ["encoder.weight"] + disc
+    norms = [f"{d}.block0.bn.{s}" for d in ("disc_train", "disc_monitor")
+             for s in ("running_mean", "running_var")]
+    adam = [f"adam.{label}.{m}.{name}" for label, names in (
+        ("gen", params[:1]), ("disc", disc[:6]), ("monitor", disc[6:]))
+        for m in ("m", "v") for name in names]
+    assert header["arrays"] == params + norms + adam
+    assert list(arrays) == header["arrays"]
+
+
+def _rewrite_header(path, **model_fields):
+    header, arrays = read_checkpoint(path)
+    for key in ("format_version", "arrays"):
+        del header[key]
+    header["config"]["model"].update(model_fields)
+    write_checkpoint(path, header, arrays)
+
+
+def test_checkpoint_with_encoder_bias_false_resumes(tables, tmp_path):
+    # every checkpoint the CLI wrote before the encoder bias was removed
+    # carries "encoder_bias": false
+    src, tgt = tables
+    cfg = tiny_cfg(max_steps=20)
+    straight = Trainer(cfg, src, tgt)
+    tail = []
+    for i in range(20):
+        m = metrics_tuple(straight.step())
+        if i >= 10:
+            tail.append(m)
+    tr = Trainer(cfg, src, tgt)
+    for _ in range(10):
+        tr.step()
+    old = tmp_path / "old.ckpt"
+    tr.save_checkpoint(old)
+    _rewrite_header(old, encoder_bias=False)
+
+    resumed = Trainer.resume(old, src, tgt)
+    assert [metrics_tuple(resumed.step()) for _ in range(10)] == tail
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    straight.save_checkpoint(a)
+    resumed.save_checkpoint(b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_with_encoder_bias_true_rejected(tables, tmp_path):
+    src, tgt = tables
+    path = tmp_path / "biased.ckpt"
+    Trainer(tiny_cfg(), src, tgt).save_checkpoint(path)
+    _rewrite_header(path, encoder_bias=True)
+    with pytest.raises(CheckpointError, match="encoder bias"):
+        Trainer.resume(path, src, tgt)
+
+
+def test_checkpoint_write_failure_keeps_previous(tables, tmp_path, monkeypatch):
+    src, tgt = tables
+    tr = Trainer(tiny_cfg(), src, tgt)
+    path = tmp_path / "c.ckpt"
+    tr.save_checkpoint(path)
+    previous = path.read_bytes()
+    tr.step()
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        tr.save_checkpoint(path)
+    assert read_checkpoint(path)[0]["step"] == 0
+    assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
 
 
 def test_config_round_trip():
