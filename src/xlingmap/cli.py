@@ -286,17 +286,20 @@ def _cmd_nn(args) -> int:
     words = [w for w in args.words.split(",") if w]
     if not words:
         raise UsageError("no query words given")
-    answered = 0
+    present = []
     for word in words:
-        if word not in src.vocab:
+        if word in src.vocab:
+            present.append(word)
+        else:
             print(f"warning: {word!r} not in source vocabulary", file=sys.stderr)
-            continue
-        mapped = encoder.map_rows(src.row(word)[None, :])[0]
-        result = knn(mapped, tgt, min(args.k, len(tgt.vocab)), query=word)
-        for rank, (token, sim) in enumerate(result.neighbors, start=1):
-            print(f"{word}\t{rank}\t{token}\t{sim:.6f}")
-        answered += 1
-    return 0 if answered else 1
+    if not present:
+        return 1
+    queries = encoder.map_rows(src.matrix[[src.vocab.index(w) for w in present]])
+    rows, sims = knn(queries, tgt, min(args.k, len(tgt.vocab)))
+    for word, top, top_sims in zip(present, rows, sims):
+        for rank, (row, sim) in enumerate(zip(top, top_sims), start=1):
+            print(f"{word}\t{rank}\t{tgt.vocab.tokens[row]}\t{sim:.6f}")
+    return 0
 
 
 def _cmd_eval(args) -> int:
@@ -312,16 +315,11 @@ def _cmd_eval(args) -> int:
         )
     mapped = EmbeddingTable(src.vocab, encoder.map_rows(src.matrix))
     dictionary = BilingualDictionary.load(args.dictionary)
-    report = {}
-    per_entry = None
-    for k in range(1, args.k + 1):
-        res = precision_at_k(mapped, tgt, dictionary, k)
-        report[f"p@{k}"] = res.precision
-        per_entry = res
+    res = precision_at_k(mapped, tgt, dictionary, args.k)
     payload = {
-        "precision": report,
-        "resolvable": per_entry.resolvable,
-        "unresolvable": per_entry.unresolvable,
+        "precision": {f"p@{j}": p for j, p in enumerate(res.precision, start=1)},
+        "resolvable": res.resolvable,
+        "unresolvable": res.unresolvable,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
@@ -370,10 +368,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (EmbedFormatError, CheckpointError, NumericsError, OSError,
+    except (UsageError, EmbedFormatError, CheckpointError, NumericsError, OSError,
             ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -90,9 +90,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def row(self, token: str) -> np.ndarray:
-        return self.matrix[self.vocab.index(token)]
-
 
 class FrequencyTable:
     """Per-token counts paired with a vocabulary.

@@ -10,7 +10,6 @@ pipeline can be validated end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,16 +18,13 @@ from .models import Discriminator, init_orthogonal
 from .numerics import Rng
 
 
-@dataclass(frozen=True)
-class KBestResult:
-    query: str
-    neighbors: tuple  # ((token, similarity), ...) similarities non-increasing
+# Similarities per GEMM block in ``knn`` (8 MB of float64), whatever m is.
+KNN_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
 class PrecisionReport:
-    precision: float
-    hits: dict  # source token -> bool
+    precision: tuple  # p@1, ..., p@k
     resolvable: int
     unresolvable: int
 
@@ -37,7 +33,6 @@ class PrecisionReport:
 class CollapseReport:
     mean_pairwise_cosine: float
     mean_dim_std: float
-    sample_count: int
 
 
 class BilingualDictionary:
@@ -72,49 +67,60 @@ class BilingualDictionary:
                     fh.write(f"{src}\t{tgt}\n")
 
 
-def knn(query_vec, tgt: EmbeddingTable, k: int, query: str = "") -> KBestResult:
-    """Exact top-k target tokens by cosine similarity.
-
-    Ties break by ascending target row index, so results are deterministic.
-    """
-    q = np.asarray(query_vec, dtype=np.float64).ravel()
-    if q.size != tgt.dim:
-        raise ValueError(f"query dim {q.size} != table dim {tgt.dim}")
-    qn = np.linalg.norm(q)
-    if qn == 0.0:
-        raise ValueError("zero query vector")
-    if not (1 <= k <= len(tgt.vocab)):
-        raise ValueError(f"k={k} outside [1, {len(tgt.vocab)}]")
+def knn(queries, tgt: EmbeddingTable, k: int):
+    """Exact top-k target rows by cosine similarity for each row of the
+    (m x d) ``queries``: ``(rows, sims)``, both (m x k), similarities
+    non-increasing along each row. Ties break by ascending target row
+    index, so results are deterministic."""
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[0] == 0 or q.shape[1] != tgt.dim:
+        raise ValueError(f"queries must be an m x {tgt.dim} matrix with m >= 1, "
+                         f"got shape {q.shape}")
+    size = len(tgt.vocab)
+    if not 1 <= k <= size:
+        raise ValueError(f"k={k} outside [1, {size}]")
+    q_norms = np.linalg.norm(q, axis=1)
+    if np.any(q_norms == 0.0):
+        raise ValueError(f"zero query row {int(np.argmax(q_norms == 0.0))}")
     norms = np.linalg.norm(tgt.matrix, axis=1)
     if np.any(norms == 0.0):
         bad = int(np.argmax(norms == 0.0))
         raise ValueError(f"zero target row for token {tgt.vocab.tokens[bad]!r}")
-    sims = np.clip((tgt.matrix @ q) / (norms * qn), -1.0, 1.0)
-    order = np.lexsort((np.arange(sims.size), -sims))[:k]
-    neighbors = tuple((tgt.vocab.tokens[i], float(sims[i])) for i in order)
-    return KBestResult(query=query, neighbors=neighbors)
+    unit = q / q_norms[:, None]
+    rows = np.empty((q.shape[0], k), dtype=np.intp)
+    sims = np.empty((q.shape[0], k))
+    step = max(1, KNN_BLOCK // size)
+    for start in range(0, q.shape[0], step):
+        block = slice(start, start + step)
+        neg = unit[block] @ tgt.matrix.T
+        neg /= norms
+        np.clip(neg, -1.0, 1.0, out=neg)
+        # a stable sort of the negated scores ranks ties by ascending row
+        np.negative(neg, out=neg)
+        rows[block] = np.argsort(neg, axis=1, kind="stable")[:, :k]
+        sims[block] = -np.take_along_axis(neg, rows[block], axis=1)
+    return rows, sims
 
 
 def precision_at_k(mapped_src: EmbeddingTable, tgt: EmbeddingTable,
                    dictionary: BilingualDictionary, k: int) -> PrecisionReport:
-    """Fraction of resolvable entries whose top-k contains an accepted target."""
-    hits = {}
-    unresolvable = 0
-    for src_tok, accepted in dictionary.entries.items():
-        targets = {t for t in accepted if t in tgt.vocab}
-        if src_tok not in mapped_src.vocab or not targets:
-            unresolvable += 1
-            continue
-        result = knn(mapped_src.row(src_tok), tgt, k, query=src_tok)
-        hits[src_tok] = any(tok in targets for tok, _ in result.neighbors)
-    if not hits:
+    """p@1..p@k: for each j, the fraction of resolvable entries whose top j
+    contains an accepted target, all from one ranking of every entry."""
+    queries, accepted = [], []
+    for src_tok, targets in dictionary.entries.items():
+        rows = [tgt.vocab.index(t) for t in targets if t in tgt.vocab]
+        if src_tok in mapped_src.vocab and rows:
+            queries.append(mapped_src.vocab.index(src_tok))
+            accepted.append(rows)
+    if not queries:
         raise ValueError("no resolvable dictionary entries")
-    precision = sum(hits.values()) / len(hits)
+    ranked, _ = knn(mapped_src.matrix[queries], tgt, k)
+    hit = np.array([np.isin(top, rows) for top, rows in zip(ranked, accepted)])
+    precision = np.logical_or.accumulate(hit, axis=1).mean(axis=0)
     return PrecisionReport(
-        precision=float(precision),
-        hits=hits,
-        resolvable=len(hits),
-        unresolvable=unresolvable,
+        precision=tuple(float(p) for p in precision),
+        resolvable=len(queries),
+        unresolvable=len(dictionary.entries) - len(queries),
     )
 
 
@@ -138,7 +144,6 @@ def collapse_metric(outputs) -> CollapseReport:
     return CollapseReport(
         mean_pairwise_cosine=float(np.clip(mean_cos, -1.0, 1.0)),
         mean_dim_std=float(outputs.std(axis=0).mean()),
-        sample_count=m,
     )
 
 

@@ -15,6 +15,10 @@ from .layers import PROB_CLAMP, leaky_relu, sigmoid, sigmoid_backward
 from .numerics import Rng
 from .optim import Param
 
+# Batch-norm variance epsilon and running-statistics momentum.
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -23,8 +27,6 @@ class ModelConfig:
     depth: int = 10
     leaky_slope: float = 0.01
     dropout_rate: float = 0.1
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
 
     def __post_init__(self):
         if self.dim < 1 or self.block_dim < 1 or self.depth < 1:
@@ -33,10 +35,6 @@ class ModelConfig:
             raise ValueError(f"leaky slope {self.leaky_slope} outside (0, 1)")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout rate {self.dropout_rate} outside [0, 1)")
-        if not 0.0 < self.bn_momentum < 1.0:
-            raise ValueError(f"batch-norm momentum {self.bn_momentum} outside (0, 1)")
-        if not self.bn_eps > 0.0:
-            raise ValueError(f"batch-norm eps {self.bn_eps} must be positive")
 
 
 # The two experimental configurations shipped as presets.
@@ -145,7 +143,7 @@ class Discriminator:
         clamped chain reproduces the analytic -(1 - p) logit gradient.
         """
         cfg = self.cfg
-        m = cfg.bn_momentum
+        m = BN_MOMENTUM
         rate = cfg.dropout_rate
         steps = []
         h = x @ self.input.value
@@ -160,13 +158,13 @@ class Discriminator:
                 mean = z.mean(axis=0)
                 centered = z - mean
                 var = np.einsum("ij,ij->j", centered, centered) / n
-                inv = 1.0 / np.sqrt(var + cfg.bn_eps)
+                inv = 1.0 / np.sqrt(var + BN_EPS)
                 running_mean *= 1.0 - m
                 running_mean += m * mean
                 running_var *= 1.0 - m
                 running_var += m * var
             else:
-                inv = 1.0 / np.sqrt(running_var + cfg.bn_eps)
+                inv = 1.0 / np.sqrt(running_var + BN_EPS)
                 centered = z - running_mean
             z = centered * (gamma.value * inv)
             z += beta.value
@@ -186,9 +184,10 @@ class Discriminator:
         return p
 
     def backward(self, grad_p, param_grads: bool = True):
-        """Gradient w.r.t. the input of the last training-mode forward.
+        """Backpropagate ``grad_p`` through the last training-mode forward.
         With ``param_grads`` the parameter gradients are written to each
-        ``Param.grad``; without, no parameter gradient is computed."""
+        ``Param.grad`` and nothing is returned; without, only the gradient
+        w.r.t. the input is computed and returned."""
         x, steps, h, p = self._cache
         self._cache = None
         slope = self.cfg.leaky_slope
@@ -219,9 +218,9 @@ class Discriminator:
                 weight.grad = h.T @ gz
             g = gz @ weight.value.T
             g += grad_out
-        if param_grads:
-            self.input.grad = x.T @ g
-        return g @ self.input.value.T
+        if not param_grads:
+            return g @ self.input.value.T
+        self.input.grad = x.T @ g
 
     def params(self):
         out = [self.input]

@@ -70,13 +70,6 @@ class Adam:
             update *= scale
             p.value -= update
 
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
     def load_state_dict(self, state: dict) -> None:
         if set(state["m"]) != set(self.m) or set(state["v"]) != set(self.v):
             raise ValueError("optimizer state does not match parameter group")

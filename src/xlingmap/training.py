@@ -34,7 +34,8 @@ from .layers import (
     cosine_dissim_grads,
     cosine_dissim_loss,
 )
-from .models import Discriminator, EncoderDecoder, ModelConfig, build_models
+from .models import (BN_EPS, BN_MOMENTUM, Discriminator, EncoderDecoder, ModelConfig,
+                     build_models)
 from .numerics import RNG_ALGORITHM, Rng
 from .optim import Adam, NonFiniteGradient
 from .sampling import SamplerConfig, build_adjusted, sample_batch
@@ -43,6 +44,9 @@ CHECKPOINT_MAGIC = b"XLAAE001"
 CHECKPOINT_VERSION = 1
 
 TRAIN_MODES = ("gan", "aae")
+
+# Source and target rows drawn for each periodic evaluation.
+EVAL_SIZE = 256
 
 
 class CheckpointError(ValueError):
@@ -67,7 +71,6 @@ class TrainConfig:
     lr_disc: float = 0.01
     max_steps: int = 50000
     eval_every: int = 1000
-    eval_size: int = 256
     checkpoint_every: int = 10000
     seed: int = 0
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
@@ -81,8 +84,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 2 (batch norm)")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.eval_every < 1 or self.checkpoint_every < 1 or self.eval_size < 2:
-            raise ValueError("eval/checkpoint intervals must be >= 1, eval size >= 2")
+        if self.eval_every < 1 or self.checkpoint_every < 1:
+            raise ValueError("eval/checkpoint intervals must be >= 1")
         if self.lr_gen <= 0.0 or self.lr_disc <= 0.0:
             raise ValueError("learning rates must be positive")
 
@@ -93,10 +96,16 @@ class TrainConfig:
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
         model = dict(d["model"])
-        # Headers written before the encoder bias was removed carry
-        # "encoder_bias": false; a biased encoder cannot be rebuilt.
-        if model.pop("encoder_bias", False):
-            raise CheckpointError("encoder bias is not supported")
+        # Older headers carry settings that are now constants or gone; they
+        # resume only with the value this code uses.
+        for section, key, value in (
+            (model, "encoder_bias", False), (model, "bn_eps", BN_EPS),
+            (model, "bn_momentum", BN_MOMENTUM), (d, "eval_size", EVAL_SIZE),
+        ):
+            found = section.pop(key, value)
+            if found != value:
+                raise CheckpointError(f"{key}={found!r} is not supported "
+                                      f"(only {value!r})")
         d["model"] = ModelConfig(**model)
         d["sampler"] = SamplerConfig(**d["sampler"])
         return cls(**d)
@@ -278,12 +287,11 @@ class Trainer:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, sample_size: int | None = None) -> dict:
+    def evaluate(self) -> dict:
         """Frozen-model evaluation on fresh draws from the eval substream."""
-        m = sample_size if sample_size is not None else self.cfg.eval_size
         rng = self.rngs["eval"]
-        f, _ = sample_batch(self.src_dist, self.src, m, rng)
-        e, _ = sample_batch(self.tgt_dist, self.tgt, m, rng)
+        f, _ = sample_batch(self.src_dist, self.src, EVAL_SIZE, rng)
+        e, _ = sample_batch(self.tgt_dist, self.tgt, EVAL_SIZE, rng)
         mapped = self.encoder.map_rows(f)
         collapse_cos, collapse_std = _collapse_stats(mapped)
         report = distribution_match_report(mapped, e, self.d_monitor)

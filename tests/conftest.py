@@ -84,8 +84,10 @@ def disc_grad_errors(disc, x, uniforms, readout, eps):
     def grad(vec, arr, param):
         arr[...] = vec.reshape(arr.shape)
         disc.forward(inp, FixedRng(uniforms))
-        g_in = disc.backward(readout)
-        return (g_in if param is None else param.grad).ravel().copy()
+        if param is None:
+            return disc.backward(readout, param_grads=False).ravel()
+        disc.backward(readout)
+        return param.grad.ravel().copy()
 
     errors = {}
     targets = [("input", inp, None)] + [(p.name, p.value, p) for p in disc.params()]

@@ -293,9 +293,9 @@ def test_criterion_8_oracle_pipeline():
                                         noise_sigma=0.0, seed=21))
     mapped = EmbeddingTable(data.src.vocab, data.src.matrix @ data.map_matrix)
     rep = precision_at_k(mapped, data.tgt, data.truth, 1)
-    assert rep.precision == 1.0
+    assert rep.precision == (1.0,)
     assert rep.unresolvable == 0
-    report(8, f"encoder forced to hidden map: P@1 = {rep.precision} over "
+    report(8, f"encoder forced to hidden map: P@1 = {rep.precision[0]} over "
               f"{rep.resolvable} entries")
 
 

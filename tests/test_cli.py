@@ -197,6 +197,61 @@ def test_eval_unresolvable_dictionary_exits_1(tmp_path, capsys):
     assert rc == 1
 
 
+def synth_eval_args(tmp_path, k):
+    synth_dir = tmp_path / "synth"
+    if not synth_dir.exists():
+        assert main(["synth", "--out", str(synth_dir), "--dim", "6",
+                     "--source-size", "40", "--target-size", "30",
+                     "--noise", "0", "--seed", "9"]) == 0
+    return ["eval", "--encoder-matrix", str(synth_dir / "map.txt"),
+            "--src", str(synth_dir / "src.vec"), "--tgt", str(synth_dir / "tgt.vec"),
+            "--dict", str(synth_dir / "truth.dict"), "--k", str(k)]
+
+
+def test_eval_k_outside_table_exits_1(tmp_path, capsys):
+    for k in (0, 31, 400):
+        args = synth_eval_args(tmp_path, k)
+        capsys.readouterr()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: k={k} outside [1, 30]\n"
+        assert captured.out == ""
+
+
+def test_eval_and_nn_rank_once(tmp_path, capsys, monkeypatch):
+    from xlingmap import cli, evaluation
+
+    calls = []
+
+    def counting(queries, tgt, k):
+        calls.append(len(queries))
+        return real(queries, tgt, k)
+
+    real = evaluation.knn
+    monkeypatch.setattr(evaluation, "knn", counting)
+    monkeypatch.setattr(cli, "knn", counting)
+    args = synth_eval_args(tmp_path, 10)
+    capsys.readouterr()
+    assert main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert calls == [30]  # every resolvable entry in one ranking
+    values = [report["precision"][f"p@{k}"] for k in range(1, 11)]
+    assert len(report["precision"]) == 10 and values == sorted(values)
+    assert (report["resolvable"], report["unresolvable"]) == (30, 0)
+
+    sp, tp, _, _ = write_tables(tmp_path)
+    out = tmp_path / "run"
+    assert main(train_args(sp, tp, out, max_steps=1)) == 0
+    calls.clear()
+    capsys.readouterr()
+    assert main(["nn", "--checkpoint", str(out / "checkpoint_final.xlaae"),
+                 "--src", str(sp), "--tgt", str(tp), "--words", "s0,zzz,s1,s2",
+                 "--k", "100"]) == 0
+    assert calls == [3]
+    # a k above the table size lists the whole table
+    assert len(capsys.readouterr().out.splitlines()) == 3 * 30
+
+
 def test_map_then_nn_consistency(tmp_path, capsys):
     sp, tp, src, _ = write_tables(tmp_path)
     out = tmp_path / "run"
@@ -217,9 +272,9 @@ def test_map_then_nn_consistency(tmp_path, capsys):
 
     mapped = load_embeddings(mapped_path)
     tgt_table = load_embeddings(tp)
-    res = knn(mapped.row("s3"), tgt_table, 1, query="s3")
-    assert res.neighbors[0][0] == nn_token
-    assert abs(res.neighbors[0][1] - float(nn_sim)) < 1e-6
+    rows, sims = knn(mapped.matrix[[mapped.vocab.index("s3")]], tgt_table, 1)
+    assert tgt_table.vocab.tokens[rows[0, 0]] == nn_token
+    assert abs(sims[0, 0] - float(nn_sim)) < 1e-6
 
 
 def test_preset_flag(tmp_path):

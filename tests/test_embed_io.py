@@ -38,8 +38,7 @@ def test_load_literal_file(tmp_path):
     path.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
     t = load_embeddings(path)
     assert len(t.vocab) == 2 and t.dim == 3
-    assert np.array_equal(t.row("a"), [1, 0, 0])
-    assert np.array_equal(t.row("b"), [0, 1, 0])
+    assert np.array_equal(t.matrix, [[1, 0, 0], [0, 1, 0]])
 
 
 def test_load_dimension_mismatch_reports_line(tmp_path):
@@ -111,7 +110,7 @@ def test_token_with_space_rejected_before_write():
 def test_normalize_rows():
     t = EmbeddingTable(Vocabulary(["a", "b"]), [[3.0, 4.0], [0.0, 2.0]])
     n = normalize_rows(t)
-    assert np.allclose(n.row("a"), [0.6, 0.8])
+    assert np.allclose(n.matrix[0], [0.6, 0.8])
     assert np.allclose(np.linalg.norm(n.matrix, axis=1), 1.0, atol=1e-12)
 
 

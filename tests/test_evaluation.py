@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xlingmap import evaluation
 from xlingmap.embed_io import EmbeddingTable, Vocabulary
 from xlingmap.evaluation import (
     BilingualDictionary,
@@ -20,67 +21,86 @@ from conftest import cosine, random_table
 def brute_force_knn(query, table, k):
     sims = [(cosine(query, table.matrix[i]), i) for i in range(len(table.vocab))]
     sims.sort(key=lambda t: (-t[0], t[1]))
-    return [(table.vocab.tokens[i], s) for s, i in sims[:k]]
+    return [(i, s) for s, i in sims[:k]]
+
+
+def assert_matches_brute_force(queries, table, k):
+    rows, sims = knn(queries, table, k)
+    assert rows.shape == sims.shape == (len(queries), k)
+    for q, got_rows, got_sims in zip(queries, rows, sims):
+        want = brute_force_knn(q, table, k)
+        assert list(got_rows) == [i for i, _ in want]
+        assert np.max(np.abs(got_sims - [s for _, s in want])) < 1e-12
 
 
 def test_knn_exact_row_ranks_first():
     t = random_table(20, 5, seed=0)
-    res = knn(t.matrix[7], t, 3)
-    assert res.neighbors[0][0] == t.vocab.tokens[7]
-    assert res.neighbors[0][1] == pytest.approx(1.0)
+    rows, sims = knn(t.matrix[[7]], t, 3)
+    assert rows[0, 0] == 7
+    assert sims[0, 0] == pytest.approx(1.0)
 
 
 def test_knn_full_ranking_is_permutation():
     t = random_table(12, 4, seed=1)
-    res = knn(np.ones(4), t, 12)
-    assert sorted(tok for tok, _ in res.neighbors) == sorted(t.vocab.tokens)
-    sims = [s for _, s in res.neighbors]
-    assert sims == sorted(sims, reverse=True)
+    rows, sims = knn(np.ones((1, 4)), t, 12)
+    assert sorted(rows[0]) == list(range(12))
+    assert list(sims[0]) == sorted(sims[0], reverse=True)
 
 
 def test_knn_matches_brute_force_oracle():
-    t = random_table(20, 6, seed=2)
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        q = rng.normal(size=6)
-        got = knn(q, t, 8).neighbors
-        want = brute_force_knn(q, t, 8)
-        assert [tok for tok, _ in got] == [tok for tok, _ in want]
-        for (_, a), (_, b) in zip(got, want):
-            assert a == pytest.approx(b, abs=1e-12)
+    t = random_table(20, 6, seed=2)
+    assert_matches_brute_force(rng.normal(size=(5, 6)), t, 8)
+    # duplicate target rows tie exactly: the lower row wins, as in the oracle
+    dup = EmbeddingTable(t.vocab, t.matrix[[0, 1, 2, 3, 0, 1, 4, 0, 5, 6] * 2])
+    assert_matches_brute_force(np.vstack([dup.matrix[:3], rng.normal(size=(4, 6))]),
+                               dup, 20)
+
+
+def test_knn_blocks_match_brute_force(monkeypatch):
+    # three query rows per block: 8 queries span two full blocks and a partial one
+    monkeypatch.setattr(evaluation, "KNN_BLOCK", 3 * 25 + 2)
+    t = random_table(25, 4, seed=21)
+    queries = np.random.default_rng(22).normal(size=(8, 4))
+    assert_matches_brute_force(queries, t, 6)
 
 
 def test_knn_scale_invariant_query():
     t = random_table(15, 4, seed=4)
     q = np.random.default_rng(5).normal(size=4)
-    r1 = knn(q, t, 5)
-    r2 = knn(37.5 * q, t, 5)
-    assert [tok for tok, _ in r1.neighbors] == [tok for tok, _ in r2.neighbors]
-    for (_, a), (_, b) in zip(r1.neighbors, r2.neighbors):
-        assert abs(a - b) < 1e-12
+    rows, sims = knn(np.vstack([q, 37.5 * q]), t, 5)
+    assert np.array_equal(rows[0], rows[1])
+    assert np.max(np.abs(sims[0] - sims[1])) < 1e-12
 
 
 def test_knn_deterministic_tie_break():
     vocab = Vocabulary(["a", "b", "c"])
     # two identical rows tie exactly; lower row index wins
     t = EmbeddingTable(vocab, [[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
-    res = knn(np.array([1.0, 0.0]), t, 3)
-    assert [tok for tok, _ in res.neighbors] == ["a", "c", "b"]
+    rows, _ = knn(np.array([[1.0, 0.0], [2.0, 0.0]]), t, 3)
+    assert [[vocab.tokens[i] for i in r] for r in rows] == [["a", "c", "b"]] * 2
 
 
 def test_knn_rejects_bad_input():
     t = random_table(5, 3, seed=6)
-    with pytest.raises(ValueError):
-        knn(np.zeros(3), t, 2)
-    with pytest.raises(ValueError):
-        knn(np.ones(3), t, 6)
+    for queries, k, fragment in ((np.ones((2, 3)), 0, r"k=0 outside \[1, 5\]"),
+                                 (np.ones((2, 3)), 6, r"k=6 outside \[1, 5\]"),
+                                 (np.zeros((0, 3)), 2, "m >= 1"),
+                                 (np.ones(3), 2, "m >= 1"),
+                                 (np.ones((2, 4)), 2, "m x 3"),
+                                 (np.array([[1.0, 0, 0], [0, 0, 0]]), 2, "zero query row 1")):
+        with pytest.raises(ValueError, match=fragment):
+            knn(queries, t, k)
+    holed = EmbeddingTable(t.vocab, np.vstack([t.matrix[:4], np.zeros((1, 3))]))
+    with pytest.raises(ValueError, match="zero target row for token 'w4'"):
+        knn(np.ones((1, 3)), holed, 2)
 
 
 def test_precision_identity_mapping():
     t = random_table(15, 4, seed=7)
     d = BilingualDictionary({tok: {tok} for tok in t.vocab.tokens})
     rep = precision_at_k(t, t, d, 1)
-    assert rep.precision == 1.0
+    assert rep.precision == (1.0,)
     assert rep.resolvable == 15 and rep.unresolvable == 0
 
 
@@ -94,16 +114,40 @@ def test_precision_all_misses():
         np.vstack([np.full(3, 100.0), tgt.matrix[1:]]),
     )
     rep = precision_at_k(src, far, d, 1)
-    assert 0.0 <= rep.precision <= 1.0
+    assert 0.0 <= rep.precision[0] <= 1.0
 
 
 def test_precision_monotone_in_k():
     src = random_table(20, 5, seed=10, prefix="s")
     tgt = random_table(20, 5, seed=11, prefix="t")
     d = BilingualDictionary({f"s{i}": {f"t{i}"} for i in range(20)})
-    values = [precision_at_k(src, tgt, d, k).precision for k in (1, 3, 5, 10, 20)]
-    assert values == sorted(values)
+    values = precision_at_k(src, tgt, d, 20).precision
+    assert len(values) == 20
+    assert list(values) == sorted(values)
     assert values[-1] == 1.0  # k = |vocab| always hits
+
+
+def test_precision_matches_per_k_brute_force():
+    src = random_table(30, 4, seed=23, prefix="s")
+    base = random_table(15, 4, seed=24, prefix="t")
+    # every target row twice, so accepted targets tie with rejected ones
+    tgt = EmbeddingTable(Vocabulary([f"t{i}" for i in range(30)]),
+                         np.vstack([base.matrix, base.matrix]))
+    rng = np.random.default_rng(25)
+    entries = {f"s{i}": {f"t{j}" for j in rng.choice(30, size=1 + i % 3, replace=False)}
+               for i in range(30)}
+    entries["missing"] = {"t0"}
+    entries["s0"] = {"t3", "absent"}
+    d = BilingualDictionary(entries)
+    rep = precision_at_k(src, tgt, d, 10)
+    resolvable = [s for s in entries if s != "missing"]
+    assert (rep.resolvable, rep.unresolvable) == (30, 1)
+    for k in range(1, 11):
+        hits = 0
+        for s in resolvable:
+            top = {tgt.vocab.tokens[i] for i, _ in brute_force_knn(src.matrix[src.vocab.index(s)], tgt, k)}
+            hits += bool(top & entries[s])
+        assert rep.precision[k - 1] == hits / 30
 
 
 def test_precision_counts_unresolvable():
@@ -183,7 +227,7 @@ def test_synth_oracle_precision():
     data = synth_generate(spec)
     mapped = EmbeddingTable(data.src.vocab, data.src.matrix @ data.map_matrix)
     rep = precision_at_k(mapped, data.tgt, data.truth, 1)
-    assert rep.precision == 1.0
+    assert rep.precision == (1.0,)
 
 
 def test_synth_zipf_counts_positive_decreasing():

@@ -15,6 +15,7 @@ from xlingmap.layers import (
     sigmoid,
     sigmoid_backward,
 )
+from xlingmap import models
 from xlingmap.models import Discriminator, ModelConfig
 from xlingmap.numerics import Rng, grad_check
 
@@ -111,8 +112,9 @@ def test_leaky_relu_values_and_grad():
     assert errors["d.block0.weight"] < GRAD_TOL
 
 
-def test_batchnorm_two_point_column():
-    disc = probe(1, bn_eps=1e-12, dropout_rate=0.0)
+def test_batchnorm_two_point_column(monkeypatch):
+    monkeypatch.setattr(models, "BN_EPS", 1e-12)
+    disc = probe(1, dropout_rate=0.0)
     disc.blocks[0][0].value[...] = 1.0
     # bn([1, 3]) = [-1, 1]; leaky_relu -> [-0.01, 1]; plus the residual
     out = final_state(disc, np.array([[1.0], [3.0]]))
@@ -148,8 +150,9 @@ def test_batchnorm_needs_two_rows_in_training():
     assert disc.forward(np.ones((1, 2)), training=False).shape == (1, 1)
 
 
-def test_batchnorm_inference_uses_running_stats():
-    disc = probe(2, bn_momentum=0.5, dropout_rate=0.0)
+def test_batchnorm_inference_uses_running_stats(monkeypatch):
+    monkeypatch.setattr(models, "BN_MOMENTUM", 0.5)
+    disc = probe(2, dropout_rate=0.0)
     disc.blocks[0][0].value[...] = np.eye(2)
     disc.output.value[...] = 1.0
     rng = np.random.default_rng(2)
@@ -228,7 +231,7 @@ def test_dropout_backward_uses_same_mask():
 
     def grad(vec):
         disc.forward(vec.reshape(6, 5), Rng(7))
-        return disc.backward(readout).ravel()
+        return disc.backward(readout, param_grads=False).ravel()
 
     assert grad_check(f, grad, x0.ravel(), eps=EPS) < GRAD_TOL
 

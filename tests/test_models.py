@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xlingmap import models
 from xlingmap.models import (
     Discriminator,
     EncoderDecoder,
@@ -68,12 +69,10 @@ def test_model_config_presets():
 
 def test_model_config_validation():
     for bad in (dict(leaky_slope=0.0), dict(leaky_slope=1.0),
-                dict(dropout_rate=-0.1), dict(dropout_rate=1.0),
-                dict(bn_momentum=0.0), dict(bn_momentum=1.0),
-                dict(bn_eps=0.0), dict(depth=0)):
+                dict(dropout_rate=-0.1), dict(dropout_rate=1.0), dict(depth=0)):
         with pytest.raises(ValueError):
             ModelConfig(dim=4, **bad)
-    ModelConfig(dim=4, leaky_slope=0.99, dropout_rate=0.0, bn_momentum=0.5, bn_eps=1e-12)
+    ModelConfig(dim=4, leaky_slope=0.99, dropout_rate=0.0)
 
 
 def test_encode_identity_weight():
@@ -122,7 +121,7 @@ def reference_forward(disc, x, uniforms=None, training=True):
     for (w, gamma, beta), (run_mean, run_var) in zip(disc.blocks, disc.running):
         z = h @ w.value
         mean, var = (z.mean(axis=0), z.var(axis=0)) if training else (run_mean, run_var)
-        z = gamma.value * (z - mean) / np.sqrt(var + cfg.bn_eps) + beta.value
+        z = gamma.value * (z - mean) / np.sqrt(var + models.BN_EPS) + beta.value
         a = np.where(z >= 0.0, z, cfg.leaky_slope * z)
         if training:
             a = a * (uniforms >= cfg.dropout_rate) / (1.0 - cfg.dropout_rate)
@@ -131,9 +130,10 @@ def reference_forward(disc, x, uniforms=None, training=True):
     return np.clip(1.0 / (1.0 + np.exp(-logit)), 1e-12, 1.0 - 1e-12)
 
 
-def test_discriminator_matches_reference():
+def test_discriminator_matches_reference(monkeypatch):
+    monkeypatch.setattr(models, "BN_MOMENTUM", 0.2)
     cfg = ModelConfig(dim=6, block_dim=5, depth=3, leaky_slope=0.2,
-                      dropout_rate=0.3, bn_momentum=0.2)
+                      dropout_rate=0.3)
     disc = Discriminator("d", cfg, Rng(20))
     rng = np.random.default_rng(20)
     disc.output.value[...] = rng.normal(size=(5, 1))
@@ -178,10 +178,13 @@ def test_discriminator_backward_without_param_grads():
     grad_p = rng.normal(size=(5, 1))
     before = [p.grad.copy() for p in disc.params()]
     disc.forward(x, Rng(1))
-    g_skip = disc.backward(grad_p, param_grads=False)
+    g_in = disc.backward(grad_p, param_grads=False)
+    assert g_in.shape == x.shape
     assert all(np.array_equal(p.grad, b) for p, b in zip(disc.params(), before))
+    # the parameter pass writes every gradient and skips the input gradient
     disc.forward(x, Rng(1))
-    assert np.array_equal(g_skip, disc.backward(grad_p))
+    assert disc.backward(grad_p) is None
+    assert not any(np.array_equal(p.grad, b) for p, b in zip(disc.params(), before))
 
 
 def test_discriminator_zero_output_layer_gives_half():

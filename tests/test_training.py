@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from xlingmap import training
 from xlingmap.embed_io import FrequencyTable
 from xlingmap.models import ModelConfig
 from xlingmap.numerics import Rng, grad_check
@@ -30,12 +31,17 @@ def tiny_cfg(**over):
         batch_size=8,
         max_steps=20,
         eval_every=10,
-        eval_size=16,
         checkpoint_every=10,
         seed=3,
     )
     base.update(over)
     return TrainConfig(**base)
+
+
+@pytest.fixture(autouse=True)
+def small_eval(monkeypatch):
+    # the periodic evaluation draws 16 rows per side in these tests
+    monkeypatch.setattr(training, "EVAL_SIZE", 16)
 
 
 def metrics_tuple(m):
@@ -346,17 +352,16 @@ def test_checkpoint_array_layout(tables, tmp_path):
     assert list(arrays) == header["arrays"]
 
 
-def _rewrite_header(path, **model_fields):
+def _rewrite_header(path, config_fields=(), **model_fields):
     header, arrays = read_checkpoint(path)
     for key in ("format_version", "arrays"):
         del header[key]
+    header["config"].update(config_fields)
     header["config"]["model"].update(model_fields)
     write_checkpoint(path, header, arrays)
 
 
-def test_checkpoint_with_encoder_bias_false_resumes(tables, tmp_path):
-    # every checkpoint the CLI wrote before the encoder bias was removed
-    # carries "encoder_bias": false
+def _assert_resumes_with_header(tables, tmp_path, config_fields=(), **model_fields):
     src, tgt = tables
     cfg = tiny_cfg(max_steps=20)
     straight = Trainer(cfg, src, tgt)
@@ -370,7 +375,7 @@ def test_checkpoint_with_encoder_bias_false_resumes(tables, tmp_path):
         tr.step()
     old = tmp_path / "old.ckpt"
     tr.save_checkpoint(old)
-    _rewrite_header(old, encoder_bias=False)
+    _rewrite_header(old, config_fields, **model_fields)
 
     resumed = Trainer.resume(old, src, tgt)
     assert [metrics_tuple(resumed.step()) for _ in range(10)] == tail
@@ -380,13 +385,39 @@ def test_checkpoint_with_encoder_bias_false_resumes(tables, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_checkpoint_with_encoder_bias_false_resumes(tables, tmp_path):
+    # every checkpoint the CLI wrote before the encoder bias was removed
+    # carries "encoder_bias": false
+    _assert_resumes_with_header(tables, tmp_path, encoder_bias=False)
+
+
+def test_checkpoint_with_fixed_settings_in_header_resumes(tables, tmp_path, monkeypatch):
+    # checkpoints written while the batch-norm settings and the eval sample
+    # size were config fields carry the only values the CLI could set
+    monkeypatch.setattr(training, "EVAL_SIZE", 256)
+    _assert_resumes_with_header(tables, tmp_path, {"eval_size": 256},
+                                bn_eps=1e-5, bn_momentum=0.1)
+
+
 def test_checkpoint_with_encoder_bias_true_rejected(tables, tmp_path):
     src, tgt = tables
     path = tmp_path / "biased.ckpt"
     Trainer(tiny_cfg(), src, tgt).save_checkpoint(path)
     _rewrite_header(path, encoder_bias=True)
-    with pytest.raises(CheckpointError, match="encoder bias"):
+    with pytest.raises(CheckpointError, match="encoder_bias"):
         Trainer.resume(path, src, tgt)
+
+
+def test_checkpoint_with_other_fixed_setting_rejected(tables, tmp_path):
+    src, tgt = tables
+    path = tmp_path / "other.ckpt"
+    for key, config_fields, model_fields in (("eval_size", {"eval_size": 128}, {}),
+                                             ("bn_eps", (), {"bn_eps": 1e-3}),
+                                             ("bn_momentum", (), {"bn_momentum": 0.2})):
+        Trainer(tiny_cfg(), src, tgt).save_checkpoint(path)
+        _rewrite_header(path, config_fields, **model_fields)
+        with pytest.raises(CheckpointError, match=f"{key}=.* is not supported"):
+            Trainer.resume(path, src, tgt)
 
 
 def test_checkpoint_write_failure_keeps_previous(tables, tmp_path, monkeypatch):
