@@ -32,6 +32,7 @@ from . import __version__
 from .embed_io import (
     EmbedFormatError,
     EmbeddingTable,
+    Vocabulary,
     load_embeddings,
     load_frequencies,
     load_matrix,
@@ -313,9 +314,14 @@ def _cmd_eval(args) -> int:
         raise UsageError(
             f"mapping dimension {encoder.dim} does not match d={src.dim}"
         )
-    mapped = EmbeddingTable(src.vocab, encoder.map_rows(src.matrix))
     dictionary = BilingualDictionary.load(args.dictionary)
-    res = precision_at_k(mapped, tgt, dictionary, args.k)
+    # only the dictionary's source words are ranked, so only they are mapped
+    words = [w for w in dictionary.entries if w in src.vocab]
+    if not words:
+        raise ValueError("no resolvable dictionary entries")
+    rows = encoder.map_rows(src.matrix[[src.vocab.index(w) for w in words]])
+    res = precision_at_k(EmbeddingTable(Vocabulary(words), rows), tgt,
+                         dictionary, args.k)
     payload = {
         "precision": {f"p@{j}": p for j, p in enumerate(res.precision, start=1)},
         "resolvable": res.resolvable,

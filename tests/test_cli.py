@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xlingmap.cli import main
-from xlingmap.embed_io import load_embeddings, load_matrix, save_embeddings
+from xlingmap.embed_io import load_embeddings, load_matrix, save_embeddings, save_matrix
 from xlingmap.training import read_checkpoint
 
 from conftest import random_table
@@ -291,3 +291,42 @@ def test_preset_flag(tmp_path):
     header, _ = read_checkpoint(out / "checkpoint_final.xlaae")
     assert header["config"]["model"]["depth"] == 4
     assert header["config"]["model"]["block_dim"] == 40
+
+
+def test_eval_maps_only_dictionary_source_rows(tmp_path, capsys, monkeypatch):
+    from xlingmap import cli
+    from xlingmap.embed_io import EmbeddingTable
+    from xlingmap.evaluation import BilingualDictionary, precision_at_k
+
+    sp, tp, src, tgt = write_tables(tmp_path)
+    weight = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 6)))[0]
+    matrix_path = tmp_path / "w.txt"
+    save_matrix(weight, matrix_path)
+    # s3 twice (two targets), s7 without a resolvable target, two unknown words
+    dict_path = tmp_path / "d.dict"
+    dict_path.write_text("s3\tt3\ns3\tt4\ns7\tnosuch\ns1\tt9\nzz\tt1\ns12\tt12\n"
+                         "yy\tt2\n", encoding="utf-8")
+    seen = []
+
+    def recording(mapped_src, tgt_table, dictionary, k):
+        seen.append(mapped_src)
+        return precision_at_k(mapped_src, tgt_table, dictionary, k)
+
+    monkeypatch.setattr(cli, "precision_at_k", recording)
+    capsys.readouterr()
+    assert main(["eval", "--encoder-matrix", str(matrix_path), "--src", str(sp),
+                 "--tgt", str(tp), "--dict", str(dict_path), "--k", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    (mapped,) = seen
+    assert sorted(mapped.vocab.tokens) == ["s1", "s12", "s3", "s7"]
+    rows = [src.vocab.index(w) for w in mapped.vocab.tokens]
+    assert np.allclose(mapped.matrix, src.matrix[rows] @ weight, rtol=0, atol=1e-14)
+    # the report of the whole mapped table, as the command computed it before
+    full = precision_at_k(EmbeddingTable(src.vocab, src.matrix @ weight), tgt,
+                          BilingualDictionary.load(dict_path), 5)
+    assert report == {
+        "precision": {f"p@{j}": p for j, p in enumerate(full.precision, start=1)},
+        "resolvable": full.resolvable,
+        "unresolvable": full.unresolvable,
+    }
+    assert (full.resolvable, full.unresolvable) == (3, 3)

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from xlingmap import embed_io
 from xlingmap.embed_io import (
     EmbedFormatError,
     EmbeddingTable,
@@ -194,3 +197,180 @@ def test_matrix_text_round_trip(tmp_path):
     path = tmp_path / "m.txt"
     save_matrix(m, path)
     assert np.array_equal(load_matrix(path), m)
+
+
+@pytest.mark.parametrize("content,message", [
+    # lines are numbered as they appear in the file: a blank line is a row
+    ("3 2\n1 0\n\n0 1\n", "3: expected 2 values, found 1"),
+    ("2 2\n1 0\n\n0 1\n", " expected 2 rows, found 3"),
+    ("2 2\n1 0\n0 x\n", "3: unparseable value"),
+    ("2 2\n1 0\n0 inf\n", "3: non-finite value"),
+    ("2 2\n1 0 1\n0 1\n", "2: expected 2 values, found 3"),
+    ("2 2\n1\t0\n0 1\n", "2: tab in row"),
+    ("2 2 \n1 0\n0 1\n", "1: bad matrix header"),
+    ("0 2\n", "1: bad matrix header"),
+])
+def test_load_matrix_rejects_malformed(tmp_path, content, message):
+    path = tmp_path / "m.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(EmbedFormatError) as err:
+        load_matrix(path)
+    assert str(err.value) == f"{path}:{message}"
+
+
+# -- equivalence with the per-value reader and writer they replace -----------
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0,
+                  -1e-300]
+
+
+def reference_text(header, rows, tokens=None):
+    """The file the per-value writer produced: ``format(v, ".17g")``."""
+    lines = [header]
+    for i, row in enumerate(rows):
+        values = " ".join(format(v, ".17g") for v in row)
+        lines.append(values if tokens is None else f"{tokens[i]} {values}")
+    return "\n".join(lines) + "\n"
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_writer_matches_per_value_format(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-300, 300, size=(50, 7))
+    m = rng.normal(size=(50, 7)) * scale
+    m[rng.random(size=m.shape) < 0.2] = 0.0
+    t = EmbeddingTable(Vocabulary([f"w{i}" for i in range(50)]), m)
+    path = tmp_path / "t.vec"
+    save_embeddings(t, path)
+    assert path.read_bytes() == reference_text(
+        "50 7", t.matrix, t.vocab.tokens).encode("utf-8")
+    save_matrix(m, path)
+    assert path.read_bytes() == reference_text("50 7", m).encode("utf-8")
+
+
+def test_writer_special_values(tmp_path):
+    m = np.array([SPECIAL_VALUES, SPECIAL_VALUES[::-1]])
+    t = EmbeddingTable(Vocabulary(["a", "b"]), m)
+    path = tmp_path / "s.vec"
+    save_embeddings(t, path)
+    assert path.read_bytes() == reference_text(
+        "2 10", m, ("a", "b")).encode("utf-8")
+    assert bits(load_embeddings(path).matrix).tolist() == bits(m).tolist()
+    save_matrix(m, path)
+    assert path.read_bytes() == reference_text("2 10", m).encode("utf-8")
+    assert bits(load_matrix(path)).tolist() == bits(m).tolist()
+
+
+@pytest.mark.parametrize("text", [
+    [format(v, ".17g") for v in SPECIAL_VALUES],
+    [repr(v) for v in SPECIAL_VALUES],
+    ["0.123456", "-1e-05", "0.5", "-0", "3", "+1.5", ".25", "-2.", "1E-3",
+     "4.9406564584124654e-324", "1e-400", "0.30000000000000004"],
+])
+def test_reader_values_equal_float(tmp_path, text):
+    # word2vec and fastText write short decimals; this writer, 17 digits
+    path = tmp_path / "v.vec"
+    rows = [text, text[::-1]]
+    path.write_text(f"2 {len(text)}\n" + "".join(
+        f"w{i} {' '.join(r)} \n" for i, r in enumerate(rows)), encoding="utf-8")
+    want = [[float(v) for v in r] for r in rows]
+    assert bits(load_embeddings(path).matrix).tolist() == bits(want).tolist()
+
+
+# a bad row for each malformed-file case, and the message it must produce
+MALFORMED_ROWS = {
+    "count": ("x 1", "expected 2 values, found 1"),
+    "two trailing spaces": ("x 1 0  ", "expected 2 values, found 4"),
+    "tab": ("x 1\t0", "tab in row"),
+    "duplicate": ("w0 1 0", "duplicate token 'w0'"),
+    "unparseable": ("x 1 0x1", "unparseable value"),
+    "empty field": ("x 1  ", "unparseable value"),
+    "non-finite": ("x 1 -inf", "non-finite value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+@pytest.mark.parametrize("bad_row", [2, 3, 4, 5])
+def test_block_parse_names_the_same_line(tmp_path, monkeypatch, case, bad_row):
+    # rows 0-1, 2-3 and 4-5 are the first three blocks at two rows a block
+    line, message = MALFORMED_ROWS[case]
+    rows = [f"w{i} {i} 0.5" for i in range(7)]
+    rows[bad_row] = line
+    path = tmp_path / "e.vec"
+    path.write_text("7 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    want = f"{path}:{bad_row + 2}: {message}"
+    with pytest.raises(EmbedFormatError) as err:
+        load_embeddings(path)
+    assert str(err.value) == want
+    monkeypatch.setattr(embed_io, "READ_BLOCK_ROWS", 2)
+    with pytest.raises(EmbedFormatError) as err:
+        load_embeddings(path)
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("block_rows", [2, 256])
+def test_errors_come_in_line_order(tmp_path, monkeypatch, block_rows):
+    # a bad value is reported before a structural error on a later line of
+    # the same block, as a row-by-row reader would
+    monkeypatch.setattr(embed_io, "READ_BLOCK_ROWS", block_rows)
+    path = tmp_path / "e.vec"
+    path.write_text("4 2\na 1 0\nb 1 x\nc\t1 0\nd 0 nan\n", encoding="utf-8")
+    with pytest.raises(EmbedFormatError, match=r":3: unparseable value$"):
+        load_embeddings(path)
+    path.write_text("4 2\na 1 0\nb 1 nan\nc 1 x\nd 0 1\n", encoding="utf-8")
+    with pytest.raises(EmbedFormatError, match=r":3: non-finite value$"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "1\u0660", "\uff11",
+                                   "1\u00a0"])
+def test_reader_rejects_what_only_float_accepted(tmp_path, value):
+    # float() accepts underscores between digits, non-ASCII digits and
+    # non-ASCII whitespace around a value; numpy's parse, and so this reader,
+    # rejects them
+    float(value)
+    path = tmp_path / "e.vec"
+    path.write_text(f"2 2\na 1 0\nb 0 {value}\n", encoding="utf-8")
+    with pytest.raises(EmbedFormatError, match=r":3: unparseable value$"):
+        load_embeddings(path)
+
+
+def test_reader_keeps_ascii_whitespace_rules(tmp_path):
+    # float() strips \r, \v and \f around a value, which numpy's parse also
+    # takes as separators: CRLF files load, a value split by them does not
+    path = tmp_path / "e.vec"
+    path.write_text("2 2\r\na 1 0\r\nb \x0c0 1\x0b\n", encoding="utf-8")
+    assert np.array_equal(load_embeddings(path).matrix, [[1, 0], [0, 1]])
+    for row in ("b 0 1\x0c2", "b 0 \x0c", "b \r 1\r2"):
+        path.write_text(f"2 2\na 1 0\n{row}\n", encoding="utf-8")
+        with pytest.raises(EmbedFormatError, match=r":3: unparseable value$"):
+            load_embeddings(path)
+
+
+def test_numpy1_unmatched_text_warning_is_an_error(tmp_path, monkeypatch):
+    # numpy 1.24-1.26 only warn on unmatched text and return the values
+    # before it, so "0.5abc" would give a full-length block; the reader must
+    # reject it on those versions too, whatever numpy runs the test
+    real = np.fromstring
+
+    def numpy1_fromstring(text, sep):
+        head = text.replace("abc", "")
+        if head != text:
+            warnings.warn("string or file could not be read to its end due "
+                          "to unmatched data", DeprecationWarning, stacklevel=2)
+        return real(head, sep=sep)
+
+    monkeypatch.setattr(embed_io.np, "fromstring", numpy1_fromstring)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert numpy1_fromstring("1 0.5abc", sep=" ").size == 2
+    monkeypatch.setattr(embed_io, "READ_BLOCK_ROWS", 2)
+    path = tmp_path / "e.vec"
+    path.write_text("3 2\na 1 0\nb 1 0.5abc\nc 0 1\n", encoding="utf-8")
+    with pytest.raises(EmbedFormatError, match=r":3: unparseable value$"):
+        load_embeddings(path)
