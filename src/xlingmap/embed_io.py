@@ -189,12 +189,16 @@ class Vocabulary:
 
 
 class EmbeddingTable:
-    """A vocabulary plus one embedding row per token, immutable after build."""
+    """A vocabulary plus one embedding row per token, immutable after build.
+
+    A float64 array is adopted, not copied, and marked read-only: the caller
+    hands over an array it no longer writes to.
+    """
 
     __slots__ = ("vocab", "matrix")
 
     def __init__(self, vocab: Vocabulary, matrix):
-        matrix = np.array(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError(f"embedding matrix must be 2-d, got {matrix.ndim}-d")
         if matrix.shape[0] != len(vocab):

@@ -29,12 +29,6 @@ class PrecisionReport:
     unresolvable: int
 
 
-@dataclass(frozen=True)
-class CollapseReport:
-    mean_pairwise_cosine: float
-    mean_dim_std: float
-
-
 class BilingualDictionary:
     """Source token -> set of acceptable target tokens."""
 
@@ -124,27 +118,37 @@ def precision_at_k(mapped_src: EmbeddingTable, tgt: EmbeddingTable,
     )
 
 
-def collapse_metric(outputs) -> CollapseReport:
-    """Mean pairwise cosine similarity plus mean per-dimension spread.
+def collapse_metric(outputs):
+    """Mean pairwise cosine similarity plus mean per-dimension spread:
+    ``(mean pairwise cosine, mean dim std)``.
 
     Near-constant generator output shows up as mean pairwise cosine close
-    to 1 together with per-dimension standard deviation close to 0.
+    to 1 together with per-dimension standard deviation close to 0. The
+    cosine is taken over the nonzero rows; with fewer than 2 of them the
+    output has collapsed all the way and the cosine is 1.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     if outputs.ndim != 2 or outputs.shape[0] < 2:
         raise ValueError("need a matrix with at least 2 rows")
-    m = outputs.shape[0]
+    std = float(outputs.std(axis=0).mean())
     norms = np.linalg.norm(outputs, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero row in generator outputs")
-    unit = outputs / norms[:, None]
+    nonzero = norms > 0.0
+    m = int(nonzero.sum())
+    if m < 2:
+        return 1.0, std
+    unit = outputs[nonzero] / norms[nonzero, None]
     s = unit.sum(axis=0)
     # sum over i<j of cos_ij equals (||sum of units||^2 - m) / 2
     mean_cos = (float(s @ s) - m) / (m * (m - 1))
-    return CollapseReport(
-        mean_pairwise_cosine=float(np.clip(mean_cos, -1.0, 1.0)),
-        mean_dim_std=float(outputs.std(axis=0).mean()),
-    )
+    return float(np.clip(mean_cos, -1.0, 1.0)), std
+
+
+def monitor_accuracy(p_pos, p_neg) -> float:
+    """Fraction of rows a discriminator classifies correctly at threshold
+    0.5. A score of exactly 0.5 counts as negative, so the tie case is
+    deterministic and an untrained discriminator gets every positive wrong."""
+    correct = int(np.sum(p_pos > 0.5)) + int(np.sum(p_neg <= 0.5))
+    return correct / (p_pos.size + p_neg.size)
 
 
 @dataclass(frozen=True)
@@ -225,14 +229,10 @@ def synth_generate(spec: SyntheticSpec) -> SyntheticData:
                          truth=truth, map_matrix=q)
 
 
-def distribution_match_report(mapped, target_sample,
-                              monitor: Discriminator | None = None) -> dict:
+def distribution_match_report(mapped, target_sample, monitor: Discriminator) -> dict:
     """First/second-moment agreement between two samples, plus how well the
-    monitoring discriminator can still tell them apart.
-
-    Accuracy uses threshold 0.5 with ties classified as negative (mapped), so
-    an untrained monitor scoring everything 0.5 gets all targets wrong.
-    """
+    monitoring discriminator can still tell them apart (targets positive,
+    mapped rows negative; see :func:`monitor_accuracy`)."""
     mapped = np.asarray(mapped, dtype=np.float64)
     target_sample = np.asarray(target_sample, dtype=np.float64)
     if mapped.ndim != 2 or target_sample.ndim != 2:
@@ -256,17 +256,13 @@ def distribution_match_report(mapped, target_sample,
     cov_diff = np.linalg.norm(cm - ct)
     cov_error = cov_diff if ct_norm < 1e-12 else cov_diff / ct_norm
 
-    report = {
+    return {
         "mean_diff": float(mean_diff),
         "cov_frobenius_error": float(cov_error),
-        "monitor_accuracy": None,
+        "monitor_accuracy": monitor_accuracy(
+            monitor.forward(target_sample, training=False),
+            monitor.forward(mapped, training=False)),
     }
-    if monitor is not None:
-        p_t = monitor.forward(target_sample, training=False)
-        p_m = monitor.forward(mapped, training=False)
-        correct = int(np.sum(p_t > 0.5)) + int(np.sum(p_m <= 0.5))
-        report["monitor_accuracy"] = correct / (p_t.size + p_m.size)
-    return report
 
 
 def _covariance(x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import PROB_CLAMP, leaky_relu, sigmoid, sigmoid_backward
+from .layers import PROB_CLAMP, leaky_relu, sigmoid
 from .numerics import Rng
 from .optim import Param
 
@@ -192,7 +192,7 @@ class Discriminator:
         self._cache = None
         slope = self.cfg.leaky_slope
         rate = self.cfg.dropout_rate
-        g = sigmoid_backward(grad_p, p)
+        g = grad_p * p * (1.0 - p)
         if param_grads:
             self.output.grad = h.T @ g
             self.output_bias.grad = g.sum(axis=0)
@@ -228,18 +228,6 @@ class Discriminator:
             out.extend(block)
         out += [self.output, self.output_bias]
         return out
-
-    def norm_state(self) -> dict:
-        """Batch-norm running statistics, keyed like parameters."""
-        out = {}
-        for i, (mean, var) in enumerate(self.running):
-            out[f"{self.name}.block{i}.bn.running_mean"] = mean
-            out[f"{self.name}.block{i}.bn.running_var"] = var
-        return out
-
-    def load_norm_state(self, state: dict) -> None:
-        for key, buf in self.norm_state().items():
-            buf[...] = state[key]
 
 
 def build_models(cfg: ModelConfig, rng: Rng):

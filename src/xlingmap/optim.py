@@ -6,6 +6,11 @@ import math
 
 import numpy as np
 
+# Adam's moment decay rates and denominator epsilon.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Param:
     """A named trainable array and the gradient the next optimizer step uses."""
@@ -31,16 +36,12 @@ class Adam:
     non-finite entry, so a failed step leaves the state untouched.
     """
 
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names in optimizer group")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = {p.name: np.zeros_like(p.value) for p in self.params}
         self.v = {p.name: np.zeros_like(p.value) for p in self.params}
@@ -51,31 +52,21 @@ class Adam:
             if not np.isfinite(np.sum(p.grad)):
                 raise NonFiniteGradient(p.name)
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         scale = self.lr / bc1
         inv_sqrt_bc2 = 1.0 / math.sqrt(bc2)
         for p in self.params:
             g = p.grad
             m = self.m[p.name]
             v = self.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             denom = np.sqrt(v)
             denom *= inv_sqrt_bc2
-            denom += self.eps
+            denom += EPS
             update = m / denom
             update *= scale
             p.value -= update
-
-    def load_state_dict(self, state: dict) -> None:
-        if set(state["m"]) != set(self.m) or set(state["v"]) != set(self.v):
-            raise ValueError("optimizer state does not match parameter group")
-        self.t = int(state["t"])
-        for k in self.m:
-            if state["m"][k].shape != self.m[k].shape:
-                raise ValueError(f"shape mismatch restoring moment for {k!r}")
-            self.m[k] = np.array(state["m"][k], dtype=np.float64)
-            self.v[k] = np.array(state["v"][k], dtype=np.float64)

@@ -84,8 +84,7 @@ def build_adjusted(freq: FrequencyTable, cfg: SamplerConfig) -> AdjustedDistribu
 
 def sample_batch(dist: AdjustedDistribution, table: EmbeddingTable, n: int,
                  rng: Rng):
-    """Draw n rows i.i.d. with replacement; returns (rows, word indices)."""
+    """Draw n rows i.i.d. with replacement; returns a fresh (n x d) array."""
     if dist.vocab != table.vocab:
         raise ValueError("distribution vocabulary does not match table")
-    idx = dist.sample_indices(n, rng)
-    return table.matrix[idx].copy(), idx
+    return table.matrix[dist.sample_indices(n, rng)]

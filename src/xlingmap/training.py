@@ -25,15 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .embed_io import EmbeddingTable, FrequencyTable
-from .evaluation import collapse_metric, distribution_match_report
-from .layers import (
-    adversarial_loss,
-    adversarial_loss_grad,
-    bce_loss,
-    bce_loss_grads,
-    cosine_dissim_grads,
-    cosine_dissim_loss,
-)
+from .evaluation import collapse_metric, distribution_match_report, monitor_accuracy
+from .layers import adversarial_loss, bce_loss, cosine_dissim_loss
 from .models import (BN_EPS, BN_MOMENTUM, Discriminator, EncoderDecoder, ModelConfig,
                      build_models)
 from .numerics import RNG_ALGORITHM, Rng
@@ -136,15 +129,6 @@ class StepMetrics:
         )
 
 
-def _collapse_stats(outputs: np.ndarray):
-    """Collapse statistic tolerant of all-zero rows (maximal collapse)."""
-    std = float(outputs.std(axis=0).mean())
-    nonzero = outputs[np.linalg.norm(outputs, axis=1) > 0.0]
-    if nonzero.shape[0] < 2:
-        return 1.0, std
-    return collapse_metric(nonzero).mean_pairwise_cosine, std
-
-
 def _generator_pass(cfg: TrainConfig, encoder: EncoderDecoder,
                     disc: Discriminator, f: np.ndarray, e: np.ndarray, rng):
     """The generator objective and its gradient w.r.t. the encoder weight.
@@ -159,27 +143,23 @@ def _generator_pass(cfg: TrainConfig, encoder: EncoderDecoder,
     """
     e_hat = encoder.encode(f)
     p = disc.forward(e_hat, rng)
-    loss_adv = adversarial_loss(p)
+    loss_adv, grad_adv = adversarial_loss(p)
     if cfg.mode == "gan":
-        grad_e_hat = disc.backward(adversarial_loss_grad(p), param_grads=False)
+        grad_e_hat = disc.backward(grad_adv, param_grads=False)
         losses = {"loss_recon": 0.0, "loss_adv": loss_adv, "loss_cos": 0.0,
                   "loss_total": loss_adv}
         return e_hat, losses, f.T @ grad_e_hat
 
     recon = encoder.decode(e_hat)
-    loss_recon = cosine_dissim_loss(f, recon)
-    loss_cos = cosine_dissim_loss(e, e_hat)
+    loss_recon, grad_recon = cosine_dissim_loss(f, recon)
+    loss_cos, grad_from_cos = cosine_dissim_loss(e, e_hat)
     loss_total = (
         cfg.lambda_r * loss_recon
         + cfg.lambda_a * loss_adv
         + cfg.lambda_c * loss_cos
     )
-    _, grad_recon = cosine_dissim_grads(f, recon)
     grad_recon = cfg.lambda_r * grad_recon
-    grad_from_disc = disc.backward(
-        cfg.lambda_a * adversarial_loss_grad(p), param_grads=False
-    )
-    _, grad_from_cos = cosine_dissim_grads(e, e_hat)
+    grad_from_disc = disc.backward(cfg.lambda_a * grad_adv, param_grads=False)
     grad_e_hat = (
         grad_recon @ encoder.weight.value
         + grad_from_disc
@@ -229,12 +209,12 @@ class Trainer:
     def step(self) -> StepMetrics:
         t0 = time.perf_counter()
         n = self.cfg.batch_size
-        f, _ = sample_batch(self.src_dist, self.src, n, self.rngs["sample_src"])
-        e, _ = sample_batch(self.tgt_dist, self.tgt, n, self.rngs["sample_tgt"])
+        f = sample_batch(self.src_dist, self.src, n, self.rngs["sample_src"])
+        e = sample_batch(self.tgt_dist, self.tgt, n, self.rngs["sample_tgt"])
         e_hat, losses, grad_w = _generator_pass(
             self.cfg, self.encoder, self.d_train, f, e, self.rngs["dropout_train"]
         )
-        collapse_cos, collapse_std = _collapse_stats(e_hat)
+        collapse_cos, collapse_std = collapse_metric(e_hat)
         self.encoder.weight.grad = grad_w
         self.opt_gen.step()
         disc_bce, monitor_bce, monitor_acc = self._disc_update(e_hat, e)
@@ -273,27 +253,22 @@ class Trainer:
             (self.d_monitor, self.opt_monitor, self.rngs["dropout_monitor"]),
         ):
             p = disc.forward(joint, rng)
-            p_pos, p_neg = p[:n], p[n:]
-            loss = bce_loss(p_pos, p_neg)
-            disc.backward(np.vstack(bce_loss_grads(p_pos, p_neg)))
+            loss, grad = bce_loss(p[:n], p[n:])
+            disc.backward(grad)
             opt.step()
-            results.append((loss, p_pos, p_neg))
-        (disc_bce, _, _), (monitor_bce, mp, mn) = results
-        # p = 0.5 classifies as negative, so the tie case is deterministic.
-        monitor_acc = (int(np.sum(mp > 0.5)) + int(np.sum(mn <= 0.5))) / (
-            mp.size + mn.size
-        )
-        return disc_bce, monitor_bce, float(monitor_acc)
+            results.append((loss, p))
+        (disc_bce, _), (monitor_bce, p) = results
+        return disc_bce, monitor_bce, monitor_accuracy(p[:n], p[n:])
 
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self) -> dict:
         """Frozen-model evaluation on fresh draws from the eval substream."""
         rng = self.rngs["eval"]
-        f, _ = sample_batch(self.src_dist, self.src, EVAL_SIZE, rng)
-        e, _ = sample_batch(self.tgt_dist, self.tgt, EVAL_SIZE, rng)
+        f = sample_batch(self.src_dist, self.src, EVAL_SIZE, rng)
+        e = sample_batch(self.tgt_dist, self.tgt, EVAL_SIZE, rng)
         mapped = self.encoder.map_rows(f)
-        collapse_cos, collapse_std = _collapse_stats(mapped)
+        collapse_cos, collapse_std = collapse_metric(mapped)
         report = distribution_match_report(mapped, e, self.d_monitor)
         return {
             "type": "eval",
@@ -307,74 +282,61 @@ class Trainer:
 
     # -- the outer loop ------------------------------------------------------
 
-    def run(self, out_dir=None, on_record=None) -> Path | None:
-        """Run to ``max_steps``, emitting step records, periodic evaluation
-        records and checkpoints. Returns the final checkpoint path."""
-        out = Path(out_dir) if out_dir is not None else None
-        metrics_fh = None
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
-            metrics_fh = open(out / "metrics.jsonl", "a", encoding="utf-8")
+    def run(self, out_dir, on_record=None) -> Path:
+        """Run to ``max_steps``, appending step records and periodic
+        evaluation records to ``out_dir/metrics.jsonl`` and writing
+        checkpoints there. Returns the final checkpoint path."""
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "metrics.jsonl", "a", encoding="utf-8") as metrics_fh:
 
-        def emit(record: dict) -> None:
-            if metrics_fh is not None:
+            def emit(record: dict) -> None:
                 metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
-            if on_record is not None:
-                on_record(record)
+                if on_record is not None:
+                    on_record(record)
 
-        try:
             while self.step_count < self.cfg.max_steps:
                 try:
                     metrics = self.step()
                 except (NonFiniteMetric, NonFiniteGradient) as err:
                     emit({"type": "error", "step": self.step_count, "message": str(err)})
-                    if metrics_fh is not None:
-                        metrics_fh.flush()
-                    if out is not None:
-                        self.save_checkpoint(out / "checkpoint_diagnostic.xlaae")
+                    metrics_fh.flush()
+                    self.save_checkpoint(out / "checkpoint_diagnostic.xlaae")
                     raise
                 emit(metrics.to_dict())
                 s = self.step_count
                 if s % self.cfg.eval_every == 0:
                     emit(self.evaluate())
-                    if metrics_fh is not None:
-                        metrics_fh.flush()
-                if out is not None and s % self.cfg.checkpoint_every == 0:
+                    metrics_fh.flush()
+                if s % self.cfg.checkpoint_every == 0:
                     self.save_checkpoint(out / f"checkpoint_{s:08d}.xlaae")
-            final = None
-            if out is not None:
-                final = out / "checkpoint_final.xlaae"
-                self.save_checkpoint(final)
+            final = out / "checkpoint_final.xlaae"
+            self.save_checkpoint(final)
             return final
-        finally:
-            if metrics_fh is not None:
-                metrics_fh.close()
 
     # -- checkpointing -----------------------------------------------------
 
-    def _all_params(self):
-        return (
-            self.encoder.params()
-            + self.d_train.params()
-            + self.d_monitor.params()
-        )
+    def _optimizers(self):
+        return (("gen", self.opt_gen), ("disc", self.opt_disc),
+                ("monitor", self.opt_monitor))
 
-    def _checkpoint_arrays(self) -> dict:
-        arrays: dict = {}
-        for p in self._all_params():
-            arrays[p.name] = p.value
-        arrays.update(self.d_train.norm_state())
-        arrays.update(self.d_monitor.norm_state())
-        for label, opt in (
-            ("gen", self.opt_gen),
-            ("disc", self.opt_disc),
-            ("monitor", self.opt_monitor),
-        ):
-            for pname, buf in opt.m.items():
-                arrays[f"adam.{label}.m.{pname}"] = buf
-            for pname, buf in opt.v.items():
-                arrays[f"adam.{label}.v.{pname}"] = buf
-        return arrays
+    def _state(self) -> dict:
+        """Every array a checkpoint holds, by name, in file order: the
+        parameters, the batch-norm running statistics, then the Adam
+        moments. The values are the live arrays the run updates in place."""
+        state = {}
+        for _, opt in self._optimizers():
+            for p in opt.params:
+                state[p.name] = p.value
+        for disc in (self.d_train, self.d_monitor):
+            for i, (mean, var) in enumerate(disc.running):
+                state[f"{disc.name}.block{i}.bn.running_mean"] = mean
+                state[f"{disc.name}.block{i}.bn.running_var"] = var
+        for label, opt in self._optimizers():
+            for moment, bufs in (("m", opt.m), ("v", opt.v)):
+                for name, buf in bufs.items():
+                    state[f"adam.{label}.{moment}.{name}"] = buf
+        return state
 
     def save_checkpoint(self, path) -> None:
         header = {
@@ -385,13 +347,9 @@ class Trainer:
                 "seed": self.cfg.seed,
                 "streams": {n: self.rngs[n].get_state() for n in self.STREAMS},
             },
-            "adam_steps": {
-                "gen": self.opt_gen.t,
-                "disc": self.opt_disc.t,
-                "monitor": self.opt_monitor.t,
-            },
+            "adam_steps": {label: opt.t for label, opt in self._optimizers()},
         }
-        write_checkpoint(path, header, self._checkpoint_arrays())
+        write_checkpoint(path, header, self._state())
 
     @classmethod
     def resume(cls, path, src: EmbeddingTable, tgt: EmbeddingTable,
@@ -406,29 +364,17 @@ class Trainer:
         return trainer
 
     def _restore(self, header: dict, arrays: dict) -> None:
-        for p in self._all_params():
-            if p.name not in arrays:
-                raise CheckpointError(f"checkpoint missing array {p.name!r}")
-            if arrays[p.name].shape != p.value.shape:
+        for name, live in self._state().items():
+            if name not in arrays:
+                raise CheckpointError(f"checkpoint missing array {name!r}")
+            if arrays[name].shape != live.shape:
                 raise CheckpointError(
-                    f"shape mismatch for {p.name!r}: checkpoint "
-                    f"{arrays[p.name].shape} vs model {p.value.shape}"
+                    f"shape mismatch for {name!r}: checkpoint "
+                    f"{arrays[name].shape} vs model {live.shape}"
                 )
-            p.value[...] = arrays[p.name]
-        self.d_train.load_norm_state(arrays)
-        self.d_monitor.load_norm_state(arrays)
-        for label, opt in (
-            ("gen", self.opt_gen),
-            ("disc", self.opt_disc),
-            ("monitor", self.opt_monitor),
-        ):
-            opt.load_state_dict(
-                {
-                    "t": header["adam_steps"][label],
-                    "m": {p.name: arrays[f"adam.{label}.m.{p.name}"] for p in opt.params},
-                    "v": {p.name: arrays[f"adam.{label}.v.{p.name}"] for p in opt.params},
-                }
-            )
+            live[...] = arrays[name]
+        for label, opt in self._optimizers():
+            opt.t = int(header["adam_steps"][label])
         for name in self.STREAMS:
             self.rngs[name].set_state(header["rng"]["streams"][name])
         self.step_count = int(header["step"])

@@ -29,13 +29,9 @@ from xlingmap.evaluation import (
 )
 from xlingmap.layers import (
     adversarial_loss,
-    adversarial_loss_grad,
     bce_loss,
-    bce_loss_grads,
-    cosine_dissim_grads,
     cosine_dissim_loss,
     sigmoid,
-    sigmoid_backward,
 )
 from xlingmap.models import Discriminator, ModelConfig, build_models
 from xlingmap.numerics import Rng, grad_check
@@ -94,29 +90,29 @@ def test_criterion_1_gradient_suite():
 
         def g_sg(vec):
             out = sigmoid(vec.reshape(3, 4))
-            return sigmoid_backward(ros, out).ravel()
+            return (ros * out * (1.0 - out)).ravel()
 
         record("sigmoid", _readout_check(f_sg, g_sg, xs.ravel()))
 
-        # losses
+        # losses: each returns (value, gradient)
         a0 = rng.normal(size=(4, 3))
         b0 = rng.normal(size=(4, 3))
 
         def f_cd(vec):
-            return cosine_dissim_loss(vec.reshape(4, 3), b0)
+            return cosine_dissim_loss(a0, vec.reshape(4, 3))[0]
 
         def g_cd(vec):
-            return cosine_dissim_grads(vec.reshape(4, 3), b0)[0].ravel()
+            return cosine_dissim_loss(a0, vec.reshape(4, 3))[1].ravel()
 
-        record("cosine_dissim", _readout_check(f_cd, g_cd, a0.ravel()))
+        record("cosine_dissim", _readout_check(f_cd, g_cd, b0.ravel()))
 
         p0 = rng.uniform(0.1, 0.9, size=(5, 1))
 
         def f_adv(vec):
-            return adversarial_loss(vec.reshape(5, 1))
+            return adversarial_loss(vec.reshape(5, 1))[0]
 
         def g_adv(vec):
-            return adversarial_loss_grad(vec.reshape(5, 1)).ravel()
+            return adversarial_loss(vec.reshape(5, 1))[1].ravel()
 
         record("adversarial", _readout_check(f_adv, g_adv, p0.ravel()))
 
@@ -124,11 +120,10 @@ def test_criterion_1_gradient_suite():
         pn = rng.uniform(0.1, 0.9, size=(3, 1))
 
         def f_bce(vec):
-            return bce_loss(vec[:3].reshape(3, 1), vec[3:].reshape(3, 1))
+            return bce_loss(vec[:3].reshape(3, 1), vec[3:].reshape(3, 1))[0]
 
         def g_bce(vec):
-            gp, gn = bce_loss_grads(vec[:3].reshape(3, 1), vec[3:].reshape(3, 1))
-            return np.concatenate([gp.ravel(), gn.ravel()])
+            return bce_loss(vec[:3].reshape(3, 1), vec[3:].reshape(3, 1))[1].ravel()
 
         record("bce", _readout_check(f_bce, g_bce,
                                      np.concatenate([pp.ravel(), pn.ravel()])))

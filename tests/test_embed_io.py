@@ -191,6 +191,28 @@ def test_embedding_table_validates():
         EmbeddingTable(Vocabulary(["a"]), [[np.nan, 1.0]])
 
 
+def test_loaded_table_adopts_its_matrix(tmp_path, monkeypatch):
+    # the table keeps the array it is given, read-only, instead of a copy
+    given = []
+
+    def recording_table(vocab, matrix):
+        given.append(matrix)
+        return EmbeddingTable(vocab, matrix)
+
+    path = tmp_path / "r.vec"
+    save_embeddings(random_table(20, 4, seed=5), path)
+    monkeypatch.setattr(embed_io, "EmbeddingTable", recording_table)
+    table = load_embeddings(path)
+    assert len(given) == 1
+    assert np.shares_memory(table.matrix, given[0])
+    assert not table.matrix.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.matrix[0, 0] = 1.0
+    # other inputs are still converted to a float64 matrix of its own
+    listed = EmbeddingTable(Vocabulary(["a"]), [[1, 2]])
+    assert listed.matrix.dtype == np.float64 and not listed.matrix.flags.writeable
+
+
 def test_matrix_text_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     m = rng.normal(size=(5, 3))

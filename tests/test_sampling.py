@@ -73,9 +73,9 @@ def test_zero_count_still_sampleable():
 def test_sample_batch_single_word():
     table = random_table(1, 4, seed=0)
     dist = build_adjusted(FrequencyTable.uniform(table.vocab), SamplerConfig())
-    rows, idx = sample_batch(dist, table, 6, Rng(1).substream("s"))
+    rows = sample_batch(dist, table, 6, Rng(1).substream("s"))
     assert rows.shape == (6, 4)
-    assert np.all(idx == 0)
+    assert np.all(dist.sample_indices(6, Rng(1).substream("s")) == 0)
     assert np.allclose(rows, table.matrix[0])
 
 
@@ -83,9 +83,12 @@ def test_sample_batch_deterministic():
     table = random_table(50, 4, seed=1)
     freq = zipf_freq(table.vocab)
     dist = build_adjusted(freq, SamplerConfig())
-    _, idx1 = sample_batch(dist, table, 100, Rng(7).substream("s"))
-    _, idx2 = sample_batch(dist, table, 100, Rng(7).substream("s"))
-    assert np.array_equal(idx1, idx2)
+    idx = dist.sample_indices(100, Rng(7).substream("s"))
+    rows = sample_batch(dist, table, 100, Rng(7).substream("s"))
+    assert np.array_equal(rows, table.matrix[idx])
+    assert np.array_equal(rows, sample_batch(dist, table, 100, Rng(7).substream("s")))
+    # the rows are the caller's own, not a view of the read-only table
+    assert rows.flags.writeable and not np.shares_memory(rows, table.matrix)
 
 
 def test_empirical_matches_exact_distribution():
@@ -101,9 +104,9 @@ def test_two_batches_equal_one_double_batch_distribution():
     table = random_table(60, 3, seed=4)
     dist = build_adjusted(zipf_freq(table.vocab), SamplerConfig())
     n = 200_000
-    _, a = sample_batch(dist, table, n, Rng(5).substream("x"))
-    _, b = sample_batch(dist, table, n, Rng(6).substream("y"))
-    _, c = sample_batch(dist, table, 2 * n, Rng(7).substream("z"))
+    a = dist.sample_indices(n, Rng(5).substream("x"))
+    b = dist.sample_indices(n, Rng(6).substream("y"))
+    c = dist.sample_indices(2 * n, Rng(7).substream("z"))
     emp_ab = np.bincount(np.concatenate([a, b]), minlength=60) / (2 * n)
     emp_c = np.bincount(c, minlength=60) / (2 * n)
     tv = 0.5 * np.abs(emp_ab - emp_c).sum()

@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from xlingmap import training
-from xlingmap.embed_io import FrequencyTable
+from xlingmap.cli import main
+from xlingmap.embed_io import FrequencyTable, save_embeddings
 from xlingmap.models import ModelConfig
 from xlingmap.numerics import Rng, grad_check
 from xlingmap.sampling import SamplerConfig
@@ -102,8 +104,8 @@ def test_discriminator_update_leaves_encoder_untouched(tables):
     n = tr.cfg.batch_size
     from xlingmap.sampling import sample_batch
 
-    f, _ = sample_batch(tr.src_dist, src, n, tr.rngs["sample_src"])
-    e, _ = sample_batch(tr.tgt_dist, tgt, n, tr.rngs["sample_tgt"])
+    f = sample_batch(tr.src_dist, src, n, tr.rngs["sample_src"])
+    e = sample_batch(tr.tgt_dist, tgt, n, tr.rngs["sample_tgt"])
     tr._disc_update(tr.encoder.map_rows(f), e)
     assert np.array_equal(tr.encoder.weight.value, w_before)
     changed = any(
@@ -418,6 +420,50 @@ def test_checkpoint_with_other_fixed_setting_rejected(tables, tmp_path):
         _rewrite_header(path, config_fields, **model_fields)
         with pytest.raises(CheckpointError, match=f"{key}=.* is not supported"):
             Trainer.resume(path, src, tgt)
+
+
+def _drop(arrays, name):
+    del arrays[name]
+
+
+def _first_entry(arrays, name):
+    arrays[name] = arrays[name][:1]
+
+
+def _flatten(arrays, name):
+    arrays[name] = arrays[name].ravel()
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("disc_train.block1.weight", _drop),
+    ("disc_monitor.block0.bn.running_var", _drop),
+    ("adam.disc.m.disc_train.output.bias", _drop),
+    ("disc_train.block0.bn.running_mean", _first_entry),
+    ("adam.gen.v.encoder.weight", _flatten),
+])
+def test_resume_rejects_missing_or_misshaped_array(tables, tmp_path, capsys, name, damage):
+    src, tgt = tables
+    tr = Trainer(tiny_cfg(), src, tgt)
+    tr.step()
+    path = tmp_path / "damaged.ckpt"
+    tr.save_checkpoint(path)
+    header, arrays = read_checkpoint(path)
+    for key in ("format_version", "arrays"):
+        del header[key]
+    damage(arrays, name)
+    write_checkpoint(path, header, arrays)
+    with pytest.raises(CheckpointError, match=re.escape(repr(name))):
+        Trainer.resume(path, src, tgt)
+
+    sp, tp = tmp_path / "src.vec", tmp_path / "tgt.vec"
+    save_embeddings(src, sp)
+    save_embeddings(tgt, tp)
+    out = tmp_path / "resumed"
+    assert main(["resume", "--checkpoint", str(path), "--src", str(sp),
+                 "--tgt", str(tp), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(name) in err
+    assert not out.exists()
 
 
 def test_checkpoint_write_failure_keeps_previous(tables, tmp_path, monkeypatch):
