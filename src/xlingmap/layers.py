@@ -1,7 +1,7 @@
-"""Elementwise functions and losses of the discriminator and the
-generator objective: leaky ReLU, logistic sigmoid, and the cosine /
-adversarial / binary cross-entropy losses. Each loss is one function that
-returns its value together with its hand-derived gradient.
+"""The logistic sigmoid and the losses of the discriminator and the
+generator objective: cosine, adversarial and binary cross-entropy. Each
+loss is one function that returns its value together with its
+hand-derived gradient.
 """
 from __future__ import annotations
 
@@ -14,11 +14,6 @@ PROB_CLAMP = 1e-12
 
 class LayerError(ValueError):
     pass
-
-
-def leaky_relu(x, slope: float):
-    """Elementwise x for x >= 0, slope * x otherwise, for 0 < slope < 1."""
-    return np.maximum(x, slope * x)
 
 
 def sigmoid(x):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import PROB_CLAMP, leaky_relu, sigmoid
+from .layers import PROB_CLAMP, sigmoid
 from .numerics import Rng
 from .optim import Param
 
@@ -131,6 +131,7 @@ class Discriminator:
         self.output_bias = Param(f"{name}.output.bias", np.zeros(1))
         self.running = [(np.zeros(k), np.ones(k)) for _ in range(cfg.depth)]
         self._cache = None
+        self._work = None
 
     def forward(self, x, rng: Rng | None = None, training: bool = True):
         """Probability column for a batch; training mode needs n >= 2 rows
@@ -144,19 +145,29 @@ class Discriminator:
         """
         cfg = self.cfg
         m = BN_MOMENTUM
-        rate = cfg.dropout_rate
+        rate = cfg.dropout_rate if training else 0.0
+        # Inverted dropout's scale rides on the batch-norm affine map: the
+        # leaky ReLU is positively homogeneous, so c * leaky(y) = leaky(c * y).
+        scale = 1.0 / (1.0 - rate)
         steps = []
+        if training and (self._work is None or len(self._work[0][0]) != len(x)):
+            # Cached arrays are allocated once per batch size: freed every step,
+            # their pages go back to the system and fault in again, slowly.
+            shape = (len(x), cfg.block_dim)
+            self._work = [(np.empty(shape), np.empty(shape)) for _ in self.blocks]
+        work = self._work if training else [(None, None)] * cfg.depth
         h = x @ self.input.value
-        for (weight, gamma, beta), (running_mean, running_var) in zip(
-            self.blocks, self.running
+        for (weight, gamma, beta), (running_mean, running_var), (z_out, a_out) in zip(
+            self.blocks, self.running, work
         ):
-            z = h @ weight.value
+            z = np.matmul(h, weight.value, out=z_out)
             if training:
                 n = z.shape[0]
                 if n < 2:
                     raise ValueError("batch norm training mode needs n >= 2")
-                mean = z.mean(axis=0)
-                centered = z - mean
+                mean = z.sum(axis=0) / n
+                centered = z
+                centered -= mean
                 var = np.einsum("ij,ij->j", centered, centered) / n
                 inv = 1.0 / np.sqrt(var + BN_EPS)
                 running_mean *= 1.0 - m
@@ -166,61 +177,65 @@ class Discriminator:
             else:
                 inv = 1.0 / np.sqrt(running_var + BN_EPS)
                 centered = z - running_mean
-            z = centered * (gamma.value * inv)
-            z += beta.value
-            a = leaky_relu(z, cfg.leaky_slope)
+            y = np.multiply(centered, gamma.value * (inv * scale), out=a_out)
+            y += beta.value * scale
+            positive = y >= 0.0
+            a = np.maximum(y, cfg.leaky_slope * y, out=y)
             kept = None
-            if training and rate != 0.0:
-                kept = rng.uniform(size=a.shape) >= rate
-                a = a * kept
-                a *= 1.0 / (1.0 - rate)
+            if rate != 0.0:
+                kept = rng.keep_mask(a.shape, rate)
+                a *= kept
             # the sign pattern is all backward needs from the pre-activation
-            steps.append((h, centered, inv, z >= 0.0, kept))
-            h = a + h
+            steps.append((h, centered, inv, positive, kept))
+            h = np.add(a, h, out=a)
         p = sigmoid(h @ self.output.value + self.output_bias.value)
         np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
         if training:
-            self._cache = (x, steps, h, p)
+            self._cache = (x, steps, h, p, scale)
         return p
 
-    def backward(self, grad_p, param_grads: bool = True):
-        """Backpropagate ``grad_p`` through the last training-mode forward.
-        With ``param_grads`` the parameter gradients are written to each
-        ``Param.grad`` and nothing is returned; without, only the gradient
-        w.r.t. the input is computed and returned."""
-        x, steps, h, p = self._cache
+    def backward(self, grad_p):
+        """Backpropagate through the last training-mode forward.
+
+        ``grad_p`` is one output gradient (n, 1), whose parameter gradients
+        are written in place into each ``Param.grad``, or two stacked as
+        (2, n, 1) that go through the blocks as one pass: channel 0 alone
+        writes the parameter gradients and channel 1's input gradient is
+        returned.
+        """
+        x, steps, h, p, scale = self._cache
         self._cache = None
-        slope = self.cfg.leaky_slope
-        rate = self.cfg.dropout_rate
-        g = grad_p * p * (1.0 - p)
-        if param_grads:
-            self.output.grad = h.T @ g
-            self.output_bias.grad = g.sum(axis=0)
-        g = g @ self.output.value.T
+        g = np.reshape(grad_p, (-1,) + p.shape) * (p * (1.0 - p))
+        np.matmul(h.T, g[0], out=self.output.grad)
+        self.output_bias.grad[...] = g[0].sum(axis=0)
+        g = g * self.output.value[:, 0]
         for (weight, gamma, beta), (h, centered, inv, positive, kept) in zip(
             reversed(self.blocks), reversed(steps)
         ):
-            grad_out = g
+            local = positive * (1.0 - self.cfg.leaky_slope)
+            local += self.cfg.leaky_slope
             if kept is not None:
-                g = grad_out * kept
-                g *= 1.0 / (1.0 - rate)
-            g = g * (slope + (1.0 - slope) * positive)
-            grad_sum = g.sum(axis=0)
-            grad_dot_c = np.einsum("ij,ij->j", g, centered)
-            n = g.shape[0]
-            gz = n * g
-            gz -= grad_sum
-            gz -= centered * (grad_dot_c * (inv * inv))
-            gz *= gamma.value * (inv / n)
-            if param_grads:
-                gamma.grad = grad_dot_c * inv
-                beta.grad = grad_sum
-                weight.grad = h.T @ gz
-            g = gz @ weight.value.T
+                local *= kept
+            grad_out = g
+            g = grad_out * local
+            n = centered.shape[0]
+            grad_sum = g.sum(axis=1)
+            grad_dot_c = np.einsum("cij,ij->cj", g, centered)
+            gamma.grad[...] = grad_dot_c[0] * (inv * scale)
+            beta.grad[...] = grad_sum[0] * scale
+            # batch norm's input gradient is u * s, u = g - mean(g) - centered *
+            # mean(g * centered) * inv^2, s = gamma * inv * scale; s goes on W
+            g -= grad_sum[:, None] / n
+            g -= centered * (grad_dot_c * (inv * inv / n))[:, None]
+            s = gamma.value * (inv * scale)
+            np.matmul(h.T, g[0], out=weight.grad)
+            weight.grad *= s
+            g = g.reshape(-1, g.shape[-1]) @ (weight.value.T * s[:, None])
+            g = g.reshape(grad_out.shape)
             g += grad_out
-        if not param_grads:
-            return g @ self.input.value.T
-        self.input.grad = x.T @ g
+        np.matmul(x.T, g[0], out=self.input.grad)
+        if len(g) == 2:
+            return g[1] @ self.input.value.T
 
     def params(self):
         out = [self.input]

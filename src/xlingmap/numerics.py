@@ -1,5 +1,4 @@
-"""A splittable deterministic RNG and a central finite-difference gradient
-checker.
+"""A splittable deterministic RNG.
 
 All randomness flows through named :class:`Rng` substreams so that runs are
 reproducible bit-for-bit.
@@ -7,6 +6,7 @@ reproducible bit-for-bit.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -16,33 +16,6 @@ RNG_ALGORITHM = "pcg64/sha256-named-substreams/v1"
 
 class NumericsError(ValueError):
     pass
-
-
-def grad_check(f, grad, x0, eps: float = 1e-5) -> float:
-    """Compare an analytic gradient against central finite differences.
-
-    ``f`` maps a flat parameter vector to a scalar; ``grad`` returns the
-    analytic gradient at the same point. Returns the max over coordinates of
-    ``|analytic - numeric| / max(1, |analytic|, |numeric|)``.
-    """
-    if not (1e-7 <= eps <= 1e-4):
-        raise NumericsError(f"eps {eps} outside sane range [1e-7, 1e-4]")
-    x0 = np.asarray(x0, dtype=np.float64).ravel()
-    g = np.asarray(grad(x0.copy()), dtype=np.float64).ravel()
-    if g.shape != x0.shape:
-        raise NumericsError("analytic gradient has wrong length")
-    worst = 0.0
-    for i in range(x0.size):
-        xp = x0.copy()
-        xp[i] += eps
-        xm = x0.copy()
-        xm[i] -= eps
-        num = (float(f(xp)) - float(f(xm))) / (2.0 * eps)
-        if not np.isfinite(num) or not np.isfinite(g[i]):
-            raise NumericsError(f"non-finite value at coordinate {i}")
-        denom = max(1.0, abs(g[i]), abs(num))
-        worst = max(worst, abs(g[i] - num) / denom)
-    return worst
 
 
 def _derive_seed(seed: int, name: str) -> int:
@@ -71,6 +44,15 @@ class Rng:
     def uniform(self, size=None):
         """Uniform draws in [0, 1)."""
         return self._gen.random(size)
+
+    def keep_mask(self, shape, rate: float):
+        """Boolean dropout mask, True where kept: raw 64-bit output read as
+        little-endian 16-bit integers, kept where >= ``ceil(rate * 2**16)``,
+        so the keep probability is within 2**-16 of ``1 - rate``."""
+        size = int(np.prod(shape))
+        raw = self._gen.bit_generator.random_raw(-(-size // 4))
+        bits = raw.astype("<u8", copy=False).view("<u2")[:size]
+        return (bits >= math.ceil(rate * 65536)).reshape(shape)
 
     def normal(self, size=None):
         """Standard normal draws."""

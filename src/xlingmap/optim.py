@@ -13,7 +13,8 @@ EPS = 1e-8
 
 
 class Param:
-    """A named trainable array and the gradient the next optimizer step uses."""
+    """A named trainable array and the gradient the next optimizer step uses,
+    written in place: in an optimizer group both are views of its buffers."""
 
     __slots__ = ("name", "value", "grad")
 
@@ -32,8 +33,11 @@ class NonFiniteGradient(FloatingPointError):
 class Adam:
     """Standard Adam: m and v moment buffers, bias-corrected update.
 
-    The step aborts before touching any parameter if a gradient contains a
-    non-finite entry, so a failed step leaves the state untouched.
+    The group's values, gradients and moments each live in one flat buffer,
+    so a step is a few whole-buffer operations; ``m`` and ``v`` map each
+    parameter name to its view of the moment buffers. The step aborts
+    before touching any parameter if a gradient contains a non-finite
+    entry, so a failed step leaves the state untouched.
     """
 
     def __init__(self, params, lr: float):
@@ -43,30 +47,35 @@ class Adam:
             raise ValueError("duplicate parameter names in optimizer group")
         self.lr = float(lr)
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.value) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.value) for p in self.params}
+        self.value = np.concatenate([p.value.ravel() for p in self.params])
+        self.grad = np.concatenate([p.grad.ravel() for p in self.params])
+        self.m_flat, self.v_flat = np.zeros_like(self.value), np.zeros_like(self.value)
+        self.m, self.v = {}, {}
+        offset = 0
+        for p in self.params:
+            part, shape = slice(offset, offset + p.value.size), p.value.shape
+            p.value, p.grad, self.m[p.name], self.v[p.name] = (
+                buf[part].reshape(shape)
+                for buf in (self.value, self.grad, self.m_flat, self.v_flat))
+            offset = part.stop
 
     def step(self) -> None:
-        for p in self.params:
-            # the sum is non-finite iff some entry is
-            if not np.isfinite(np.sum(p.grad)):
-                raise NonFiniteGradient(p.name)
+        g, m, v = self.grad, self.m_flat, self.v_flat
+        if not np.isfinite(g).all():
+            raise NonFiniteGradient(next(
+                p.name for p in self.params if not np.isfinite(p.grad).all()))
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
         scale = self.lr / bc1
         inv_sqrt_bc2 = 1.0 / math.sqrt(bc2)
-        for p in self.params:
-            g = p.grad
-            m = self.m[p.name]
-            v = self.v[p.name]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            denom = np.sqrt(v)
-            denom *= inv_sqrt_bc2
-            denom += EPS
-            update = m / denom
-            update *= scale
-            p.value -= update
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        denom = np.sqrt(v)
+        denom *= inv_sqrt_bc2
+        denom += EPS
+        update = m / denom
+        update *= scale
+        self.value -= update

@@ -27,14 +27,16 @@ import numpy as np
 from .embed_io import EmbeddingTable, FrequencyTable
 from .evaluation import collapse_metric, distribution_match_report, monitor_accuracy
 from .layers import adversarial_loss, bce_loss, cosine_dissim_loss
-from .models import (BN_EPS, BN_MOMENTUM, Discriminator, EncoderDecoder, ModelConfig,
-                     build_models)
+from .models import Discriminator, EncoderDecoder, ModelConfig, build_models
 from .numerics import RNG_ALGORITHM, Rng
 from .optim import Adam, NonFiniteGradient
 from .sampling import SamplerConfig, build_adjusted, sample_batch
 
 CHECKPOINT_MAGIC = b"XLAAE001"
 CHECKPOINT_VERSION = 1
+# The training step a checkpoint continues (one joint-batch discriminator
+# pass, 16-bit dropout masks); resume refuses any other trajectory.
+STEP_SCHEME = "joint-batch/u16-dropout/v1"
 
 TRAIN_MODES = ("gan", "aae")
 
@@ -44,6 +46,16 @@ EVAL_SIZE = 256
 
 class CheckpointError(ValueError):
     pass
+
+
+def _field(header: dict, *keys: str):
+    """``header[k0][k1]...``, or :class:`CheckpointError` naming the missing key."""
+    value = header
+    for i, key in enumerate(keys):
+        if not isinstance(value, dict) or key not in value:
+            raise CheckpointError(f"checkpoint header missing {'.'.join(keys[:i + 1])!r}")
+        value = value[key]
+    return value
 
 
 class NonFiniteMetric(RuntimeError):
@@ -88,20 +100,12 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        model = dict(d["model"])
-        # Older headers carry settings that are now constants or gone; they
-        # resume only with the value this code uses.
-        for section, key, value in (
-            (model, "encoder_bias", False), (model, "bn_eps", BN_EPS),
-            (model, "bn_momentum", BN_MOMENTUM), (d, "eval_size", EVAL_SIZE),
-        ):
-            found = section.pop(key, value)
-            if found != value:
-                raise CheckpointError(f"{key}={found!r} is not supported "
-                                      f"(only {value!r})")
-        d["model"] = ModelConfig(**model)
-        d["sampler"] = SamplerConfig(**d["sampler"])
-        return cls(**d)
+        try:
+            d["model"] = ModelConfig(**d["model"])
+            d["sampler"] = SamplerConfig(**d["sampler"])
+            return cls(**d)
+        except TypeError as err:
+            raise CheckpointError(f"checkpoint config: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -129,26 +133,36 @@ class StepMetrics:
         )
 
 
-def _generator_pass(cfg: TrainConfig, encoder: EncoderDecoder,
-                    disc: Discriminator, f: np.ndarray, e: np.ndarray, rng):
-    """The generator objective and its gradient w.r.t. the encoder weight.
+def _joint_pass(cfg: TrainConfig, encoder: EncoderDecoder, disc: Discriminator,
+                f: np.ndarray, e: np.ndarray, rng):
+    """One training-mode forward of ``disc`` on the joint batch
+    ``[e; f @ W]`` (target rows positive, mapped source rows negative) and
+    one fused backward that serves both players: the BCE gradient lands in
+    ``disc``'s ``Param.grad`` and the generator descends the same function,
+    its adversarial loss read off the mapped rows.
 
-    Maps the source rows ``f`` and scores them alone with ``disc`` in
-    training mode, which moves its running statistics and draws dropout
-    masks from ``rng``; ``disc`` gets no parameter gradients. ``gan`` mode
-    uses the adversarial loss alone and ignores the loss weights; ``aae``
-    adds reconstruction through the tied decoder and the cosine penalty
-    against the target rows ``e``. Returns (mapped rows, loss values,
-    encoder weight gradient).
+    Batch norm normalizes the two classes together. Normalizing them
+    separately hands the discriminator a degenerate shortcut (batch-level
+    statistics differ between the classes even when individual rows
+    overlap), which produces runaway discriminator wins and garbage
+    generator gradients. ``gan`` mode uses the adversarial loss alone and
+    ignores the loss weights; ``aae`` adds reconstruction through the tied
+    decoder and the cosine penalty against the target rows ``e``. Returns
+    (the joint batch, loss values, disc BCE, encoder weight gradient).
     """
-    e_hat = encoder.encode(f)
-    p = disc.forward(e_hat, rng)
-    loss_adv, grad_adv = adversarial_loss(p)
+    n = e.shape[0]
+    joint = np.vstack([e, encoder.encode(f)])
+    e_hat = joint[n:]
+    p = disc.forward(joint, rng)
+    disc_bce, grad_bce = bce_loss(p[:n], p[n:])
+    loss_adv, grad_adv = adversarial_loss(p[n:])
+    lambda_a = 1.0 if cfg.mode == "gan" else cfg.lambda_a
+    grad_gen = np.vstack([np.zeros_like(grad_adv), lambda_a * grad_adv])
+    grad_from_disc = disc.backward(np.stack([grad_bce, grad_gen]))[n:]
     if cfg.mode == "gan":
-        grad_e_hat = disc.backward(grad_adv, param_grads=False)
         losses = {"loss_recon": 0.0, "loss_adv": loss_adv, "loss_cos": 0.0,
                   "loss_total": loss_adv}
-        return e_hat, losses, f.T @ grad_e_hat
+        return joint, losses, disc_bce, f.T @ grad_from_disc
 
     recon = encoder.decode(e_hat)
     loss_recon, grad_recon = cosine_dissim_loss(f, recon)
@@ -159,7 +173,6 @@ def _generator_pass(cfg: TrainConfig, encoder: EncoderDecoder,
         + cfg.lambda_c * loss_cos
     )
     grad_recon = cfg.lambda_r * grad_recon
-    grad_from_disc = disc.backward(cfg.lambda_a * grad_adv, param_grads=False)
     grad_e_hat = (
         grad_recon @ encoder.weight.value
         + grad_from_disc
@@ -168,7 +181,7 @@ def _generator_pass(cfg: TrainConfig, encoder: EncoderDecoder,
     losses = {"loss_recon": loss_recon, "loss_adv": loss_adv,
               "loss_cos": loss_cos, "loss_total": loss_total}
     # the tied weight gets one term from the decoder and one from the encoder
-    return e_hat, losses, grad_recon.T @ e_hat + f.T @ grad_e_hat
+    return joint, losses, disc_bce, grad_recon.T @ e_hat + f.T @ grad_e_hat
 
 
 class Trainer:
@@ -207,24 +220,29 @@ class Trainer:
     # -- single training steps -------------------------------------------
 
     def step(self) -> StepMetrics:
+        """Both players from one joint-batch pass, then the monitor."""
         t0 = time.perf_counter()
         n = self.cfg.batch_size
         f = sample_batch(self.src_dist, self.src, n, self.rngs["sample_src"])
         e = sample_batch(self.tgt_dist, self.tgt, n, self.rngs["sample_tgt"])
-        e_hat, losses, grad_w = _generator_pass(
+        joint, losses, disc_bce, grad_w = _joint_pass(
             self.cfg, self.encoder, self.d_train, f, e, self.rngs["dropout_train"]
         )
-        collapse_cos, collapse_std = collapse_metric(e_hat)
-        self.encoder.weight.grad = grad_w
+        collapse_cos, collapse_std = collapse_metric(joint[n:])
+        self.encoder.weight.grad[...] = grad_w
         self.opt_gen.step()
-        disc_bce, monitor_bce, monitor_acc = self._disc_update(e_hat, e)
+        self.opt_disc.step()
+        p = self.d_monitor.forward(joint, self.rngs["dropout_monitor"])
+        monitor_bce, grad = bce_loss(p[:n], p[n:])
+        self.d_monitor.backward(grad)
+        self.opt_monitor.step()
         self.step_count += 1
         metrics = StepMetrics(
             step=self.step_count,
             **losses,
             disc_bce=disc_bce,
             monitor_bce=monitor_bce,
-            monitor_acc=monitor_acc,
+            monitor_acc=monitor_accuracy(p[:n], p[n:]),
             collapse_cos=collapse_cos,
             collapse_std=collapse_std,
             wall_time=time.perf_counter() - t0,
@@ -232,33 +250,6 @@ class Trainer:
         if not metrics.finite():
             raise NonFiniteMetric(self.step_count, repr(metrics))
         return metrics
-
-    def _disc_update(self, e_hat: np.ndarray, e: np.ndarray):
-        """Update both discriminators on target (positive) vs mapped source
-        (negative) rows. The negatives are the same mapped batch the
-        generator was just scored on, reused as plain values, so no gradient
-        reaches the generator.
-
-        Positives and negatives go through one joint forward so batch norm
-        normalizes them together. Normalizing the two classes separately
-        hands the discriminator a degenerate shortcut (batch-level statistics
-        differ between the classes even when individual rows overlap), which
-        produces runaway discriminator wins and garbage generator gradients.
-        """
-        n = e.shape[0]
-        joint = np.vstack([e, e_hat])
-        results = []
-        for disc, opt, rng in (
-            (self.d_train, self.opt_disc, self.rngs["dropout_train"]),
-            (self.d_monitor, self.opt_monitor, self.rngs["dropout_monitor"]),
-        ):
-            p = disc.forward(joint, rng)
-            loss, grad = bce_loss(p[:n], p[n:])
-            disc.backward(grad)
-            opt.step()
-            results.append((loss, p))
-        (disc_bce, _), (monitor_bce, p) = results
-        return disc_bce, monitor_bce, monitor_accuracy(p[:n], p[n:])
 
     # -- evaluation --------------------------------------------------------
 
@@ -341,6 +332,7 @@ class Trainer:
     def save_checkpoint(self, path) -> None:
         header = {
             "config": self.cfg.to_dict(),
+            "step_scheme": STEP_SCHEME,
             "step": self.step_count,
             "rng": {
                 "algorithm": RNG_ALGORITHM,
@@ -356,8 +348,15 @@ class Trainer:
                src_freq: FrequencyTable | None = None,
                tgt_freq: FrequencyTable | None = None) -> "Trainer":
         """Rebuild a trainer from a checkpoint; continues bit-identically
-        given the same embedding and frequency inputs."""
+        given the same embedding and frequency inputs. Only checkpoints of
+        this ``STEP_SCHEME`` resume."""
         header, arrays = read_checkpoint(path)
+        if header.get("step_scheme") != STEP_SCHEME:
+            raise CheckpointError(
+                f"{path}: step scheme {header.get('step_scheme')!r} is not "
+                f"{STEP_SCHEME!r}; resume cannot continue it (map, nn and eval can)")
+        for key in ("model", "sampler"):
+            _field(header, "config", key)
         cfg = TrainConfig.from_dict(header["config"])
         trainer = cls(cfg, src, tgt, src_freq, tgt_freq)
         trainer._restore(header, arrays)
@@ -374,10 +373,10 @@ class Trainer:
                 )
             live[...] = arrays[name]
         for label, opt in self._optimizers():
-            opt.t = int(header["adam_steps"][label])
+            opt.t = int(_field(header, "adam_steps", label))
         for name in self.STREAMS:
-            self.rngs[name].set_state(header["rng"]["streams"][name])
-        self.step_count = int(header["step"])
+            self.rngs[name].set_state(_field(header, "rng", "streams", name))
+        self.step_count = int(_field(header, "step"))
 
 
 # -- checkpoint container format -------------------------------------------

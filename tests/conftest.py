@@ -3,12 +3,40 @@ import pytest
 
 from xlingmap.embed_io import EmbeddingTable, Vocabulary
 from xlingmap.models import Discriminator, ModelConfig
-from xlingmap.numerics import Rng, grad_check
+from xlingmap.numerics import NumericsError, Rng
+
+
+def grad_check(f, grad, x0, eps: float = 1e-5) -> float:
+    """Compare an analytic gradient against central finite differences.
+
+    ``f`` maps a flat parameter vector to a scalar; ``grad`` returns the
+    analytic gradient at the same point. Returns the max over coordinates of
+    ``|analytic - numeric| / max(1, |analytic|, |numeric|)``.
+    """
+    if not (1e-7 <= eps <= 1e-4):
+        raise NumericsError(f"eps {eps} outside sane range [1e-7, 1e-4]")
+    x0 = np.asarray(x0, dtype=np.float64).ravel()
+    g = np.asarray(grad(x0.copy()), dtype=np.float64).ravel()
+    if g.shape != x0.shape:
+        raise NumericsError("analytic gradient has wrong length")
+    worst = 0.0
+    for i in range(x0.size):
+        xp = x0.copy()
+        xp[i] += eps
+        xm = x0.copy()
+        xm[i] -= eps
+        num = (float(f(xp)) - float(f(xm))) / (2.0 * eps)
+        if not np.isfinite(num) or not np.isfinite(g[i]):
+            raise NumericsError(f"non-finite value at coordinate {i}")
+        denom = max(1.0, abs(g[i]), abs(num))
+        worst = max(worst, abs(g[i] - num) / denom)
+    return worst
 
 
 class FixedRng:
     """Rng stand-in that replays a fixed uniform field, for gradient checks
-    that need a frozen dropout mask."""
+    that need a frozen dropout mask: ``keep_mask`` keeps the entries of the
+    field at or above the rate."""
 
     def __init__(self, uniforms):
         self.uniforms = np.asarray(uniforms, dtype=np.float64)
@@ -20,6 +48,9 @@ class FixedRng:
             np.atleast_1d(size)
         ) else self.uniforms
         return np.reshape(out, size)
+
+    def keep_mask(self, shape, rate):
+        return self.uniform(shape) >= rate
 
     def normal(self, size=None):
         raise NotImplementedError("FixedRng only replays uniforms")
@@ -85,7 +116,7 @@ def disc_grad_errors(disc, x, uniforms, readout, eps):
         arr[...] = vec.reshape(arr.shape)
         disc.forward(inp, FixedRng(uniforms))
         if param is None:
-            return disc.backward(readout, param_grads=False).ravel()
+            return disc.backward(np.stack([readout, readout])).ravel()
         disc.backward(readout)
         return param.grad.ravel().copy()
 

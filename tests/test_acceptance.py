@@ -34,11 +34,11 @@ from xlingmap.layers import (
     sigmoid,
 )
 from xlingmap.models import Discriminator, ModelConfig, build_models
-from xlingmap.numerics import Rng, grad_check
+from xlingmap.numerics import Rng
 from xlingmap.sampling import SamplerConfig, build_adjusted
-from xlingmap.training import TrainConfig, Trainer, _generator_pass
+from xlingmap.training import TrainConfig, Trainer, _joint_pass
 
-from conftest import FixedRng, disc_grad_errors, random_table
+from conftest import FixedRng, disc_grad_errors, grad_check, random_table
 
 GRAD_TOL = 1e-4
 GRAD_EPS = 1e-5
@@ -137,7 +137,7 @@ def test_criterion_1_gradient_suite():
         data = Rng(100 + seed)
         fr = data.normal((n, d))
         er = data.normal((n, d))
-        mask = FixedRng(data.uniform((n, k)))
+        mask = FixedRng(data.uniform((2 * n, k)))
         disc.output.value[...] = data.normal((k, 1)) * 0.5
         disc.output_bias.value[...] = 0.1
         for name, cfg in (
@@ -147,11 +147,11 @@ def test_criterion_1_gradient_suite():
         ):
             def run(vec, cfg=cfg):
                 enc.weight.value[...] = vec.reshape(d, d)
-                return _generator_pass(cfg, enc, disc, fr, er, mask)
+                return _joint_pass(cfg, enc, disc, fr, er, mask)
 
             w0 = rng.normal(size=(d, d)) * 0.3 + np.eye(d)
             record(name, _readout_check(lambda v: run(v)[1]["loss_total"],
-                                        lambda v: run(v)[2].ravel(), w0.ravel()))
+                                        lambda v: run(v)[3].ravel(), w0.ravel()))
 
     elapsed = time.perf_counter() - t_start
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"

@@ -8,14 +8,13 @@ from xlingmap.layers import (
     adversarial_loss,
     bce_loss,
     cosine_dissim_loss,
-    leaky_relu,
     sigmoid,
 )
 from xlingmap import models
 from xlingmap.models import Discriminator, ModelConfig
-from xlingmap.numerics import Rng, grad_check
+from xlingmap.numerics import Rng
 
-from conftest import FixedRng, disc_grad_errors, final_state, probe
+from conftest import FixedRng, disc_grad_errors, final_state, grad_check, probe
 
 GRAD_TOL = 1e-4
 EPS = 1e-5
@@ -73,7 +72,7 @@ def test_tied_gradient_accumulates_both_uses():
     # reconstruction alone uses the one weight twice, in encode and decode;
     # the generator pass must return the sum of both contributions
     from xlingmap.models import build_models
-    from xlingmap.training import TrainConfig, _generator_pass
+    from xlingmap.training import TrainConfig, _joint_pass
 
     rng = np.random.default_rng(5)
     model = ModelConfig(dim=4, block_dim=3, depth=1)
@@ -85,15 +84,20 @@ def test_tied_gradient_accumulates_both_uses():
 
     def run(vec):
         enc.weight.value[...] = vec.reshape(4, 4)
-        return _generator_pass(cfg, enc, disc, x, e, FixedRng(np.ones((3, 3))))
+        return _joint_pass(cfg, enc, disc, x, e, FixedRng(np.ones((6, 3))))
 
     assert grad_check(lambda v: run(v)[1]["loss_total"],
-                      lambda v: run(v)[2].ravel(), w0.ravel(), eps=EPS) < GRAD_TOL
+                      lambda v: run(v)[3].ravel(), w0.ravel(), eps=EPS) < GRAD_TOL
 
 
-def test_leaky_relu_values_and_grad():
-    assert leaky_relu(np.array([[1.0]]), 0.01)[0, 0] == 1.0
-    assert leaky_relu(np.array([[-1.0]]), 0.01)[0, 0] == -0.01
+def test_leaky_relu_values_and_grad(monkeypatch):
+    # values: batch norm maps the column [1, 3] to [-1, 1], which the block's
+    # leaky ReLU turns into [-slope, 1] on top of the residual
+    monkeypatch.setattr(models, "BN_EPS", 1e-12)
+    disc = probe(1, leaky_slope=0.25, dropout_rate=0.0)
+    disc.blocks[0][0].value[...] = 1.0
+    x = np.array([[1.0], [3.0]])
+    assert np.allclose((final_state(disc, x) - x).ravel(), [-0.25, 1.0], atol=1e-6)
     # the slope is validated once, where the model is configured
     for bad in (0.0, -0.1, 1.0, 1.5):
         with pytest.raises(ValueError, match="leaky slope"):
@@ -219,15 +223,15 @@ def test_dropout_backward_uses_same_mask():
     disc.output.value[...] = rng.normal(size=(5, 1))
     x0 = rng.normal(size=(6, 5))
     readout = rng.normal(size=(6, 1))
-    drawn = Rng(7).uniform(size=(6, 5))
-    assert np.mean(drawn < 0.3) > 0.1  # some entries really are dropped
+    kept = Rng(7).keep_mask((6, 5), 0.3)
+    assert np.mean(~kept) > 0.1  # some entries really are dropped
 
     def f(vec):
         return float(np.sum(disc.forward(vec.reshape(6, 5), Rng(7)) * readout))
 
     def grad(vec):
         disc.forward(vec.reshape(6, 5), Rng(7))
-        return disc.backward(readout, param_grads=False).ravel()
+        return disc.backward(np.stack([readout, readout])).ravel()
 
     assert grad_check(f, grad, x0.ravel(), eps=EPS) < GRAD_TOL
 
@@ -395,7 +399,7 @@ def test_bce_grad_check():
 def test_combined_loss_composition():
     # the generator pass's aae objective is the weighted sum of its parts
     from xlingmap.models import build_models
-    from xlingmap.training import TrainConfig, _generator_pass
+    from xlingmap.training import TrainConfig, _joint_pass
 
     rng = np.random.default_rng(18)
     model = ModelConfig(dim=4, block_dim=3, depth=1, dropout_rate=0.0)
@@ -406,7 +410,7 @@ def test_combined_loss_composition():
 
     def losses(**weights):
         cfg = TrainConfig(model=model, **weights)
-        return _generator_pass(cfg, enc, disc, f_rows, e_rows, None)[1]
+        return _joint_pass(cfg, enc, disc, f_rows, e_rows, None)[1]
 
     parts = losses()
     assert parts["loss_total"] == pytest.approx(

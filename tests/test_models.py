@@ -11,9 +11,9 @@ from xlingmap.models import (
     init_orthogonal,
     init_semi_orthogonal,
 )
-from xlingmap.numerics import Rng, grad_check
+from xlingmap.numerics import Rng
 
-from conftest import FixedRng, disc_grad_errors
+from conftest import FixedRng, disc_grad_errors, grad_check
 
 
 def det_via_lu(a):
@@ -95,7 +95,7 @@ def test_encode_orthogonal_preserves_norms():
 def test_tied_cosine_loss_grad_check():
     # reconstruction plus the latent cosine penalty, discriminator weight 0:
     # the generator pass's weight gradient against finite differences
-    from xlingmap.training import TrainConfig, _generator_pass
+    from xlingmap.training import TrainConfig, _joint_pass
 
     rng = np.random.default_rng(3)
     model = ModelConfig(dim=5, block_dim=3, depth=1, dropout_rate=0.0)
@@ -107,10 +107,10 @@ def test_tied_cosine_loss_grad_check():
 
     def run(vec):
         enc.weight.value[...] = vec.reshape(5, 5)
-        return _generator_pass(cfg, enc, disc, f, e, None)
+        return _joint_pass(cfg, enc, disc, f, e, None)
 
     assert grad_check(lambda v: run(v)[1]["loss_total"],
-                      lambda v: run(v)[2].ravel(), w0.ravel(), eps=1e-5) < 1e-4
+                      lambda v: run(v)[3].ravel(), w0.ravel(), eps=1e-5) < 1e-4
 
 
 def reference_forward(disc, x, uniforms=None, training=True):
@@ -169,22 +169,58 @@ def test_discriminator_grad_check_every_group():
     assert max(errors.values()) < 1e-4
 
 
-def test_discriminator_backward_without_param_grads():
-    cfg = ModelConfig(dim=4, block_dim=3, depth=2)
-    disc = Discriminator("d", cfg, Rng(22))
-    rng = np.random.default_rng(22)
+def _fused_setup(seed):
+    """A live discriminator and a ``backward(grad_p)`` that first repeats
+    one training forward under a frozen dropout mask, so every call reads
+    the same cache; plus two output gradients."""
+    cfg = ModelConfig(dim=4, block_dim=3, depth=2, dropout_rate=0.3)
+    disc = Discriminator("d", cfg, Rng(seed))
+    rng = np.random.default_rng(seed)
     disc.output.value[...] = rng.normal(size=(3, 1))
-    x = rng.normal(size=(5, 4))
-    grad_p = rng.normal(size=(5, 1))
-    before = [p.grad.copy() for p in disc.params()]
-    disc.forward(x, Rng(1))
-    g_in = disc.backward(grad_p, param_grads=False)
-    assert g_in.shape == x.shape
-    assert all(np.array_equal(p.grad, b) for p, b in zip(disc.params(), before))
-    # the parameter pass writes every gradient and skips the input gradient
-    disc.forward(x, Rng(1))
-    assert disc.backward(grad_p) is None
-    assert not any(np.array_equal(p.grad, b) for p, b in zip(disc.params(), before))
+    for _, gamma, beta in disc.blocks:
+        gamma.value[...] = rng.uniform(0.5, 1.5, size=3)
+        beta.value[...] = rng.normal(size=3) * 0.3
+    x = rng.normal(size=(6, 4))
+    mask = FixedRng(rng.uniform(size=(6, 3)))
+
+    def backward(grad_p):
+        disc.forward(x, mask)
+        return disc.backward(grad_p)
+
+    return disc, backward, rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
+
+
+def _grads(disc):
+    return [p.grad.copy() for p in disc.params()]
+
+
+def test_discriminator_backward_without_param_grads():
+    # in a stacked backward the second channel writes no parameter gradient
+    # and the first one gives no part of the returned input gradient; one
+    # channel alone writes the parameter gradients and returns nothing
+    disc, backward, grad_a, grad_b = _fused_setup(22)
+    before = _grads(disc)
+    assert backward(grad_a) is None
+    written = _grads(disc)
+    assert not any(np.array_equal(g, b) for g, b in zip(written, before))
+    g_in = backward(np.stack([grad_a, grad_b]))
+    assert g_in.shape == (6, 4)
+    assert all(np.array_equal(p.grad, g) for p, g in zip(disc.params(), written))
+    assert np.max(np.abs(backward(np.stack([-grad_b, grad_b])) - g_in)) < 1e-12
+    assert not np.allclose(backward(np.stack([grad_a, 3.0 * grad_a])), g_in)
+
+
+def test_fused_backward_matches_two_single_channel_backwards():
+    # the generator's channel alone is the stack with a zero first channel
+    for seed in range(3):
+        disc, backward, grad_bce, grad_gen = _fused_setup(30 + seed)
+        g_gen_alone = backward(np.stack([np.zeros_like(grad_gen), grad_gen]))
+        backward(grad_bce)
+        params_alone = _grads(disc)
+        g_fused = backward(np.stack([grad_bce, grad_gen]))
+        assert np.max(np.abs(g_fused - g_gen_alone)) < 1e-12
+        for p, alone in zip(disc.params(), params_alone):
+            assert np.max(np.abs(p.grad - alone)) < 1e-12, p.name
 
 
 def test_discriminator_zero_output_layer_gives_half():

@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from xlingmap.numerics import NumericsError, Rng, grad_check
+from xlingmap.numerics import NumericsError, Rng
 
-from conftest import cosine
+from conftest import cosine, grad_check
 
 
 def test_cosine_basic_values():
@@ -91,3 +92,35 @@ def test_rng_rejects_foreign_state():
     r = Rng(1)
     with pytest.raises(NumericsError):
         r.set_state({"algorithm": "other", "seed": 1, "name": "root", "state": {}})
+
+
+def test_keep_mask_reads_raw_words_as_little_endian_u16():
+    shape = (3, 7)
+    raw = Rng(5)._gen.bit_generator.random_raw(6)  # ceil(21 / 4) words
+    bits = np.frombuffer(raw.astype("<u8").tobytes(), dtype="<u2")[:21]
+    # the second rate puts the first value just under the threshold: the
+    # threshold rounds rate * 2**16 up, so that unit is dropped
+    for rate in (0.3, (bits[0] + 0.5) / 65536):
+        expected = (bits >= math.ceil(rate * 65536)).reshape(shape)
+        kept = Rng(5).keep_mask(shape, rate)
+        assert kept.dtype == bool and np.array_equal(kept, expected)
+    assert not kept[0, 0]
+
+
+def test_keep_mask_keep_probability():
+    # the threshold ceil(rate * 2**16) moves the keep probability by less
+    # than 2**-16, far below the sampling error of 10**6 draws
+    for rate in (0.1, 0.3, 0.5):
+        kept = Rng(6).substream(str(rate)).keep_mask((1000, 1000), rate)
+        sigma = math.sqrt(rate * (1.0 - rate) / kept.size)
+        assert abs(kept.mean() - (1.0 - rate)) < 5.0 * sigma
+        exact = 1.0 - math.ceil(rate * 65536) / 65536
+        assert 0.0 <= (1.0 - rate) - exact < 2.0**-16
+
+
+def test_keep_mask_state_round_trip():
+    r = Rng(8).substream("dropout")
+    r.keep_mask((5, 3), 0.1)
+    fresh = Rng(0)
+    fresh.set_state(json.loads(json.dumps(r.get_state())))
+    assert np.array_equal(r.keep_mask((4, 9), 0.2), fresh.keep_mask((4, 9), 0.2))

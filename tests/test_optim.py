@@ -118,3 +118,43 @@ def test_non_finite_gradient_aborts_step():
     assert np.array_equal(p.value, [1.0, 2.0])
     assert np.array_equal(q.value, [3.0])
     assert opt.t == 0
+
+
+def test_large_finite_gradient_steps():
+    # 1e308 + 1e308 overflows a sum, but every entry is finite
+    p = make_param("w", [1.0, 2.0])
+    opt = Adam([p], lr=0.1)
+    p.grad[...] = [1e308, 1e308]
+    # the squared gradient overflows the second moment; only the
+    # finiteness check is under test here
+    with np.errstate(over="ignore"):
+        opt.step()
+    assert opt.t == 1
+    assert np.all(np.isfinite(p.value))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_gradient_names_first_holder(bad):
+    params = [make_param(name, np.zeros(3)) for name in ("a", "b", "c")]
+    opt = Adam(params, lr=0.1)
+    params[1].grad[...] = [0.0, bad, 0.0]
+    params[2].grad[...] = bad
+    with pytest.raises(NonFiniteGradient, match="'b'"):
+        opt.step()
+    assert opt.t == 0
+    assert all(not np.any(p.value) for p in params)
+
+
+def test_params_are_views_of_the_group_buffers():
+    p = make_param("w", np.arange(6.0).reshape(2, 3))
+    q = make_param("u", [7.0])
+    opt = Adam([p, q], lr=0.1)
+    assert np.array_equal(opt.value, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
+    assert p.value.shape == (2, 3) and np.shares_memory(p.value, opt.value)
+    p.grad[...] = 1.0
+    q.grad[...] = -1.0
+    opt.step()
+    assert np.allclose(opt.m["w"], np.full((2, 3), 0.1), rtol=1e-15)
+    assert np.allclose(opt.m["u"], [-0.1], rtol=1e-15)
+    assert np.allclose(p.value, np.arange(6.0).reshape(2, 3) - 0.1)
+    assert np.allclose(q.value, [7.1])
