@@ -15,13 +15,18 @@ exactly.
 
 Both directions stream. The reader checks each line as it arrives and
 parses the values of ``READ_BLOCK_ROWS`` rows with one numpy call into the
-preallocated matrix, so it holds the matrix plus one block of text; the
-writer formats one row at a time.
+preallocated matrix, so it holds the matrix plus one block of text. The
+writer formats the whole rows of about ``WRITE_BLOCK_VALUES`` values at a
+time with numpy arithmetic and writes the same bytes as ``'%.17g'`` on each
+value: for a value in fixed notation it rounds |x| * 10**(16 - E) exactly
+to 17 digits and lays them out with table lookups. Zeros and values that
+``'%.17g'`` writes with an exponent are formatted one by one.
 
 Frequency files are TSV: ``"<token>\\t<count>"`` per line.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from pathlib import Path
@@ -35,6 +40,9 @@ class EmbedFormatError(ValueError):
 
 # Rows per numpy parse in the readers: about 1.8 MB of text at d = 300.
 READ_BLOCK_ROWS = 256
+# Values per numpy pass in the writer, rounded down to whole rows (at least
+# one): its working arrays peak at about 290 bytes per value, 2.4 MB a block.
+WRITE_BLOCK_VALUES = 1 << 13
 # Whitespace that ``float()`` strips from a value's ends but that numpy's
 # parse also takes as a separator inside it; a row holding any is checked
 # field by field so that each field still gives exactly one value.
@@ -135,16 +143,149 @@ def _read_rows(lines, path, out, tokens=None) -> None:
         raise EmbedFormatError(f"{path}: file changed while it was read")
 
 
+# -- the block writer ----------------------------------------------------------
+#
+# '%.17g' writes a value in fixed notation when its rounding to 17 significant
+# digits has a decimal exponent E in -4..16, and with an exponent otherwise.
+# The canvas holds 40 bytes per value, NUL where a character is absent:
+# byte 0 the sign; 1-2 "0." and 3-5 the zeros after it (E < 0); 6 + 2j the
+# j-th of the 17 digits; 7 + 2j the point after digit j (E = j); 39 the
+# separator. Viewed as five 8-byte words, word 0 holds the lead digit and
+# words 1-4 one 4-digit group each.
+_WIDTH = 40
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _split(v):
+    """Veltkamp's split of ``v`` into a 26-bit high part and the exact rest."""
+    c = _SPLITTER * v
+    high = c - (c - v)
+    return high, v - high
+
+
+class _Tables:
+    """The writer's lookup tables, built on its first use (a few ms)."""
+
+    def __init__(self):
+        # By E + 4, the least double whose rounding has an exponent of E or
+        # more: the double nearest 10**E, which is 10**E for E >= 0 and lies
+        # just above it for E < 0; the next double below lies farther from
+        # 10**E than half a unit of the 17th digit, so it rounds to E - 1.
+        self.decades = np.array([float(f"1e{e}") for e in range(-4, 18)])
+        # By biased binary exponent, E + 4 of the binade's least value. A
+        # binade spans less than a decade: a value's E is this one or the next.
+        self.binade_decade = np.clip(np.searchsorted(
+            self.decades, np.ldexp(1.0, np.arange(-1023, 1024)), side="right")
+            - 1, 0, 20)
+        # By E + 4, 10**(16 - E) and its split: exact, as 10**s is for s <= 22
+        self.scale = np.array([float(f"1e{16 - e}") for e in range(-4, 17)])
+        self.scale_high, self.scale_low = _split(self.scale)
+
+        # canvas words by value: of a 4-digit group (words 1-4), of the lead
+        # digit (word 0)
+        quads = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
+        group = np.zeros((10000, 8), np.uint8)
+        group[:, ::2] = quads + np.uint8(ord("0"))
+        self.group = group.view(np.uint64).ravel()
+        lead = np.zeros((10, 8), np.uint8)
+        lead[:, 6] = np.arange(ord("0"), ord("9") + 1)
+        self.lead = lead.view(np.uint64).ravel()
+        # By group i (digits 4i + 1 .. 4i + 4), then its value: the index of
+        # its last nonzero digit, 0 if it has none (the lead digit is never 0)
+        zeros = np.logical_and.accumulate(quads[:, ::-1] == 0, axis=1).sum(axis=1)
+        self.last = np.where(zeros < 4, np.arange(4, 20, 4)[:, None] - zeros,
+                             0).astype(np.int8)
+
+        # By layout key ((E + 4) * 17 + keep) * 2 + negative, where keep is
+        # the last digit written (the last nonzero one, or digit E if later):
+        # the canvas bits a value keeps, and the bytes it adds
+        col = np.arange(_WIDTH)
+        slot = (col - 6) // 2  # the digit or point index from byte 6 on
+        digit = (col >= 6) & (col < 39) & (col % 2 == 0)
+        point = (col >= 7) & (col < 39) & (col % 2 == 1)
+        e = np.arange(-4, 17)[:, None, None, None]
+        keep = np.arange(17)[:, None, None]
+        negative = np.arange(2)[:, None]
+        keeps = (digit & (slot <= keep)) * 255
+        marks = ((col == 0) * negative * ord("-")
+                 + ((col == 1) & (e < 0)) * ord("0")
+                 + ((col == 2) & (e < 0)) * ord(".")
+                 + ((col >= 3) & (col <= 5) & (col <= 1 - e)) * ord("0")
+                 + (point & (slot == e) & (keep > e)) * ord(".")
+                 + (col == 39) * ord(" "))
+        self.keep, self.marks = (
+            np.broadcast_to(t, (21, 17, 2, _WIDTH)).astype(np.uint8)
+            .reshape(-1, _WIDTH).view(np.uint64) for t in (keeps, marks))
+
+
+@functools.cache
+def _tables() -> _Tables:
+    return _Tables()
+
+
+def _format_values(x, dim: int) -> bytes:
+    """The text of the values of ``x``, whole rows of ``dim`` values: each
+    as ``'%.17g'`` writes it, then a space, or a newline after a row's last.
+
+    A value in fixed notation is rounded to 17 digits in numpy: |x| times
+    10**(16 - E) is exact as the double-double ``p + err`` (Dekker's
+    product of Veltkamp splits), and ``p`` is an even integer as it is at
+    least 2**53, so ``p`` plus ``err`` rounded half-even is the product
+    rounded half-even, as ``'%.17g'`` rounds. Integer steps stay in uint64:
+    mixed with int64, numpy promotes to float64. Zeros and values written
+    with an exponent take ``'%.17g'`` one by one."""
+    t = _tables()
+    a = np.abs(x)
+    fixed = (a >= t.decades[0]) & (a < t.decades[-1])
+    a[~fixed] = 1.0  # any value in range; these are formatted one by one
+    decade = t.binade_decade[a.view(np.uint64) >> np.uint64(52)]
+    decade += a >= t.decades[decade + 1]
+    scale = t.scale[decade]
+    high, low = _split(a)
+    scale_high, scale_low = t.scale_high[decade], t.scale_low[decade]
+    p = a * scale
+    err = (((high * scale_high - p) + high * scale_low + low * scale_high)
+           + low * scale_low)
+    digits = p.astype(np.uint64) + np.rint(err).astype(np.int64).view(np.uint64)
+    upper, lower = np.divmod(digits, np.uint64(10**8))
+    upper, g2 = np.divmod(upper, np.uint64(10**4))
+    lead, g1 = np.divmod(upper, np.uint64(10**4))
+    g3, g4 = np.divmod(lower, np.uint64(10**4))
+    last = np.maximum(np.maximum(t.last[0][g1], t.last[1][g2]),
+                      np.maximum(t.last[2][g3], t.last[3][g4]))
+    key = (decade * 17 + np.maximum(last, decade - 4)) * 2 + np.signbit(x)
+    canvas = np.take(t.keep, key, axis=0)
+    for word, table, part in ((0, t.lead, lead), (1, t.group, g1), (2, t.group, g2),
+                              (3, t.group, g3), (4, t.group, g4)):
+        canvas[:, word] &= table[part]
+    canvas |= np.take(t.marks, key, axis=0)
+    text = canvas.view(np.uint8)
+    text[dim - 1::dim, -1] = ord("\n")
+    slow = np.flatnonzero(~fixed)
+    if slow.size:
+        values = b"".join([(b"%.17g" % v).ljust(_WIDTH - 1, b"\0")
+                           for v in x[slow].tolist()])
+        text[slow, :-1] = np.frombuffer(values, np.uint8).reshape(-1, _WIDTH - 1)
+    return text.tobytes().translate(None, b"\0")
+
+
 def _write_rows(path, header: str, matrix, tokens=None) -> None:
     """Stream ``header`` then one line per matrix row, after its token if
-    ``tokens`` is given: one ``%`` format per row, 17 significant digits
-    per value, which round-trips IEEE-754 doubles exactly."""
-    row_format = " ".join(["%.17g"] * matrix.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i, row in enumerate(matrix):
-            values = row_format % tuple(row.tolist())
-            fh.write(values if tokens is None else f"{tokens[i]} {values}")
+    ``tokens`` is given: 17 significant digits per value, which round-trips
+    IEEE-754 doubles exactly. The rows of about ``WRITE_BLOCK_VALUES``
+    values are formatted at a time by ``_format_values``, so memory stays
+    bounded however many rows there are."""
+    rows, dim = matrix.shape
+    step = max(1, WRITE_BLOCK_VALUES // dim)
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        for start in range(0, rows, step):
+            text = _format_values(matrix[start:start + step].ravel(), dim)
+            if tokens is not None:
+                names = [t.encode() for t in tokens[start:start + step]]
+                text = b"".join([b"%s %s\n" % line
+                                 for line in zip(names, text.split(b"\n"))])
+            fh.write(text)
 
 
 def _has_whitespace(token: str) -> bool:
@@ -179,7 +320,9 @@ class Vocabulary:
         return token in self._index
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self.tokens == other.tokens
+        # the sampler compares on every draw, mostly a vocabulary with itself
+        return other is self or (
+            isinstance(other, Vocabulary) and self.tokens == other.tokens)
 
     def index(self, token: str) -> int:
         try:
@@ -334,6 +477,9 @@ def normalize_rows(table: EmbeddingTable) -> EmbeddingTable:
 def save_matrix(matrix, path) -> None:
     """Write a bare matrix as text: 'rows cols' header then value rows."""
     matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] < 1:
+        # ``load_matrix`` would refuse the file
+        raise ValueError(f"matrix must be 2-d with columns, got shape {matrix.shape}")
     _write_rows(path, f"{matrix.shape[0]} {matrix.shape[1]}", matrix)
 
 

@@ -36,8 +36,9 @@ class Adam:
     The group's values, gradients and moments each live in one flat buffer,
     so a step is a few whole-buffer operations; ``m`` and ``v`` map each
     parameter name to its view of the moment buffers. The step aborts
-    before touching any parameter if a gradient contains a non-finite
-    entry, so a failed step leaves the state untouched.
+    before touching any parameter if a gradient's square has a non-finite
+    entry (a non-finite gradient, or one whose square overflows), so a
+    failed step leaves the state untouched.
     """
 
     def __init__(self, params, lr: float):
@@ -61,9 +62,14 @@ class Adam:
 
     def step(self) -> None:
         g, m, v = self.grad, self.m_flat, self.v_flat
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient(next(
-                p.name for p in self.params if not np.isfinite(p.grad).all()))
+        # a finite entry above about 1.34e154 still overflows its square,
+        # which would pin its second moment at inf and its update at 0
+        with np.errstate(over="ignore"):
+            g2 = g * g
+            if not np.isfinite(g2).all():
+                raise NonFiniteGradient(next(
+                    p.name for p in self.params
+                    if not np.isfinite(p.grad * p.grad).all()))
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
@@ -72,7 +78,7 @@ class Adam:
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
+        v += (1.0 - BETA2) * g2
         denom = np.sqrt(v)
         denom *= inv_sqrt_bc2
         denom += EPS

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -34,6 +35,11 @@ def test_vocabulary_invariants():
         Vocabulary(["a b"])
     with pytest.raises(ValueError):
         Vocabulary([])
+    # equality is by tokens in order, whether or not the objects are one
+    assert v == v and not v != v
+    assert v == Vocabulary(["a", "b", "c"]) and not v != Vocabulary(["a", "b", "c"])
+    assert v != Vocabulary(["a", "c", "b"]) and v != Vocabulary(["a", "b"])
+    assert v != ("a", "b", "c")
 
 
 def test_load_literal_file(tmp_path):
@@ -219,6 +225,9 @@ def test_matrix_text_round_trip(tmp_path):
     path = tmp_path / "m.txt"
     save_matrix(m, path)
     assert np.array_equal(load_matrix(path), m)
+    for bad in (np.zeros((2, 0)), np.zeros(3)):
+        with pytest.raises(ValueError, match="2-d with columns"):
+            save_matrix(bad, path)
 
 
 @pytest.mark.parametrize("content,message", [
@@ -242,9 +251,19 @@ def test_load_matrix_rejects_malformed(tmp_path, content, message):
 
 # -- equivalence with the per-value reader and writer they replace -----------
 
-SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0,
-                  -1e-300]
+SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, -1e-300,
+    # exact ties at the 17th digit, rounded half-even
+    1000000000000000.25, 1000000000000000.75, -1000000000000000.25,
+    # where '%.17g' turns from exponent to fixed notation and back
+    1e-4, 9.9999999999999991e-05, 99999999999999984.0, 1e17,
+    # integer-valued
+    1e16, 123456789.0, -42.0,
+    # 10**k and its neighbours, where a decimal exponent is easy to misjudge
+    *(math.nextafter(float(f"1e{k}"), to) for k in range(-4, 17)
+      for to in (0.0, float(f"1e{k}"), math.inf)),
+]
 
 
 def reference_text(header, rows, tokens=None):
@@ -260,31 +279,50 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+# table shapes by seed; the last two, one column and rows of many values,
+# take more than one writer block
+WRITER_SHAPES = [(50, 7), (50, 7), (50, 7), (embed_io.WRITE_BLOCK_VALUES + 5, 1),
+                 (2 * (embed_io.WRITE_BLOCK_VALUES // 300) + 1, 300)]
+
+
+@pytest.mark.parametrize("seed", range(len(WRITER_SHAPES)))
 def test_writer_matches_per_value_format(tmp_path, seed):
+    rows, cols = WRITER_SHAPES[seed]
     rng = np.random.default_rng(seed)
-    scale = 10.0 ** rng.integers(-300, 300, size=(50, 7))
-    m = rng.normal(size=(50, 7)) * scale
-    m[rng.random(size=m.shape) < 0.2] = 0.0
-    t = EmbeddingTable(Vocabulary([f"w{i}" for i in range(50)]), m)
+    shape = (rows, cols)
+    sign = rng.choice([-1.0, 1.0], size=shape)
+    patterns = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    kinds = [
+        rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape),
+        # log-uniform over the fixed-notation range and past both its ends
+        sign * 10.0 ** rng.uniform(-6, 18, size=shape),
+        # random 64-bit patterns
+        np.where(np.isfinite(patterns), patterns, 1.5),
+        np.zeros(shape),
+    ]
+    m = np.choose(rng.choice(len(kinds), size=shape, p=[0.3, 0.4, 0.2, 0.1]), kinds)
+    header = f"{rows} {cols}"
+    tokens = [f"{('w', 'ü', 'слово', '語')[i % 4]}{i}" for i in range(rows)]
+    t = EmbeddingTable(Vocabulary(tokens), m)
     path = tmp_path / "t.vec"
     save_embeddings(t, path)
     assert path.read_bytes() == reference_text(
-        "50 7", t.matrix, t.vocab.tokens).encode("utf-8")
+        header, t.matrix, t.vocab.tokens).encode("utf-8")
     save_matrix(m, path)
-    assert path.read_bytes() == reference_text("50 7", m).encode("utf-8")
+    assert path.read_bytes() == reference_text(header, m).encode("utf-8")
 
 
 def test_writer_special_values(tmp_path):
     m = np.array([SPECIAL_VALUES, SPECIAL_VALUES[::-1]])
+    header = f"2 {len(SPECIAL_VALUES)}"
     t = EmbeddingTable(Vocabulary(["a", "b"]), m)
     path = tmp_path / "s.vec"
     save_embeddings(t, path)
     assert path.read_bytes() == reference_text(
-        "2 10", m, ("a", "b")).encode("utf-8")
+        header, m, ("a", "b")).encode("utf-8")
     assert bits(load_embeddings(path).matrix).tolist() == bits(m).tolist()
     save_matrix(m, path)
-    assert path.read_bytes() == reference_text("2 10", m).encode("utf-8")
+    assert path.read_bytes() == reference_text(header, m).encode("utf-8")
     assert bits(load_matrix(path)).tolist() == bits(m).tolist()
 
 

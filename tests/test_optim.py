@@ -121,16 +121,23 @@ def test_non_finite_gradient_aborts_step():
 
 
 def test_large_finite_gradient_steps():
-    # 1e308 + 1e308 overflows a sum, but every entry is finite
+    # 1e150 + 1e150 and 1e150 squared are finite: the step goes through
     p = make_param("w", [1.0, 2.0])
     opt = Adam([p], lr=0.1)
-    p.grad[...] = [1e308, 1e308]
-    # the squared gradient overflows the second moment; only the
-    # finiteness check is under test here
-    with np.errstate(over="ignore"):
-        opt.step()
+    p.grad[...] = [1e150, 1e150]
+    opt.step()
     assert opt.t == 1
     assert np.all(np.isfinite(p.value))
+    assert np.all(np.isfinite(opt.v["w"]))
+    # a finite 1e308 squares to inf, which would pin its second moment at
+    # inf and its update at m / inf = 0 for good: the step raises instead
+    before = [a.copy() for a in (opt.value, opt.m_flat, opt.v_flat)]
+    p.grad[...] = [1e308, 0.0]
+    with pytest.raises(NonFiniteGradient, match="'w'"):
+        opt.step()
+    assert opt.t == 1
+    assert all(np.array_equal(a, b) for a, b in
+               zip((opt.value, opt.m_flat, opt.v_flat), before))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
