@@ -342,6 +342,175 @@ def test_reader_values_equal_float(tmp_path, text):
     assert bits(load_embeddings(path).matrix).tolist() == bits(want).tolist()
 
 
+# -- the block parse against numpy's float parse, which it stands in for -----
+
+def float_parse(text, count):
+    """numpy's float parse of a whole block, the reader's parse before the
+    integer route, with unmatched text an error on every numpy version."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(text, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    return values if values.size == count else None
+
+
+def assert_parses_as_float_parse(fields, block=1000):
+    """``_parse`` accepts each block of ``fields`` exactly when numpy's float
+    parse does, and then gives the same doubles, bit for bit."""
+    for start in range(0, len(fields), block):
+        part = fields[start:start + block]
+        text = " ".join(part)
+        got, want = embed_io._parse(text, len(part)), float_parse(text, len(part))
+        assert (got is None) == (want is None), text[:300]
+        if want is not None:
+            wrong = np.flatnonzero(bits(got) != bits(want))
+            assert not wrong.size, [part[i] for i in wrong[:5]]
+
+
+def decimal(mantissa, places, zeros=0):
+    """``mantissa / 10**places`` written out exactly, then ``zeros`` zeros."""
+    digits = str(abs(mantissa)).rjust(places + 1, "0")
+    cut = len(digits) - places
+    return f"{'-' * (mantissa < 0)}{digits[:cut]}.{digits[cut:]}{'0' * zeros}"
+
+
+# each format, with the decimal exponents over which it writes the values
+# in the form the integer route takes, with a mantissa below 2**63
+VALUE_FORMATS = {"%r": (-4, 16), "%.17g": (-4, 16), "%.16g": (-4, 16),
+                 "%.15g": (-4, 15), "%.18f": (-12, 1), "%.20f": (-14, -1)}
+
+
+def formatted_doubles(rng, n, fmt):
+    # nine in ten where the format takes the integer route, the rest from
+    # 1e-30 to 1e30
+    low, high = VALUE_FORMATS[fmt]
+    e = np.where(rng.uniform(size=n) < 0.9, rng.integers(low, high, n),
+                 rng.integers(-30, 30, n))
+    x = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n) * 10.0 ** e
+    return [fmt % v for v in x.tolist()]
+
+
+def bit_patterns(rng, n):
+    x = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64).tolist()
+    return [repr(v) for v in x[::2]] + ["%.17g" % v for v in x[1::2]]
+
+
+def midpoints(rng, n):
+    """Exact midpoints between adjacent doubles, where ties go to the even
+    one, with the decimals one unit in their last digit away; the midpoints
+    around powers of two, where the ulp halves below; and 19-digit values
+    just below powers of two."""
+    fields = []
+    for q, e, sign in zip(rng.integers(2**52, 2**53, n).tolist(),
+                          rng.integers(-3, 7, n).tolist(),
+                          rng.choice([-1, 1], n).tolist()):
+        # (2q + 1) * 2**(e - 1) lies halfway from q * 2**e to (q + 1) * 2**e
+        if e > 0:
+            mid, places, zeros = (2 * q + 1) << (e - 1), 0, 1 + q % 2
+        else:
+            mid, places, zeros = (2 * q + 1) * 5 ** (1 - e), 1 - e, 0
+        fields += [decimal(sign * m, places, zeros) for m in (mid - 1, mid, mid + 1)]
+    for k in range(48, 63):
+        for mid, low in (((1 << 54) - 1, k - 54), ((1 << 53) + 1, k - 53)):
+            mid, places = (mid << low, 0) if low >= 0 else (mid * 5 ** -low, -low)
+            fields += [decimal(m, places, places == 0) for m in (mid - 1, mid, mid + 1)]
+        below = [math.ldexp(1.0, k) - math.ldexp(j, k - 53) for j in range(1, 4)]
+        fields += ["%.19g" % v for v in below] + ["%.17g" % v for v in below]
+    fields.append("9007199254740993.0")
+    return fields
+
+
+def wide_mantissas(rng, n):
+    """Mantissas from 2**62 to 2**64, past the int64 limits where the
+    integer parse clamps, with the point anywhere."""
+    m = rng.integers(2**62, 2**64, n, dtype=np.uint64).tolist()
+    places = rng.integers(1, 20, n).tolist()
+    signs = rng.choice([-1, 1], n).tolist()
+    fields = [decimal(v * s, p) for v, s, p in zip(m, signs, places)]
+    return fields + [decimal(s * (2**63 + d), p) for s in (-1, 1)
+                     for d in (-2, -1, 0, 1) for p in (1, 10, 19)]
+
+
+def long_fractions(rng, n):
+    # 22 digits after the point still take the integer route, 23 do not
+    m = (rng.integers(1, 10**18, n) // 10 ** rng.integers(0, 17, n)).tolist()
+    places = np.where(rng.uniform(size=n) < 0.9, rng.integers(21, 23, n), 23)
+    return [decimal(v, p) for v, p in zip(m, places.tolist())]
+
+
+@pytest.mark.parametrize("n", [10_000, pytest.param(1_000_000, marks=pytest.mark.slow)])
+def test_block_parse_matches_float_parse(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    kinds = [formatted_doubles(rng, n, fmt) for fmt in VALUE_FORMATS]
+    kinds += [bit_patterns(rng, n), midpoints(rng, n // 3), wide_mantissas(rng, n),
+              long_fractions(rng, n)]
+    for fields in kinds:
+        assert_parses_as_float_parse(fields)
+    # blocks of every kind at once, with a tenth of the bit patterns and the
+    # wide mantissas, so that most blocks take the integer route with a few
+    # fields off it; also with integer passes of about 100 fields each
+    kinds[-4], kinds[-2] = kinds[-4][::10], kinds[-2][::10]
+    mixed = [field for fields in kinds for field in fields]
+    rng.shuffle(mixed)
+    assert_parses_as_float_parse(mixed)
+    monkeypatch.setattr(embed_io, "PARSE_BLOCK_BYTES", 2000)
+    assert_parses_as_float_parse(mixed[:len(mixed) // 10])
+
+
+# fields off the integer route, including what numpy's float parse rejects
+ODD_FIELDS = ["-0.0", "-0", "+1.5", ".25", "-2.", "1E-3", "-", ".", "1.2.3", ".-5",
+              "5-3", "0.0", "+0.00", "-.5", "+-1.5", "1.5e5", "inf", "-nan", "0x1p3",
+              "1,5", "1.5,", "", "1.5\r", "\x0c2.5", "-0.5\x0b", "\r", "\x0b",
+              "1.5\x0c2.5", "1\r.5", "1.5\x0c", "1.5 "]
+
+
+@pytest.mark.parametrize("piece", [embed_io.PARSE_BLOCK_BYTES, 8])
+def test_block_parse_odd_fields(monkeypatch, piece):
+    monkeypatch.setattr(embed_io, "PARSE_BLOCK_BYTES", piece)
+    plain = [repr(v) for v in np.random.default_rng(5).normal(size=12).tolist()]
+    for odd in ODD_FIELDS:
+        for fields in ([odd], [odd, "1.5"], ["-1.5", odd], [odd] * 4 + plain,
+                       plain[:5] + [odd] + plain[5:]):
+            assert_parses_as_float_parse(fields, block=len(fields))
+    for a in ODD_FIELDS:
+        for b in ODD_FIELDS:
+            assert_parses_as_float_parse([a] + plain + [b], block=len(plain) + 2)
+
+
+def test_decimal_blocks_take_the_integer_route(tmp_path, monkeypatch):
+    # a block of repr and '%.17g' values goes through the integer parse, and
+    # numpy's float parse sees only the fields in exponent notation, never
+    # the block: a silent fallback to it would still pass every other test
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(256, 300)) * np.where(rng.uniform(size=(256, 300)) < 0.01,
+                                               1e-5, 1.0)
+    rows = [[("%r" if i % 2 else "%.17g") % v for v in row]
+            for i, row in enumerate(m.tolist())]
+    path = tmp_path / "r.vec"
+    path.write_text("256 300\n" + "".join(f"w{i} {' '.join(r)}\n"
+                                         for i, r in enumerate(rows)), encoding="utf-8")
+    real, calls = np.fromstring, []
+
+    def counting_fromstring(text, dtype=float, sep=""):
+        calls.append((np.dtype(dtype), text))
+        return real(text, dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(embed_io.np, "fromstring", counting_fromstring)
+    table = load_embeddings(path)
+    want = [[float(v) for v in r] for r in rows]
+    assert bits(table.matrix).tolist() == bits(want).tolist()
+    exponents = sorted(v for r in rows for v in r if "e" in v)
+    assert len(exponents) > 500
+    parsed = sorted(field for dtype, text in calls if dtype == np.float64
+                    for field in text.decode().split(","))
+    assert parsed == exponents
+    # and the integer parse saw every field, those as zeros
+    assert sum(text.count(b" ") + 1 for dtype, text in calls
+               if dtype == np.int64) == 256 * 300
+
+
 # a bad row for each malformed-file case, and the message it must produce
 MALFORMED_ROWS = {
     "count": ("x 1", "expected 2 values, found 1"),
@@ -385,6 +554,13 @@ def test_errors_come_in_line_order(tmp_path, monkeypatch, block_rows):
     path.write_text("4 2\na 1 0\nb 1 nan\nc 1 x\nd 0 1\n", encoding="utf-8")
     with pytest.raises(EmbedFormatError, match=r":3: non-finite value$"):
         load_embeddings(path)
+    # a value split by \f is found when its block is parsed, still first
+    path.write_text("4 2\na 1 0\nb 1\x0c2 0\nc 1 0\nd\t1 0\n", encoding="utf-8")
+    with pytest.raises(EmbedFormatError, match=r":3: unparseable value$"):
+        load_embeddings(path)
+    path.write_text("4 2\na 1 x\nb 1\x0c2 0\nc 1 0\nd\t1 0\n", encoding="utf-8")
+    with pytest.raises(EmbedFormatError, match=r":2: unparseable value$"):
+        load_embeddings(path)
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0661", "1\u0660", "\uff11",
@@ -414,23 +590,34 @@ def test_reader_keeps_ascii_whitespace_rules(tmp_path):
 
 def test_numpy1_unmatched_text_warning_is_an_error(tmp_path, monkeypatch):
     # numpy 1.24-1.26 only warn on unmatched text and return the values
-    # before it, so "0.5abc" would give a full-length block; the reader must
-    # reject it on those versions too, whatever numpy runs the test
+    # before it, so "0.5abc" would give a full-length block, in the float
+    # parse and in the integer parse of the decimals without their points
+    # ("05abc" read as 5); the reader must reject it on those versions too,
+    # whatever numpy runs the test
     real = np.fromstring
+    seen = []
 
-    def numpy1_fromstring(text, sep):
+    def numpy1_fromstring(text, dtype=float, sep=""):
+        if isinstance(text, bytes):
+            text = text.decode()
+        seen.append((np.dtype(dtype), text))
         head = text.replace("abc", "")
         if head != text:
             warnings.warn("string or file could not be read to its end due "
                           "to unmatched data", DeprecationWarning, stacklevel=2)
-        return real(head, sep=sep)
+        return real(head, dtype=dtype, sep=sep)
 
     monkeypatch.setattr(embed_io.np, "fromstring", numpy1_fromstring)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert numpy1_fromstring("1 0.5abc", sep=" ").size == 2
+        assert numpy1_fromstring(b"15 05abc", np.int64, sep=" ").tolist() == [15, 5]
     monkeypatch.setattr(embed_io, "READ_BLOCK_ROWS", 2)
     path = tmp_path / "e.vec"
-    path.write_text("3 2\na 1 0\nb 1 0.5abc\nc 0 1\n", encoding="utf-8")
-    with pytest.raises(EmbedFormatError, match=r":3: unparseable value$"):
-        load_embeddings(path)
+    for rows in ("a 1 0\nb 1 0.5abc\nc 0 1\n", "a 1.5 0.25\nb 1.5 0.5abc\nc 0.5 1.5\n"):
+        path.write_text("3 2\n" + rows, encoding="utf-8")
+        seen.clear()
+        with pytest.raises(EmbedFormatError, match=r":3: unparseable value$"):
+            load_embeddings(path)
+    # the decimal rows went through the integer parse, which saw the "abc"
+    assert (np.dtype(np.int64), "15 025 15 05abc") in seen
