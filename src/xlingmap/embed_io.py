@@ -86,6 +86,24 @@ def _count_lines(path) -> int:
     return count + (last != b"\n")
 
 
+def _read_body(fh, path, out, tokens, mismatch: str) -> None:
+    """``_read_rows`` from ``fh``, open past the header. A file with other
+    than ``len(out)`` rows raises ``mismatch`` followed by the rows found,
+    ahead of any row error; the lines are counted only after a row error,
+    a short read or text after the last row."""
+    try:
+        _read_rows(fh, path, out, tokens)
+        if not fh.read(1):
+            return
+        error = EmbedFormatError(f"{path}: file changed while it was read")
+    except (EmbedFormatError, UnicodeDecodeError) as err:
+        error = err
+    found = _count_lines(path) - 1
+    if found != len(out):
+        raise EmbedFormatError(f"{mismatch}{found}") from None
+    raise error
+
+
 def _fromstring(text, count: int, dtype=np.float64, sep: str = " "):
     """``np.fromstring(text, dtype, sep=sep)`` if it gives ``count`` values,
     else ``None``. numpy < 2 only warns on unmatched text and returns the
@@ -438,10 +456,6 @@ def _write_rows(path, header: str, matrix, tokens=None) -> None:
             fh.write(text)
 
 
-def _has_whitespace(token: str) -> bool:
-    return any(ch.isspace() for ch in token)
-
-
 class Vocabulary:
     """Ordered set of unique, non-empty, whitespace-free tokens."""
 
@@ -455,7 +469,7 @@ class Vocabulary:
         for i, tok in enumerate(tokens):
             if not tok:
                 raise ValueError(f"empty token at position {i}")
-            if _has_whitespace(tok):
+            if tok.split() != [tok]:  # str.split() splits where str.isspace()
                 raise ValueError(f"token {tok!r} contains whitespace")
             if tok in index:
                 raise ValueError(f"duplicate token {tok!r}")
@@ -542,11 +556,11 @@ class FrequencyTable:
 def load_embeddings(path) -> EmbeddingTable:
     """Parse an embedding file, validating header, dimensions and values."""
     path = Path(path)
-    line_count = _count_lines(path)
-    if not line_count:
-        raise EmbedFormatError(f"{path}: empty file")
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        header = fh.readline().rstrip("\n").split(" ")
+        header = fh.readline()
+        if not header:
+            raise EmbedFormatError(f"{path}: empty file")
+        header = header.rstrip("\n").split(" ")
         if len(header) != 2:
             raise EmbedFormatError(f"{path}:1: header must be '<vocab_size> <dim>'")
         try:
@@ -555,13 +569,10 @@ def load_embeddings(path) -> EmbeddingTable:
             raise EmbedFormatError(f"{path}:1: non-integer header fields") from None
         if vocab_size < 1 or dim < 1:
             raise EmbedFormatError(f"{path}:1: header values must be positive")
-        if line_count - 1 != vocab_size:
-            raise EmbedFormatError(
-                f"{path}: header declares {vocab_size} rows, found {line_count - 1}"
-            )
         tokens = []
         matrix = np.empty((vocab_size, dim), dtype=np.float64)
-        _read_rows(fh, path, matrix, tokens)
+        _read_body(fh, path, matrix, tokens,
+                   f"{path}: header declares {vocab_size} rows, found ")
     return EmbeddingTable(Vocabulary(tokens), matrix)
 
 
@@ -637,20 +648,16 @@ def load_matrix(path) -> np.ndarray:
     """Read a matrix written by ``save_matrix``, with the embedding reader's
     row rules (no token)."""
     path = Path(path)
-    line_count = _count_lines(path)
-    if not line_count:
-        raise EmbedFormatError(f"{path}: empty matrix file")
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        header = fh.readline()
+        if not header:
+            raise EmbedFormatError(f"{path}: empty matrix file")
         try:
-            nrows, ncols = (int(v) for v in fh.readline().rstrip("\n").split(" "))
+            nrows, ncols = (int(v) for v in header.rstrip("\n").split(" "))
         except ValueError:
             raise EmbedFormatError(f"{path}:1: bad matrix header") from None
         if nrows < 1 or ncols < 1:
             raise EmbedFormatError(f"{path}:1: bad matrix header")
-        if line_count - 1 != nrows:
-            raise EmbedFormatError(
-                f"{path}: expected {nrows} rows, found {line_count - 1}"
-            )
         out = np.empty((nrows, ncols), dtype=np.float64)
-        _read_rows(fh, path, out)
+        _read_body(fh, path, out, None, f"{path}: expected {nrows} rows, found ")
     return out

@@ -116,6 +116,20 @@ def test_token_with_space_rejected_before_write():
         Vocabulary(["tab\there"])
 
 
+def test_every_whitespace_character_rejected_in_tokens():
+    # U+3000 is the last character that str.isspace() accepts
+    spaces = [chr(i) for i in range(0x3001) if chr(i).isspace()]
+    assert len(spaces) > 20 and "\u3000" in spaces
+    for c in spaces:
+        for tok in (c + "ab", "a" + c + "b", "ab" + c):
+            with pytest.raises(ValueError) as err:
+                Vocabulary(["x", tok])
+            assert str(err.value) == f"token {tok!r} contains whitespace"
+    # and every other character below U+3001 is accepted
+    others = [chr(i) for i in range(0x3001) if not chr(i).isspace()]
+    assert len(Vocabulary(["a" + c + "b" for c in others])) == len(others)
+
+
 def test_normalize_rows():
     t = EmbeddingTable(Vocabulary(["a", "b"]), [[3.0, 4.0], [0.0, 2.0]])
     n = normalize_rows(t)
@@ -540,6 +554,43 @@ def test_block_parse_names_the_same_line(tmp_path, monkeypatch, case, bad_row):
     with pytest.raises(EmbedFormatError) as err:
         load_embeddings(path)
     assert str(err.value) == want
+
+
+@pytest.mark.parametrize("block_rows", [2, 256])
+def test_row_count_error_comes_before_row_errors(tmp_path, monkeypatch, block_rows):
+    # the lines are only counted once something fails, but a wrong count is
+    # still the error reported, ahead of a bad row it would otherwise be
+    monkeypatch.setattr(embed_io, "READ_BLOCK_ROWS", block_rows)
+    path = tmp_path / "e.vec"
+    # too many lines with a bad row 3, and too few with a bad row 2
+    for rows in (["1 0", "1 0", "1 x", "0 1"], ["1 0", "1 x"]):
+        path.write_text("3 2\n" + "".join(f"w{i} {row}\n" for i, row in enumerate(rows)),
+                        encoding="utf-8")
+        with pytest.raises(EmbedFormatError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}: header declares 3 rows, found {len(rows)}"
+        path.write_text("3 2\n" + "".join(f"{row}\n" for row in rows), encoding="utf-8")
+        with pytest.raises(EmbedFormatError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}: expected 3 rows, found {len(rows)}"
+    # text after the declared rows, even one empty line, is a row too
+    path.write_text("2 2\na 1 0\nb 0 1\n\n", encoding="utf-8")
+    with pytest.raises(EmbedFormatError, match=r"declares 2 rows, found 3$"):
+        load_embeddings(path)
+    # as is undecodable text there, past the header's first decoded chunk
+    rows = "".join(f"w{i} 1 0\n" for i in range(2000))
+    path.write_bytes(f"2000 2\n{rows}".encode() + b"\xff\n")
+    with pytest.raises(EmbedFormatError, match=r"declares 2000 rows, found 2001$"):
+        load_embeddings(path)
+    # with the right count, the bad row is reported
+    path.write_text("3 2\na 1 0\nb 1 0\nc 1 x\n", encoding="utf-8")
+    with pytest.raises(EmbedFormatError, match=r":4: unparseable value$"):
+        load_embeddings(path)
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(EmbedFormatError, match=r": empty file$"):
+        load_embeddings(path)
+    with pytest.raises(EmbedFormatError, match=r": empty matrix file$"):
+        load_matrix(path)
 
 
 @pytest.mark.parametrize("block_rows", [2, 256])

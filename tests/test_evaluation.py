@@ -32,6 +32,11 @@ def assert_matches_brute_force(queries, table, k):
         want = brute_force_knn(q, table, k)
         assert list(got_rows) == [i for i, _ in want]
         assert np.max(np.abs(got_sims - [s for _, s in want])) < 1e-12
+    # below k = V the top k are selected, at k = V every score is sorted:
+    # the selection gives the sort's first k places, bit for bit
+    full_rows, full_sims = knn(queries, table, len(table.vocab))
+    assert np.array_equal(rows, full_rows[:, :k])
+    assert np.array_equal(sims.view(np.uint64), full_sims[:, :k].view(np.uint64))
 
 
 def test_knn_exact_row_ranks_first():
@@ -63,7 +68,78 @@ def test_knn_blocks_match_brute_force(monkeypatch):
     monkeypatch.setattr(evaluation, "KNN_BLOCK", 3 * 25 + 2)
     t = random_table(25, 4, seed=21)
     queries = np.random.default_rng(22).normal(size=(8, 4))
-    assert_matches_brute_force(queries, t, 6)
+    for k in (1, 6, 24, 25):
+        assert_matches_brute_force(queries, t, k)
+
+    rng = np.random.default_rng(26)
+    # integer rows and axis queries: the scores t_j / |t| take few values,
+    # and ties straddle the k-th place
+    lattice = rng.integers(-2, 3, size=(40, 3)).astype(float)
+    lattice[~lattice.any(axis=1), 0] = 1.0
+    t = EmbeddingTable(Vocabulary([f"w{i}" for i in range(40)]), lattice)
+    monkeypatch.setattr(evaluation, "KNN_BLOCK", 3 * 40)
+    axes = np.vstack([np.eye(3), -np.eye(3), 4.0 * np.eye(3)])
+    _, sims = knn(axes, t, 40)
+    assert all(np.any(sims[:, k - 1] == sims[:, k]) for k in (1, 5, 6, 7, 39))
+    for k in (1, 5, 6, 7, 39, 40):
+        assert_matches_brute_force(axes, t, k)
+
+    # duplicate target rows, ranked both within and beyond the first k
+    base = random_table(10, 4, seed=27)
+    dup = EmbeddingTable(Vocabulary([f"w{i}" for i in range(30)]),
+                         base.matrix[rng.integers(0, 10, size=30)])
+    monkeypatch.setattr(evaluation, "KNN_BLOCK", 3 * 30)
+    queries = np.vstack([dup.matrix[[0, 5, 29]], rng.normal(size=(5, 4))])
+    for k in (1, 2, 3, 4, 29, 30):
+        assert_matches_brute_force(queries, dup, k)
+
+    # targets parallel to the query tie at exactly 1.0 (and at -1.0 for the
+    # opposite query), some only after the clip: their quotients round past 1
+    v = np.array([1.0, 2.0, 3.0])
+    scales = [1, 3, 5, 6, 7, 9, 10, 11, 13, 0.1, 0.3, 0.7]
+    clipped = rng.normal(size=(20, 3))
+    parallel = [2, 3, 7, 8, 11, 12, 13, 15, 16, 17, 18, 19]
+    clipped[parallel] = np.multiply.outer(scales, v)
+    t = EmbeddingTable(Vocabulary([f"w{i}" for i in range(20)]), clipped)
+    monkeypatch.setattr(evaluation, "KNN_BLOCK", 20)
+    queries = np.vstack([v, 4.0 * v, -v])
+    rows, sims = knn(queries, t, 12)
+    assert np.array_equal(rows[:2], [parallel] * 2) and np.all(sims[:2] == 1.0)
+    for k in (1, 5, 12, 13, 19, 20):
+        assert_matches_brute_force(queries, t, k)
+
+    # a finite target row whose norm overflows scores NaN, which the full
+    # sort ranks last: a block holding it is sorted whole
+    huge = EmbeddingTable(Vocabulary([f"w{i}" for i in range(10)]),
+                          np.vstack([rng.normal(size=(4, 8)), np.full(8, 1e308),
+                                     rng.normal(size=(5, 8))]))
+    queries = np.abs(rng.normal(size=(3, 8)))
+    monkeypatch.setattr(evaluation, "KNN_BLOCK", 20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full_rows, full_sims = knn(queries, huge, 10)
+        assert np.all(full_rows[:, -1] == 4) and np.isnan(full_sims[:, -1]).all()
+        for k in range(1, 10):
+            rows, sims = knn(queries, huge, k)
+            assert np.array_equal(rows, full_rows[:, :k])
+            assert np.array_equal(sims.view(np.uint64), full_sims[:, :k].view(np.uint64))
+
+    # the selection alone against the stable sort, on integer-valued scores
+    # with heavy ties, signed zeros and rows holding NaN
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        m, size = rng.integers(1, 6), rng.integers(2, 40)
+        scores = rng.integers(-3, 4, size=(m, size)).astype(float)
+        scores[scores == 0] = rng.choice([0.0, -0.0], size=int((scores == 0).sum()))
+        if seed % 4 == 0:
+            scores[rng.random(scores.shape) < 0.2] = np.nan
+        for k in {1, int(rng.integers(1, size + 1)), size - 1, size}:
+            want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+            with monkeypatch.context() as patch:
+                if k < size and not np.isnan(scores).any():
+                    # below k = V, finite scores are never sorted whole
+                    patch.setattr(np, "argsort", None)
+                got = evaluation._top_k(scores, k)
+            assert np.array_equal(got, want), (seed, k)
 
 
 def test_knn_scale_invariant_query():
