@@ -13,16 +13,17 @@ non-ASCII whitespace are rejected, although ``float()`` takes them. Values
 are written with 17 significant digits, which round-trips IEEE-754 doubles
 exactly.
 
-Both directions stream. The reader checks each line as it arrives and
-parses the values of ``READ_BLOCK_ROWS`` rows at a time into the
-preallocated matrix, so it holds the matrix plus one block of text. Each
-value is the double numpy's float parse (``np.fromstring``) gives, but a
-value ``[+-]digits.digits`` with at most 22 digits after the point is read
-by numpy's integer parse, point deleted, as a mantissa m, and m / 10**s is
-rounded exactly in integer arithmetic, in about half the time of the
-float parse. The other values (exponent notation, integers, zeros,
-mantissas beyond int64) take the float parse, a few at once, or the whole
-block when they are more than a quarter of a pass. The writer formats the
+Both directions stream. The readers take the file's bytes ``READ_BYTES``
+at a time, cut after the last newline; one scan of a piece for the bytes
+below ``"0"`` gives its rows' checks, tokens and value fields, and a piece
+is decoded only when it is not ASCII. Each value is the double numpy's
+float parse (``np.fromstring``) gives, but a value ``[+-]digits.digits``
+with at most 22 digits after the point is read by numpy's integer parse,
+point deleted, as a mantissa m, and m / 10**s is rounded exactly in
+integer arithmetic, in about half the time of the float parse. The other
+values (exponent notation, integers, zeros, mantissas beyond int64) take
+the float parse, a few at once, or the whole piece when they are more
+than a quarter of it. The writer formats the
 whole rows of about ``WRITE_BLOCK_VALUES`` values at a time with numpy
 arithmetic and writes the same bytes as ``'%.17g'`` on each value: for a
 value in fixed notation it rounds |x| * 10**(16 - E) exactly to 17 digits
@@ -34,7 +35,6 @@ Frequency files are TSV: ``"<token>\\t<count>"`` per line.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from pathlib import Path
 
@@ -45,18 +45,12 @@ class EmbedFormatError(ValueError):
     """Malformed embedding or frequency file; message carries the line number."""
 
 
-# Rows per block parse in the readers: about 1.8 MB of text at d = 300.
-READ_BLOCK_ROWS = 256
-# Text per pass of the block parse's integer route, extended to the next
-# separator: about 6,700 values of 17 digits, in about 1 MB of working arrays.
-PARSE_BLOCK_BYTES = 1 << 17
+# Bytes per read in the readers, cut after the last newline: about 13,000
+# values of 17 digits, checked and parsed at once in about 3 MB of arrays.
+READ_BYTES = 1 << 18
 # Values per numpy pass in the writer, rounded down to whole rows (at least
 # one): its working arrays peak at about 290 bytes per value, 2.4 MB a block.
 WRITE_BLOCK_VALUES = 1 << 13
-# Whitespace that ``float()`` strips from a value's ends but that numpy's
-# parse also takes as a separator inside it; a row holding any is checked
-# field by field so that each field still gives exactly one value.
-_EDGE_SPACE = ("\r", "\x0b", "\x0c")
 
 # The most digits after the point that a field on the integer route may
 # have: 10**22 is the largest power of ten that is an exact double.
@@ -70,38 +64,6 @@ _DOWN_SHIFT = np.where(_T > -64, np.uint64(1) << np.clip(-_T, 0, 63).astype(np.u
                        0)
 _UP_SHIFT = np.where(_T < 64, np.uint64(1) << np.clip(_T, 0, 63).astype(np.uint64), 0)
 _INT64 = np.iinfo(np.int64)
-
-
-def _count_lines(path) -> int:
-    """The file's lines as the readers number them: each ``\\n`` ends one,
-    and a last line without it counts too."""
-    count, last = 0, b"\n"
-    with open(path, "rb") as fh:
-        # 64 KB stays below glibc's mmap threshold: freeing a larger buffer
-        # raises the threshold, so later block-sized allocations land on the
-        # heap, which keeps the memory after they are freed
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            count += chunk.count(b"\n")
-            last = chunk[-1:]
-    return count + (last != b"\n")
-
-
-def _read_body(fh, path, out, tokens, mismatch: str) -> None:
-    """``_read_rows`` from ``fh``, open past the header. A file with other
-    than ``len(out)`` rows raises ``mismatch`` followed by the rows found,
-    ahead of any row error; the lines are counted only after a row error,
-    a short read or text after the last row."""
-    try:
-        _read_rows(fh, path, out, tokens)
-        if not fh.read(1):
-            return
-        error = EmbedFormatError(f"{path}: file changed while it was read")
-    except (EmbedFormatError, UnicodeDecodeError) as err:
-        error = err
-    found = _count_lines(path) - 1
-    if found != len(out):
-        raise EmbedFormatError(f"{mismatch}{found}") from None
-    raise error
 
 
 def _fromstring(text, count: int, dtype=np.float64, sep: str = " "):
@@ -153,26 +115,28 @@ def _divide(m, s):
     return q
 
 
-def _parse_decimals(raw: bytes):
-    """The values of the space-separated fields of ASCII ``raw``, each the
-    double ``np.fromstring`` parses from it, or ``None`` where that is not
-    certain.
+def _fill(buffer: bytearray, starts, ends, byte: bytes) -> None:
+    """Overwrite each span ``buffer[start:end]`` with ``byte``."""
+    for start, end in zip(starts, ends):
+        buffer[start:end] = byte * (end - start)
+
+
+def _parse_decimals(text: bytes, at, kind, first, last, digits: bytearray):
+    """The values of the fields of ``text`` between the separators
+    ``at[first]`` and ``at[last]``, each the double ``np.fromstring`` parses
+    from it, or ``None`` where that is not certain. ``at`` holds where the
+    bytes below ``"0"`` are and ``kind`` which they are; ``digits`` is
+    ``text`` with whitespace between the fields and ``"."`` elsewhere.
 
     A field ``[+-]digits.digits`` with 1 to 22 digits after the point is
-    read as its mantissa, by one integer parse of ``raw`` without points,
-    and its number of fraction digits s; ``_divide`` rounds their quotient.
-    The other fields (``1e-05``, ``3``, ``-0.0``, mantissas the integer
-    parse clamps, ...) take the float parse, joined by commas, as long as
-    they are at most a quarter of all. Each of them must then give one
-    value on its own, which is the value it gives inside ``raw``;
+    read as its mantissa, by one integer parse of ``digits`` without
+    points, and its number of fraction digits s; ``_divide`` rounds their
+    quotient. The other fields (``1e-05``, ``3``, ``-0.0``, mantissas the
+    integer parse clamps, ...) take the float parse, joined by commas, as
+    long as they are at most a quarter of all. Each of them must then give
+    one value on its own, which is the value it gives inside ``text``;
     whitespace-only fields and fields holding a comma are not vouched for."""
-    buf = np.frombuffer(b" " + raw + b" ", np.uint8)
-    # separators, points, signs and whatever else sorts below "0"; a letter
-    # left in a decimal field makes the integer parse fail
-    at = np.flatnonzero(buf < ord("0"))
-    kind = buf[at]
-    seps = np.flatnonzero(kind == ord(" "))
-    first, last = seps[:-1], seps[1:]  # each field's separators, in ``at``
+    # a letter left in a decimal field makes the integer parse fail
     count = first.size
     fraction = at[last] - at[last - 1] - 1
     sign = kind[last - 2]
@@ -182,20 +146,15 @@ def _parse_decimals(raw: bytes):
                    (sign == ord("-")) | (sign == ord("+"))))))
 
     def spans(index):
-        """Where the fields at ``index`` lie in ``raw``."""
-        return zip(at[first[index]].tolist(), (at[last[index]] - 1).tolist())
+        """Where the fields at ``index`` begin and end in ``text``."""
+        return (at[first[index]] + 1).tolist(), at[last[index]].tolist()
 
     other = np.flatnonzero(~decimal)
     if other.size > count // 4:
         return None
-    digits = raw
-    if other.size:
-        # zeros for the other fields, which the integer parse may not take
-        digits = bytearray(raw)
-        for start, end in spans(other):
-            digits[start:end] = b"0" * (end - start)
-        digits = bytes(digits)
-    m = _fromstring(digits.replace(b".", b""), count, dtype=np.int64)
+    # zeros for the other fields, which the integer parse may not take
+    _fill(digits, *spans(other), b"0")
+    m = _fromstring(bytes(digits).replace(b".", b""), count, dtype=np.int64)
     if m is None:
         return None
     # a zero mantissa has lost its sign, a clamped one its value
@@ -205,11 +164,11 @@ def _parse_decimals(raw: bytes):
         return None
     parsed = np.empty(0)
     if other.size:
-        fields = [raw[start:end] for start, end in spans(other)]
-        text = b",".join(fields)
-        if text.count(b",") >= len(fields) or not all(f.strip() for f in fields):
+        fields = [text[start:end] for start, end in zip(*spans(other))]
+        joined = b",".join(fields)
+        if joined.count(b",") >= len(fields) or not all(f.strip() for f in fields):
             return None
-        parsed = _fromstring(text, len(fields), sep=",")
+        parsed = _fromstring(joined, len(fields), sep=",")
         if parsed is None:
             return None
         m[other], fraction[other] = 1, 1  # any quotient _divide takes
@@ -218,97 +177,157 @@ def _parse_decimals(raw: bytes):
     return values
 
 
-def _parse(text: str, count: int):
-    """The ``count`` space-separated values of ``text``, bitwise what
-    ``np.fromstring(text, sep=" ")`` gives, or ``None`` if it holds anything
-    else. ASCII text goes to ``_parse_decimals`` about ``PARSE_BLOCK_BYTES``
-    at a time; where it declines, the whole text takes the float parse."""
-    if text.isascii():
-        values, done, start = np.empty(count), 0, 0
-        while start <= len(text):
-            end = text.find(" ", start + PARSE_BLOCK_BYTES)
-            end = len(text) if end < 0 else end
-            part = _parse_decimals(text[start:end].encode())
-            if part is None or done + part.size > count:
-                break
-            values[done:done + part.size] = part
-            done += part.size
-            start = end + 1
-        else:
-            if done == count:
-                return values
-    return _fromstring(text, count)
+def _parse(raw: bytes, count: int):
+    """The ``count`` values of the single-space-separated fields of ``raw``,
+    bitwise what ``np.fromstring(raw, sep=" ")`` gives, or ``None`` if it
+    holds anything else; the readers name a failing row with it."""
+    text = b"\n" + raw + b"\n"
+    buf = np.frombuffer(text, np.uint8)
+    at = np.flatnonzero(buf < ord("0"))
+    kind = buf[at]
+    seps = np.flatnonzero((kind == ord(" ")) | (kind == ord("\n")))
+    values = None
+    if seps.size == count + 1:
+        values = _parse_decimals(text, at, kind, seps[:-1], seps[1:], bytearray(text))
+    return _fromstring(raw, count) if values is None else values
 
 
-def _read_rows(lines, path, out, tokens=None) -> None:
-    """Fill ``out`` from ``lines``, the file's lines from line 2 on. A row is
+def _read_rows(fh, path, out, tokens, mismatch: str) -> None:
+    """Fill ``out`` from ``fh``, open past the header. A row is
     ``[<token> ]<v1> ... <vd>``, single-space separated, with one optional
-    trailing space; ``tokens``, if given, receives the tokens. Each line is
-    checked as it streams in; the values of ``READ_BLOCK_ROWS`` rows are
-    parsed at once, and only a block that fails is parsed again row by row
-    to name the line. Values split by ``_EDGE_SPACE`` are looked for in the
-    rows of a block whose text holds any. Errors come in line order, as if
-    read row by row."""
+    trailing space; ``tokens``, if not ``None``, receives the tokens. The
+    bytes are read ``READ_BYTES`` at a time, cut after the last newline, and
+    one scan of a piece serves its rows' checks and ``_parse_decimals``;
+    only a piece whose values fail is parsed again row by row, to name the
+    line. Errors come in line order, as if read row by row, but a file with
+    other than ``len(out)`` rows raises ``mismatch`` followed by the rows
+    found, ahead of any row error; the lines are counted only after a row
+    error, a short read or text after the last row: each ``\\n`` ends one,
+    and a last line without it counts too."""
     rows, dim = out.shape
     lead = tokens is not None
     seen = set()
-    block, done = [], 0
+    done, extra = 0, False
 
-    def flush():
-        nonlocal done
-        text = " ".join(block)
-        split = len(block)  # the first row with a value split by _EDGE_SPACE
-        if any(ch in text for ch in _EDGE_SPACE):
-            split = next((j for j, row in enumerate(block)
-                          if any(ch in row for ch in _EDGE_SPACE)
-                          and not all(len(field.split()) == 1
-                                      for field in row.split(" "))), split)
-        values = _parse(text, len(block) * dim) if split == len(block) else None
-        if values is None or not np.isfinite(values).all():
-            for j, text in enumerate(block):
-                row = _parse(text, dim) if j != split else None
-                if row is None:
-                    fail(done + j, "unparseable value")
-                if not np.isfinite(row).all():
-                    fail(done + j, "non-finite value")
-            raise EmbedFormatError(
-                f"{path}:{done + 2}-{done + len(block) + 1}: unparseable value"
-            )
-        out[done:done + len(block)] = values.reshape(len(block), dim)
-        done += len(block)
-        block.clear()
+    def fail(j, message):
+        raise EmbedFormatError(f"{path}:{done + j + 2}: {message}")
 
-    def fail(i, message):
-        if block and i == done + len(block):
-            flush()  # the rows before this one come first
-        raise EmbedFormatError(f"{path}:{i + 2}: {message}")
-
-    for i, line in enumerate(itertools.islice(lines, rows)):
-        line = line.rstrip("\n")
-        if "\t" in line:
-            fail(i, "tab in row")
-        spaces = line.count(" ")
-        if spaces == dim + lead and line.endswith(" "):
-            line = line[:-1]  # the one trailing space word2vec and fastText write
-            spaces -= 1
-        if spaces != dim + lead - 1:
-            fail(i, f"expected {dim} values, found {spaces + 1 - lead}")
-        values = line
+    def take(text):
+        """Check and parse the rows of ``text``: a newline, then whole lines."""
+        nonlocal done, extra
+        buf = np.frombuffer(text, np.uint8)
+        at = np.flatnonzero(buf < ord("0"))  # separators, points, signs, tabs, ...
+        kind = buf[at]
+        seps = np.flatnonzero((kind == ord(" ")) | (kind == ord("\n")))  # in at
+        spaced = kind[seps] == ord(" ")
+        nls = np.flatnonzero(~spaced)  # in seps: before each row and after the last
+        if done + nls.size > rows + 1:
+            extra, nls = True, nls[:rows - done + 1]
+            text = text[:at[seps[nls[-1]]] + 1]
+        if not text.isascii():
+            try:
+                text.decode()
+            except UnicodeDecodeError as err:
+                take(text[:text.rfind(b"\n", 0, err.start) + 1])  # the rows before it
+                raise
+        n = nls.size - 1
+        nl = at[seps[nls]]  # where the newlines are
+        count = np.diff(nls) - 1  # spaces per row
+        last = nls[1:] - 1  # each row's last separator, in seps
+        trail = spaced[last] & (at[seps[last]] + 1 == nl[1:]) & (count == dim + lead)
+        count -= trail  # the one trailing space word2vec and fastText write
+        # the first row that fails a check, and why; control bytes other than
+        # newlines (tabs, \v, \f, \r, ...) are looked at only if there are any
+        low = kind < ord(" ")
+        control = at[low] if np.count_nonzero(low) > nls.size else at[:0]
+        tab = np.searchsorted(nl, control[buf[control] == ord("\t")][:1]) - 1
+        wrong = np.flatnonzero(count != dim + lead - 1)[:1]
+        bad = min([n, *tab.tolist(), *wrong.tolist()])
+        if bad < n:
+            message = ("tab in row" if bad in tab.tolist() else
+                       f"expected {dim} values, found {count[bad] + 1 - lead}")
+        starts = nl[:-1] + 1  # where each row begins, and its values
+        opens = at[seps[nls[:bad] + 1]] + 1 if lead else starts
+        names = [text[a:b].decode() for a, b in
+                 zip(starts[:bad].tolist(), (opens - 1).tolist())] if lead else []
+        for j, name in enumerate(names):
+            if not name or name in seen:
+                bad, message = j, f"duplicate token {name!r}" if name else "empty token"
+                break
+            seen.add(name)
+        # a value split by \v, \f or \r, which float() strips but numpy's
+        # parse takes as separators; a CRLF ending splits none
+        closes = nl[1:] - trail  # where each row's values end
+        edge = control[(buf[control] >= ord("\v")) & (buf[control] <= ord("\r"))]
+        crlf = ((buf[edge] == ord("\r")) & (buf[edge + 1] == ord("\n"))
+                & (buf[edge - 1] > ord(" ")))
+        for j in np.unique(np.searchsorted(nl, edge[~crlf]) - 1).tolist():
+            if j < bad and any(len(field.split()) != 1
+                               for field in text[opens[j]:closes[j]].split(b" ")):
+                bad, message = j, "unparseable value"
+        if bad:
+            head = text[:nl[bad] + 1]
+            fields = nls[bad]  # the separators of the rows before ``bad``
+            opening = spaced[:fields].copy() if lead else np.ones(fields, bool)
+            opening[last[:bad][trail[:bad]]] = False  # which open a value field
+            digits = bytearray(head)
+            marks = np.frombuffer(digits, np.uint8)
+            marks[nl[1:bad]], marks[nl[[0, bad]]] = ord(" "), ord(".")
+            marks[closes[:bad][trail[:bad]]] = ord(".")
+            _fill(digits, starts[:bad].tolist(), opens[:bad].tolist(), b".")
+            values = _parse_decimals(text, at, kind, seps[:fields][opening],
+                                     seps[1:fields + 1][opening], digits)
+            if values is None:  # the float parse, with the tokens blanked
+                raw = bytearray(head)
+                _fill(raw, starts[:bad].tolist(), opens[:bad].tolist(), b" ")
+                # numpy reads text that is only whitespace as one value, -1
+                values = _fromstring(bytes(raw), bad * dim) if raw.strip() else None
+            if values is None or not np.isfinite(values).all():
+                for j in range(bad):
+                    row = _parse(text[opens[j]:closes[j]], dim)
+                    if row is None:
+                        fail(j, "unparseable value")
+                    if not np.isfinite(row).all():
+                        fail(j, "non-finite value")
+                raise EmbedFormatError(
+                    f"{path}:{done + 2}-{done + bad + 1}: unparseable value")
+            out[done:done + bad] = values.reshape(bad, dim)
+        if bad < n:
+            fail(bad, message)
         if lead:
-            token, values = line.split(" ", 1)
-            if not token:
-                fail(i, "empty token")
-            if token in seen:
-                fail(i, f"duplicate token {token!r}")
-            seen.add(token)
-            tokens.append(token)
-        block.append(values)
-        if len(block) == READ_BLOCK_ROWS:
-            flush()
-    if block:
-        flush()
-    if done != rows:
-        raise EmbedFormatError(f"{path}: file changed while it was read")
+            tokens.extend(names)
+        done += n
+
+    piece = [b"\n"]  # the text from the last newline read on
+    try:
+        while done < rows and not extra:
+            chunk = fh.read(READ_BYTES)
+            if not chunk:
+                if piece == [b"\n"]:
+                    break
+                chunk = b"\n"  # ends the last line
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                take(b"".join([*piece, memoryview(chunk)[:cut]]))
+                piece = [chunk[cut - 1:]]
+            else:
+                piece.append(chunk)
+        if done == rows and not extra and piece == [b"\n"] and not fh.read(1):
+            return
+        error = EmbedFormatError(f"{path}: file changed while it was read")
+    except (EmbedFormatError, UnicodeDecodeError) as err:
+        error = err
+    fh.seek(0)
+    found, tail = -1, b"\n"  # the header is no row
+    # 64 KB stays below glibc's mmap threshold: freeing a larger buffer
+    # raises the threshold, so later block-sized allocations land on the
+    # heap, which keeps the memory after they are freed
+    for chunk in iter(lambda: fh.read(1 << 16), b""):
+        found, tail = found + chunk.count(b"\n"), chunk[-1:]
+    found += tail != b"\n"
+    if found != len(out):
+        raise EmbedFormatError(f"{mismatch}{found}") from None
+    raise error
 
 
 # -- the block writer ----------------------------------------------------------
@@ -556,8 +575,8 @@ class FrequencyTable:
 def load_embeddings(path) -> EmbeddingTable:
     """Parse an embedding file, validating header, dimensions and values."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        header = fh.readline()
+    with open(path, "rb") as fh:
+        header = fh.readline().decode()
         if not header:
             raise EmbedFormatError(f"{path}: empty file")
         header = header.rstrip("\n").split(" ")
@@ -571,7 +590,7 @@ def load_embeddings(path) -> EmbeddingTable:
             raise EmbedFormatError(f"{path}:1: header values must be positive")
         tokens = []
         matrix = np.empty((vocab_size, dim), dtype=np.float64)
-        _read_body(fh, path, matrix, tokens,
+        _read_rows(fh, path, matrix, tokens,
                    f"{path}: header declares {vocab_size} rows, found ")
     return EmbeddingTable(Vocabulary(tokens), matrix)
 
@@ -648,8 +667,8 @@ def load_matrix(path) -> np.ndarray:
     """Read a matrix written by ``save_matrix``, with the embedding reader's
     row rules (no token)."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        header = fh.readline()
+    with open(path, "rb") as fh:
+        header = fh.readline().decode()
         if not header:
             raise EmbedFormatError(f"{path}: empty matrix file")
         try:
@@ -659,5 +678,5 @@ def load_matrix(path) -> np.ndarray:
         if nrows < 1 or ncols < 1:
             raise EmbedFormatError(f"{path}:1: bad matrix header")
         out = np.empty((nrows, ncols), dtype=np.float64)
-        _read_body(fh, path, out, None, f"{path}: expected {nrows} rows, found ")
+        _read_rows(fh, path, out, None, f"{path}: expected {nrows} rows, found ")
     return out

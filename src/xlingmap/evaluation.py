@@ -73,10 +73,10 @@ def knn(queries, tgt: EmbeddingTable, k: int):
     size = len(tgt.vocab)
     if not 1 <= k <= size:
         raise ValueError(f"k={k} outside [1, {size}]")
-    q_norms = np.linalg.norm(q, axis=1)
+    q_norms = _row_norms(q)
     if np.any(q_norms == 0.0):
         raise ValueError(f"zero query row {int(np.argmax(q_norms == 0.0))}")
-    norms = np.linalg.norm(tgt.matrix, axis=1)
+    norms = _row_norms(tgt.matrix)
     if np.any(norms == 0.0):
         bad = int(np.argmax(norms == 0.0))
         raise ValueError(f"zero target row for token {tgt.vocab.tokens[bad]!r}")
@@ -92,6 +92,14 @@ def knn(queries, tgt: EmbeddingTable, k: int):
         rows[block] = _top_k(scores, k)
         sims[block] = np.take_along_axis(scores, rows[block], axis=1)
     return rows, sims
+
+
+def _row_norms(matrix):
+    """``np.linalg.norm(matrix, axis=1)``, bitwise, from blocks of rows of at
+    most ``KNN_BLOCK`` values: the whole squared matrix is never held."""
+    step = max(1, KNN_BLOCK // matrix.shape[1])
+    return np.concatenate([np.linalg.norm(matrix[start:start + step], axis=1)
+                           for start in range(0, len(matrix), step)])
 
 
 def _top_k(scores, k: int):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import time
@@ -427,29 +428,30 @@ def write_checkpoint(path, header: dict, arrays: dict) -> None:
 
 
 def read_checkpoint(path):
-    """Parse and verify a checkpoint; returns (header, arrays)."""
+    """Parse and verify a checkpoint; returns (header, arrays), each array
+    writeable and owning its memory."""
     data = Path(path).read_bytes()
-    if len(data) < len(CHECKPOINT_MAGIC) + 8 + 32:
+    end = len(data) - 32  # where the payload's SHA-256 digest begins
+    if end < len(CHECKPOINT_MAGIC) + 8:
         raise CheckpointError(f"{path}: truncated checkpoint")
-    payload, digest = data[:-32], data[-32:]
-    if not payload.startswith(CHECKPOINT_MAGIC):
+    if not data.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(f"{path}: bad magic bytes")
-    if hashlib.sha256(payload).digest() != digest:
+    if hashlib.sha256(memoryview(data)[:end]).digest() != data[end:]:
         raise CheckpointError(f"{path}: digest mismatch (corrupt checkpoint)")
 
     offset = len(CHECKPOINT_MAGIC)
 
-    def take(n: int) -> bytes:
+    def take(size: int) -> int:
+        """Where the next ``size`` bytes begin; ``offset`` moves past them."""
         nonlocal offset
-        if offset + n > len(payload):
+        if offset + size > end:
             raise CheckpointError(f"{path}: truncated checkpoint")
-        out = payload[offset:offset + n]
-        offset += n
-        return out
+        offset += size
+        return offset - size
 
-    (hlen,) = struct.unpack("<Q", take(8))
+    (hlen,) = struct.unpack_from("<Q", data, take(8))
     try:
-        header = json.loads(take(hlen).decode("utf-8"))
+        header = json.loads(data[take(hlen):offset].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: unreadable header: {err}") from None
     if header.get("format_version") != CHECKPOINT_VERSION:
@@ -459,14 +461,14 @@ def read_checkpoint(path):
         )
     arrays = {}
     for _ in header.get("arrays", []):
-        (nlen,) = struct.unpack("<Q", take(8))
-        name = take(nlen).decode("utf-8")
-        (ndim,) = struct.unpack("<I", take(4))
-        dims = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
-        count = int(np.prod(dims)) if dims else 1
-        raw = take(count * 8)
-        arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
-    if offset != len(payload):
+        (nlen,) = struct.unpack_from("<Q", data, take(8))
+        name = data[take(nlen):offset].decode("utf-8")
+        (ndim,) = struct.unpack_from("<I", data, take(4))
+        dims = struct.unpack_from(f"<{ndim}Q", data, take(8 * ndim))
+        count = math.prod(dims)
+        arrays[name] = np.frombuffer(data, "<f8", count, take(8 * count)).reshape(
+            dims).astype(np.float64)
+    if offset != end:
         raise CheckpointError(f"{path}: trailing bytes after arrays")
     return header, arrays
 

@@ -376,11 +376,31 @@ def assert_parses_as_float_parse(fields, block=1000):
     for start in range(0, len(fields), block):
         part = fields[start:start + block]
         text = " ".join(part)
-        got, want = embed_io._parse(text, len(part)), float_parse(text, len(part))
+        got = embed_io._parse(text.encode(), len(part))
+        want = float_parse(text, len(part))
         assert (got is None) == (want is None), text[:300]
         if want is not None:
             wrong = np.flatnonzero(bits(got) != bits(want))
             assert not wrong.size, [part[i] for i in wrong[:5]]
+
+
+def assert_reads_as_float_parse(path, fields, width):
+    """``load_matrix`` reads ``fields``, ``width`` to a row, as numpy's
+    float parse reads each field on its own: the same doubles, or an error
+    naming the first row where a field gives no single value or a
+    non-finite one. (numpy reads a field of whitespace alone as -1.)"""
+    rows = [fields[i:i + width] for i in range(0, len(fields), width)]
+    path.write_text(f"{len(rows)} {width}\n" + "".join(" ".join(r) + "\n" for r in rows),
+                    encoding="utf-8")
+    want = [[float_parse(field, 1) if field.strip() else None for field in row]
+            for row in rows]
+    for i, row in enumerate(want):
+        if any(v is None or not np.isfinite(v).all() for v in row):
+            message = ("unparseable" if any(v is None for v in row) else "non-finite")
+            with pytest.raises(EmbedFormatError, match=f":{i + 2}: {message} value$"):
+                load_matrix(path)
+            return
+    assert bits(load_matrix(path)).tolist() == bits(want).reshape(len(rows), -1).tolist()
 
 
 def decimal(mantissa, places, zeros=0):
@@ -455,7 +475,7 @@ def long_fractions(rng, n):
 
 
 @pytest.mark.parametrize("n", [10_000, pytest.param(1_000_000, marks=pytest.mark.slow)])
-def test_block_parse_matches_float_parse(monkeypatch, n):
+def test_block_parse_matches_float_parse(tmp_path, monkeypatch, n):
     rng = np.random.default_rng(n)
     kinds = [formatted_doubles(rng, n, fmt) for fmt in VALUE_FORMATS]
     kinds += [bit_patterns(rng, n), midpoints(rng, n // 3), wide_mantissas(rng, n),
@@ -464,13 +484,14 @@ def test_block_parse_matches_float_parse(monkeypatch, n):
         assert_parses_as_float_parse(fields)
     # blocks of every kind at once, with a tenth of the bit patterns and the
     # wide mantissas, so that most blocks take the integer route with a few
-    # fields off it; also with integer passes of about 100 fields each
+    # fields off it; also read from a file in pieces of about 100 fields
     kinds[-4], kinds[-2] = kinds[-4][::10], kinds[-2][::10]
     mixed = [field for fields in kinds for field in fields]
     rng.shuffle(mixed)
     assert_parses_as_float_parse(mixed)
-    monkeypatch.setattr(embed_io, "PARSE_BLOCK_BYTES", 2000)
-    assert_parses_as_float_parse(mixed[:len(mixed) // 10])
+    monkeypatch.setattr(embed_io, "READ_BYTES", 2000)
+    part = [field for field in mixed[:len(mixed) // 10] if math.isfinite(float(field))]
+    assert_reads_as_float_parse(tmp_path / "m.txt", part[:len(part) // 10 * 10], 10)
 
 
 # fields off the integer route, including what numpy's float parse rejects
@@ -480,17 +501,24 @@ ODD_FIELDS = ["-0.0", "-0", "+1.5", ".25", "-2.", "1E-3", "-", ".", "1.2.3", ".-
               "1.5\x0c2.5", "1\r.5", "1.5\x0c", "1.5 "]
 
 
-@pytest.mark.parametrize("piece", [embed_io.PARSE_BLOCK_BYTES, 8])
-def test_block_parse_odd_fields(monkeypatch, piece):
-    monkeypatch.setattr(embed_io, "PARSE_BLOCK_BYTES", piece)
+@pytest.mark.parametrize("piece", [1 << 17, 8])
+def test_block_parse_odd_fields(tmp_path, monkeypatch, piece):
+    # and the reader, a row of them at a time, in one read and in reads
+    # shorter than a row; a field holding a space is two fields in a file
+    monkeypatch.setattr(embed_io, "READ_BYTES", piece)
+    path = tmp_path / "m.txt"
     plain = [repr(v) for v in np.random.default_rng(5).normal(size=12).tolist()]
     for odd in ODD_FIELDS:
         for fields in ([odd], [odd, "1.5"], ["-1.5", odd], [odd] * 4 + plain,
                        plain[:5] + [odd] + plain[5:]):
             assert_parses_as_float_parse(fields, block=len(fields))
+            if " " not in odd:
+                assert_reads_as_float_parse(path, fields, len(fields))
     for a in ODD_FIELDS:
         for b in ODD_FIELDS:
             assert_parses_as_float_parse([a] + plain + [b], block=len(plain) + 2)
+            if " " not in a + b:
+                assert_reads_as_float_parse(path, [a] + plain + [b], len(plain) + 2)
 
 
 def test_decimal_blocks_take_the_integer_route(tmp_path, monkeypatch):
@@ -540,7 +568,7 @@ MALFORMED_ROWS = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
 @pytest.mark.parametrize("bad_row", [2, 3, 4, 5])
 def test_block_parse_names_the_same_line(tmp_path, monkeypatch, case, bad_row):
-    # rows 0-1, 2-3 and 4-5 are the first three blocks at two rows a block
+    # rows 0-1, 2-3 and 4-5 are the first three reads at 18 bytes a read
     line, message = MALFORMED_ROWS[case]
     rows = [f"w{i} {i} 0.5" for i in range(7)]
     rows[bad_row] = line
@@ -550,7 +578,7 @@ def test_block_parse_names_the_same_line(tmp_path, monkeypatch, case, bad_row):
     with pytest.raises(EmbedFormatError) as err:
         load_embeddings(path)
     assert str(err.value) == want
-    monkeypatch.setattr(embed_io, "READ_BLOCK_ROWS", 2)
+    monkeypatch.setattr(embed_io, "READ_BYTES", 18)
     with pytest.raises(EmbedFormatError) as err:
         load_embeddings(path)
     assert str(err.value) == want
@@ -559,8 +587,9 @@ def test_block_parse_names_the_same_line(tmp_path, monkeypatch, case, bad_row):
 @pytest.mark.parametrize("block_rows", [2, 256])
 def test_row_count_error_comes_before_row_errors(tmp_path, monkeypatch, block_rows):
     # the lines are only counted once something fails, but a wrong count is
-    # still the error reported, ahead of a bad row it would otherwise be
-    monkeypatch.setattr(embed_io, "READ_BLOCK_ROWS", block_rows)
+    # still the error reported, ahead of a bad row it would otherwise be;
+    # reads of about block_rows rows of 8 bytes
+    monkeypatch.setattr(embed_io, "READ_BYTES", 8 * block_rows)
     path = tmp_path / "e.vec"
     # too many lines with a bad row 3, and too few with a bad row 2
     for rows in (["1 0", "1 0", "1 x", "0 1"], ["1 0", "1 x"]):
@@ -596,8 +625,9 @@ def test_row_count_error_comes_before_row_errors(tmp_path, monkeypatch, block_ro
 @pytest.mark.parametrize("block_rows", [2, 256])
 def test_errors_come_in_line_order(tmp_path, monkeypatch, block_rows):
     # a bad value is reported before a structural error on a later line of
-    # the same block, as a row-by-row reader would
-    monkeypatch.setattr(embed_io, "READ_BLOCK_ROWS", block_rows)
+    # the same read, as a row-by-row reader would; reads of block_rows
+    # rows of 6 bytes
+    monkeypatch.setattr(embed_io, "READ_BYTES", 6 * block_rows)
     path = tmp_path / "e.vec"
     path.write_text("4 2\na 1 0\nb 1 x\nc\t1 0\nd 0 nan\n", encoding="utf-8")
     with pytest.raises(EmbedFormatError, match=r":3: unparseable value$"):
@@ -612,6 +642,54 @@ def test_errors_come_in_line_order(tmp_path, monkeypatch, block_rows):
     path.write_text("4 2\na 1 x\nb 1\x0c2 0\nc 1 0\nd\t1 0\n", encoding="utf-8")
     with pytest.raises(EmbedFormatError, match=r":2: unparseable value$"):
         load_embeddings(path)
+
+
+EDGE_TOKENS = ["don't", "e.g.", "1.5", "-", "perché", "語", "w"]
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, embed_io.READ_BYTES])
+def test_reader_at_read_edges(tmp_path, monkeypatch, size):
+    # reads that split a row or are shorter than one, a last line without a
+    # newline, tokens holding bytes below "0" or beyond ASCII, CRLF rows and
+    # trailing spaces: all read as float() reads each field
+    monkeypatch.setattr(embed_io, "READ_BYTES", size)
+    rng = np.random.default_rng(7)
+    rows, dim = 12, 5
+    tokens = [f"{EDGE_TOKENS[i % len(EDGE_TOKENS)]}{i}" for i in range(rows)]
+    fields = [[repr(v) for v in rng.normal(size=dim).tolist()] for _ in range(rows)]
+    fields[3][1:4] = ["0.5", "1e-05", "-3"]
+    want = bits([[float(v) for v in row] for row in fields]).tolist()
+    path = tmp_path / "e.vec"
+    for ending in ("\n", "\r\n", " \n", "\r \n"):
+        for lead, load in ((True, load_embeddings), (False, load_matrix)):
+            lines = [(f"{t} " if lead else "") + " ".join(row) + ending
+                     for t, row in zip(tokens, fields)]
+            for text in (f"{rows} {dim}\n" + "".join(lines),
+                         f"{rows} {dim}\n" + "".join(lines)[:-1]):
+                path.write_text(text, encoding="utf-8", newline="")
+                got = load(path)
+                if lead:
+                    assert got.vocab.tokens == tuple(tokens)
+                    got = got.matrix
+                assert bits(got).tolist() == want, (ending, text[-3:])
+    # lines are numbered as they appear in the file: a blank line is a row
+    for text, message in (("3 2\n1 0\n\n0 1\n", ":3: expected 2 values, found 1"),
+                          ("2 2\n1 0\n0 1\n\n", ": expected 2 rows, found 3")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EmbedFormatError, match=f"{message}$"):
+            load_matrix(path)
+    # undecodable text in a token or a value raises as the text decoder did;
+    # a bad row before it comes first, and a wrong row count before both
+    for bad in (b"t\xff 1 0\n", b"t 1 0\xff\n", b"t 1 0.\xc3\n"):
+        path.write_bytes(b"3 2\na 1 0\n" + bad + b"c 0 1\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_embeddings(path)
+        path.write_bytes(b"3 2\na 1 x\n" + bad + b"c 0 1\n")
+        with pytest.raises(EmbedFormatError, match=r":2: unparseable value$"):
+            load_embeddings(path)
+        path.write_bytes(b"4 2\na 1 0\n" + bad + b"c 0 1\n")
+        with pytest.raises(EmbedFormatError, match=r"declares 4 rows, found 3$"):
+            load_embeddings(path)
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0661", "1\u0660", "\uff11",
@@ -663,7 +741,7 @@ def test_numpy1_unmatched_text_warning_is_an_error(tmp_path, monkeypatch):
         warnings.simplefilter("ignore")
         assert numpy1_fromstring("1 0.5abc", sep=" ").size == 2
         assert numpy1_fromstring(b"15 05abc", np.int64, sep=" ").tolist() == [15, 5]
-    monkeypatch.setattr(embed_io, "READ_BLOCK_ROWS", 2)
+    monkeypatch.setattr(embed_io, "READ_BYTES", 24)  # the first two rows
     path = tmp_path / "e.vec"
     for rows in ("a 1 0\nb 1 0.5abc\nc 0 1\n", "a 1.5 0.25\nb 1.5 0.5abc\nc 0.5 1.5\n"):
         path.write_text("3 2\n" + rows, encoding="utf-8")

@@ -142,6 +142,26 @@ def test_knn_blocks_match_brute_force(monkeypatch):
             assert np.array_equal(got, want), (seed, k)
 
 
+def test_knn_target_norms_by_blocks(monkeypatch):
+    # the norms of blocks of rows are the whole table's, bit for bit, so knn
+    # ranks and scores as with norms taken of the whole table at once
+    rng = np.random.default_rng(31)
+    m = rng.normal(size=(500, 37)) * 10.0 ** rng.integers(-150, 150, size=(500, 1))
+    t = EmbeddingTable(Vocabulary([f"w{i}" for i in range(500)]), m)
+    queries = rng.normal(size=(30, 37))
+    whole = np.linalg.norm(m, axis=1)
+    for block in (37, 37 * 7 + 3, 1000):
+        monkeypatch.setattr(evaluation, "KNN_BLOCK", block)
+        norms = evaluation._row_norms(m)
+        assert np.array_equal(norms.view(np.uint64), whole.view(np.uint64))
+        rows, sims = knn(queries, t, 10)
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, "_row_norms", lambda a: np.linalg.norm(a, axis=1))
+            want_rows, want_sims = knn(queries, t, 10)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(sims.view(np.uint64), want_sims.view(np.uint64))
+
+
 def test_knn_scale_invariant_query():
     t = random_table(15, 4, seed=4)
     q = np.random.default_rng(5).normal(size=4)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -237,6 +238,29 @@ def test_checkpoint_rejects_version_mismatch(tmp_path):
     path.write_bytes(payload + hashlib.sha256(payload).digest())
     with pytest.raises(CheckpointError, match="version"):
         read_checkpoint(path)
+
+
+def test_checkpoint_reader_errors_and_arrays(tmp_path):
+    # the arrays come back equal, writeable and with memory of their own;
+    # each parse error keeps its message, reached with a valid digest
+    arrays = {"w": np.arange(6.0).reshape(2, 3), "s": np.array([2.5]),
+              "e": np.zeros((0, 4))}
+    path = tmp_path / "c.ckpt"
+    write_checkpoint(path, {"step": 3}, arrays)
+    header, back = read_checkpoint(path)
+    assert header["step"] == 3 and list(back) == list(arrays)
+    for name, want in arrays.items():
+        got = back[name]
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.dtype == np.float64 and got.flags.owndata and got.flags.writeable
+    payload = path.read_bytes()[:-32]
+    for body, message in [(payload[:-8], "truncated checkpoint"),
+                          (payload[:12], "truncated checkpoint"),
+                          (payload + b"\0", "trailing bytes after arrays"),
+                          (b"XLAAE002" + payload[8:], "bad magic bytes")]:
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CheckpointError, match=f": {message}$"):
+            read_checkpoint(path)
 
 
 def test_resume_matches_uninterrupted_run(tables, tmp_path):
