@@ -24,6 +24,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,8 +105,9 @@ def _build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--subsample-threshold", type=float, default=1e-5)
             p.add_argument("--subsample-formula", choices=("code", "paper"),
-                           default="code")
-            p.add_argument("--dropout", type=float, default=0.1)
+                           default="code", dest="formula")
+            p.add_argument("--dropout", type=float, default=0.1,
+                           dest="dropout_rate", metavar="DROPOUT")
             p.add_argument("--leaky-slope", type=float, default=0.01)
             p.add_argument("--normalize", action="store_true",
                            help="unit-normalize embedding rows before training")
@@ -146,8 +148,10 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--components", type=int, default=5)
     p_synth.add_argument("--means-scale", type=float, default=1.0)
     p_synth.add_argument("--cov-scale", type=float, default=1.0)
-    p_synth.add_argument("--noise", type=float, default=0.0)
-    p_synth.add_argument("--zipf", type=float, default=1.0)
+    p_synth.add_argument("--noise", type=float, default=0.0, dest="noise_sigma",
+                         metavar="NOISE")
+    p_synth.add_argument("--zipf", type=float, default=1.0, dest="zipf_exponent",
+                         metavar="ZIPF")
     p_synth.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -158,6 +162,28 @@ def _sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _config(cls, args, **given):
+    """Build the config dataclass ``cls`` from the parsed flags named like
+    its fields; ``given`` supplies the fields no flag sets."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                  if f.name not in given}, **given)
+
+
+def _load_mapping(args, *names):
+    """The mapping of ``--checkpoint`` (or ``--encoder-matrix``), then the
+    tables of the flags ``names``, each checked against its dimension."""
+    if args.checkpoint:
+        encoder, _header = encoder_from_checkpoint(args.checkpoint)
+    else:
+        encoder = EncoderDecoder(load_matrix(args.encoder_matrix))
+    tables = [load_embeddings(getattr(args, name)) for name in names]
+    for name, table in zip(names, tables):
+        if table.dim != encoder.dim:
+            raise UsageError(f"dimension mismatch: --{name} has d={table.dim}, "
+                             f"the mapping d={encoder.dim}")
+    return (encoder, *tables)
 
 
 def _load_pair(args):
@@ -173,11 +199,8 @@ def _load_pair(args):
 
 
 def _write_manifest(out: Path, cfg: TrainConfig, args, command: str) -> None:
-    inputs = {"src": args.src, "tgt": args.tgt}
-    if args.src_freq:
-        inputs["src_freq"] = args.src_freq
-    if args.tgt_freq:
-        inputs["tgt_freq"] = args.tgt_freq
+    inputs = {k: getattr(args, k) for k in ("src", "tgt", "src_freq", "tgt_freq")
+              if getattr(args, k)}
     manifest = {
         "command": command,
         "version": __version__,
@@ -209,35 +232,12 @@ def _cmd_train(args) -> int:
     if args.normalize:
         src = normalize_rows(src)
         tgt = normalize_rows(tgt)
-    block_dim, depth = args.block_dim, args.depth
     if args.preset:
-        preset = PRESETS[args.preset]
-        block_dim, depth = preset["block_dim"], preset["depth"]
-    model = ModelConfig(
-        dim=src.dim,
-        block_dim=block_dim,
-        depth=depth,
-        leaky_slope=args.leaky_slope,
-        dropout_rate=args.dropout,
-    )
-    cfg = TrainConfig(
-        model=model,
-        mode=args.mode,
-        lambda_r=args.lambda_r,
-        lambda_a=args.lambda_a,
-        lambda_c=args.lambda_c,
-        batch_size=args.batch_size,
-        lr_gen=args.lr_gen,
-        lr_disc=args.lr_disc,
-        max_steps=args.max_steps,
-        eval_every=args.eval_every,
-        checkpoint_every=args.checkpoint_every,
-        seed=args.seed,
-        sampler=SamplerConfig(
-            subsample_threshold=args.subsample_threshold,
-            formula=args.subsample_formula,
-        ),
-    )
+        args.block_dim = PRESETS[args.preset]["block_dim"]
+        args.depth = PRESETS[args.preset]["depth"]
+    cfg = _config(TrainConfig, args,
+                  model=_config(ModelConfig, args, dim=src.dim),
+                  sampler=_config(SamplerConfig, args))
     out = Path(args.out)
     _write_manifest(out, cfg, args, "train")
     trainer = Trainer(cfg, src, tgt, src_freq, tgt_freq)
@@ -255,9 +255,7 @@ def _cmd_resume(args) -> int:
                 f"--max-steps {args.max_steps} not beyond checkpoint step "
                 f"{trainer.step_count}"
             )
-        trainer.cfg = TrainConfig.from_dict(
-            {**trainer.cfg.to_dict(), "max_steps": args.max_steps}
-        )
+        trainer.cfg = replace(trainer.cfg, max_steps=args.max_steps)
     out = Path(args.out)
     _write_manifest(out, trainer.cfg, args, "resume")
     final = trainer.run(out_dir=out, on_record=_progress_printer())
@@ -266,12 +264,7 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    encoder, _header = encoder_from_checkpoint(args.checkpoint)
-    src = load_embeddings(args.src)
-    if src.dim != encoder.dim:
-        raise UsageError(
-            f"dimension mismatch: table d={src.dim}, checkpoint d={encoder.dim}"
-        )
+    encoder, src = _load_mapping(args, "src")
     mapped = EmbeddingTable(src.vocab, encoder.map_rows(src.matrix))
     save_embeddings(mapped, args.out)
     print(f"mapped {len(src.vocab)} embeddings -> {args.out}")
@@ -279,11 +272,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_nn(args) -> int:
-    encoder, _header = encoder_from_checkpoint(args.checkpoint)
-    src = load_embeddings(args.src)
-    tgt = load_embeddings(args.tgt)
-    if src.dim != encoder.dim or tgt.dim != encoder.dim:
-        raise UsageError("embedding dimension does not match checkpoint")
+    encoder, src, tgt = _load_mapping(args, "src", "tgt")
     words = [w for w in args.words.split(",") if w]
     if not words:
         raise UsageError("no query words given")
@@ -304,16 +293,7 @@ def _cmd_nn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    src = load_embeddings(args.src)
-    tgt = load_embeddings(args.tgt)
-    if args.checkpoint:
-        encoder, _ = encoder_from_checkpoint(args.checkpoint)
-    else:
-        encoder = EncoderDecoder(load_matrix(args.encoder_matrix))
-    if src.dim != encoder.dim:
-        raise UsageError(
-            f"mapping dimension {encoder.dim} does not match d={src.dim}"
-        )
+    encoder, src, tgt = _load_mapping(args, "src", "tgt")
     dictionary = BilingualDictionary.load(args.dictionary)
     # only the dictionary's source words are ranked, so only they are mapped
     words = [w for w in dictionary.entries if w in src.vocab]
@@ -335,18 +315,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        dim=args.dim,
-        source_size=args.source_size,
-        target_size=args.target_size,
-        components=args.components,
-        means_scale=args.means_scale,
-        cov_scale=args.cov_scale,
-        noise_sigma=args.noise,
-        zipf_exponent=args.zipf,
-        seed=args.seed,
-    )
-    data = synth_generate(spec)
+    data = synth_generate(_config(SyntheticSpec, args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_embeddings(data.src, out / "src.vec")

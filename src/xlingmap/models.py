@@ -48,11 +48,7 @@ def init_orthogonal(d: int, rng: Rng) -> np.ndarray:
     """Uniformly random d x d orthogonal matrix (QR with sign-fixed R)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    a = rng.normal(size=(d, d))
-    q, r = np.linalg.qr(a)
-    s = np.sign(np.diag(r))
-    s[s == 0.0] = 1.0
-    return q * s
+    return init_semi_orthogonal(d, d, rng)
 
 
 def init_semi_orthogonal(rows: int, cols: int, rng: Rng) -> np.ndarray:

@@ -1,11 +1,22 @@
 import json
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xlingmap.cli import main
-from xlingmap.embed_io import load_embeddings, load_matrix, save_embeddings, save_matrix
-from xlingmap.training import read_checkpoint
+from xlingmap.embed_io import (
+    load_embeddings,
+    load_matrix,
+    save_embeddings,
+    save_frequencies,
+    save_matrix,
+)
+from xlingmap.evaluation import SyntheticSpec, synth_generate
+from xlingmap.models import ModelConfig
+from xlingmap.sampling import SamplerConfig
+from xlingmap.training import TrainConfig, read_checkpoint
 
 from conftest import random_table
 
@@ -330,3 +341,110 @@ def test_eval_maps_only_dictionary_source_rows(tmp_path, capsys, monkeypatch):
         "unresolvable": full.unresolvable,
     }
     assert (full.resolvable, full.unresolvable) == (3, 3)
+
+
+def fields_at_default(config):
+    """Names of the fields of a config dataclass, nested configs included,
+    that hold their default value."""
+    names = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            names += [f"{f.name}.{n}" for n in fields_at_default(value)]
+        elif value == f.default:
+            names.append(f.name)
+    return names
+
+
+def test_every_train_config_field_has_a_flag(tmp_path):
+    sp, tp, _, _ = write_tables(tmp_path)
+    out = tmp_path / "run"
+    want = TrainConfig(
+        model=ModelConfig(dim=6, block_dim=5, depth=3, leaky_slope=0.05,
+                          dropout_rate=0.2),
+        mode="gan", lambda_r=0.5, lambda_a=0.25, lambda_c=2.0, batch_size=6,
+        lr_gen=0.002, lr_disc=0.02, max_steps=3, eval_every=2,
+        checkpoint_every=2, seed=11,
+        sampler=SamplerConfig(subsample_threshold=0.001, formula="paper"),
+    )
+    # a field this test leaves at its default is one no flag is shown to reach
+    assert fields_at_default(want) == []
+    assert main([
+        "train", "--src", str(sp), "--tgt", str(tp), "--out", str(out),
+        "--normalize", "--mode", "gan", "--k", "5", "--T", "3", "--n", "6",
+        "--lr-gen", "0.002", "--lr-disc", "0.02", "--lambda-r", "0.5",
+        "--lambda-a", "0.25", "--lambda-c", "2.0", "--max-steps", "3",
+        "--eval-every", "2", "--checkpoint-every", "2", "--seed", "11",
+        "--subsample-threshold", "0.001", "--subsample-formula", "paper",
+        "--dropout", "0.2", "--leaky-slope", "0.05",
+    ]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == want.to_dict()
+    header, _ = read_checkpoint(out / "checkpoint_final.xlaae")
+    assert TrainConfig.from_dict(header["config"]) == want
+
+
+def test_every_synth_spec_field_has_a_flag(tmp_path):
+    spec = SyntheticSpec(dim=5, source_size=30, target_size=25, components=3,
+                         means_scale=2.0, cov_scale=0.5, noise_sigma=0.1,
+                         zipf_exponent=1.5, seed=4)
+    assert fields_at_default(spec) == []
+    out = tmp_path / "cli"
+    assert main(["synth", "--out", str(out), "--dim", "5", "--source-size", "30",
+                 "--target-size", "25", "--components", "3", "--means-scale", "2.0",
+                 "--cov-scale", "0.5", "--noise", "0.1", "--zipf", "1.5",
+                 "--seed", "4"]) == 0
+    data = synth_generate(spec)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    save_embeddings(data.src, ref / "src.vec")
+    save_embeddings(data.tgt, ref / "tgt.vec")
+    save_frequencies(data.src_freq, ref / "src.freq")
+    save_frequencies(data.tgt_freq, ref / "tgt.freq")
+    data.truth.save(ref / "truth.dict")
+    save_matrix(data.map_matrix, ref / "map.txt")
+    for name in ("src.vec", "tgt.vec", "src.freq", "tgt.freq", "truth.dict", "map.txt"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def mismatch_inputs(tmp_path_factory):
+    """A d = 6 checkpoint and encoder matrix, d = 6 tables, d = 4 tables with
+    the same words and a dictionary between the tables."""
+    tmp_path = tmp_path_factory.mktemp("mismatch")
+    sp, tp, _, _ = write_tables(tmp_path)
+    assert main(train_args(sp, tp, tmp_path / "run", max_steps=1)) == 0
+    save_matrix(np.eye(6), tmp_path / "w.txt")
+    for name, prefix in (("src4", "s"), ("tgt4", "t")):
+        save_embeddings(random_table(10, 4, seed=3, prefix=prefix),
+                        tmp_path / f"{name}.vec")
+    (tmp_path / "d.dict").write_text("s0\tt0\ns1\tt1\n", encoding="utf-8")
+    return {"src": str(sp), "tgt": str(tp), "src4": str(tmp_path / "src4.vec"),
+            "tgt4": str(tmp_path / "tgt4.vec"),
+            "checkpoint": str(tmp_path / "run" / "checkpoint_final.xlaae"),
+            "encoder-matrix": str(tmp_path / "w.txt"),
+            "dict": str(tmp_path / "d.dict"), "out": str(tmp_path / "mapped.vec")}
+
+
+@pytest.mark.parametrize("command, mapping, bad", [
+    ("map", "checkpoint", "src"),
+    ("nn", "checkpoint", "src"),
+    ("nn", "checkpoint", "tgt"),
+    ("eval", "checkpoint", "src"),
+    ("eval", "checkpoint", "tgt"),
+    ("eval", "encoder-matrix", "src"),
+    ("eval", "encoder-matrix", "tgt"),
+])
+def test_table_of_another_dimension_than_the_mapping_exits_1(
+        mismatch_inputs, capsys, command, mapping, bad):
+    paths = {**mismatch_inputs, bad: mismatch_inputs[f"{bad}4"]}
+    extra = {"map": ["--src", paths["src"], "--out", paths["out"]],
+             "nn": ["--src", paths["src"], "--tgt", paths["tgt"], "--words", "s0"],
+             "eval": ["--src", paths["src"], "--tgt", paths["tgt"],
+                      "--dict", paths["dict"], "--k", "2"]}[command]
+    capsys.readouterr()
+    assert main([command, f"--{mapping}", paths[mapping], *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: dimension mismatch: --{bad} has d=4, the mapping d=6\n"
+    assert captured.out == ""
+    assert not Path(paths["out"]).exists()
