@@ -5,6 +5,8 @@ transforms a whole embedding table through a trained mapping, ``nn`` prints
 k-best target neighbors for query words, ``eval`` computes dictionary
 precision@k, and ``synth`` generates a synthetic benchmark with known ground
 truth.
+Flags named like config fields have no defaults or choices of their own: the
+configs supply them, and ``--preset`` fills only a ``--k``/``--T`` left out.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numeric failure during
 training. ``XLINGMAP_THREADS`` caps BLAS threads (default 1, keeping runs
@@ -31,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .embed_io import (
-    EmbedFormatError,
     EmbeddingTable,
     Vocabulary,
     load_embeddings,
@@ -50,11 +51,10 @@ from .evaluation import (
     synth_generate,
 )
 from .models import EncoderDecoder, ModelConfig, PRESETS
-from .numerics import NumericsError
 from .optim import NonFiniteGradient
-from .sampling import SamplerConfig
+from .sampling import SUBSAMPLE_FORMULAS, SamplerConfig
 from .training import (
-    CheckpointError,
+    TRAIN_MODES,
     NonFiniteMetric,
     TrainConfig,
     Trainer,
@@ -87,28 +87,28 @@ def _build_parser() -> _Parser:
             p.add_argument("--max-steps", type=int,
                            help="override the step budget stored in the checkpoint")
         else:
-            p.add_argument("--mode", choices=("gan", "aae"), default="aae")
+            p.add_argument("--mode", choices=TRAIN_MODES)
             p.add_argument("--preset", choices=sorted(PRESETS))
-            p.add_argument("--k", type=int, default=40, dest="block_dim",
+            p.add_argument("--k", type=int, dest="block_dim",
                            help="discriminator block width")
-            p.add_argument("--T", type=int, default=10, dest="depth",
+            p.add_argument("--T", type=int, dest="depth",
                            help="discriminator block count")
-            p.add_argument("--n", type=int, default=256, dest="batch_size")
-            p.add_argument("--lr-gen", type=float, default=0.001)
-            p.add_argument("--lr-disc", type=float, default=0.01)
-            p.add_argument("--lambda-r", type=float, default=1.0)
-            p.add_argument("--lambda-a", type=float, default=1.0)
-            p.add_argument("--lambda-c", type=float, default=1.0)
-            p.add_argument("--max-steps", type=int, default=50000)
-            p.add_argument("--eval-every", type=int, default=1000)
-            p.add_argument("--checkpoint-every", type=int, default=10000)
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--subsample-threshold", type=float, default=1e-5)
-            p.add_argument("--subsample-formula", choices=("code", "paper"),
-                           default="code", dest="formula")
-            p.add_argument("--dropout", type=float, default=0.1,
-                           dest="dropout_rate", metavar="DROPOUT")
-            p.add_argument("--leaky-slope", type=float, default=0.01)
+            p.add_argument("--n", type=int, dest="batch_size")
+            p.add_argument("--lr-gen", type=float)
+            p.add_argument("--lr-disc", type=float)
+            p.add_argument("--lambda-r", type=float)
+            p.add_argument("--lambda-a", type=float)
+            p.add_argument("--lambda-c", type=float)
+            p.add_argument("--max-steps", type=int)
+            p.add_argument("--eval-every", type=int)
+            p.add_argument("--checkpoint-every", type=int)
+            p.add_argument("--seed", type=int)
+            p.add_argument("--subsample-threshold", type=float)
+            p.add_argument("--subsample-formula", choices=SUBSAMPLE_FORMULAS,
+                           dest="formula")
+            p.add_argument("--dropout", type=float, dest="dropout_rate",
+                           metavar="DROPOUT")
+            p.add_argument("--leaky-slope", type=float)
             p.add_argument("--normalize", action="store_true",
                            help="unit-normalize embedding rows before training")
 
@@ -142,17 +142,15 @@ def _build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic benchmark")
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--dim", type=int, default=16)
-    p_synth.add_argument("--source-size", type=int, default=2000)
-    p_synth.add_argument("--target-size", type=int, default=2000)
-    p_synth.add_argument("--components", type=int, default=5)
-    p_synth.add_argument("--means-scale", type=float, default=1.0)
-    p_synth.add_argument("--cov-scale", type=float, default=1.0)
-    p_synth.add_argument("--noise", type=float, default=0.0, dest="noise_sigma",
-                         metavar="NOISE")
-    p_synth.add_argument("--zipf", type=float, default=1.0, dest="zipf_exponent",
-                         metavar="ZIPF")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--dim", type=int)
+    p_synth.add_argument("--source-size", type=int)
+    p_synth.add_argument("--target-size", type=int)
+    p_synth.add_argument("--components", type=int)
+    p_synth.add_argument("--means-scale", type=float)
+    p_synth.add_argument("--cov-scale", type=float)
+    p_synth.add_argument("--noise", type=float, dest="noise_sigma", metavar="NOISE")
+    p_synth.add_argument("--zipf", type=float, dest="zipf_exponent", metavar="ZIPF")
+    p_synth.add_argument("--seed", type=int)
     return parser
 
 
@@ -165,10 +163,11 @@ def _sha256_file(path) -> str:
 
 
 def _config(cls, args, **given):
-    """Build the config dataclass ``cls`` from the parsed flags named like
-    its fields; ``given`` supplies the fields no flag sets."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
-                  if f.name not in given}, **given)
+    """Build the config dataclass ``cls`` from the flags named like its
+    fields that were given (not ``None``); ``given`` supplies the fields no
+    flag sets, and the dataclass every other default."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given}
+    return cls(**{name: v for name, v in flags.items() if v is not None}, **given)
 
 
 def _load_mapping(args, *names):
@@ -233,8 +232,9 @@ def _cmd_train(args) -> int:
         src = normalize_rows(src)
         tgt = normalize_rows(tgt)
     if args.preset:
-        args.block_dim = PRESETS[args.preset]["block_dim"]
-        args.depth = PRESETS[args.preset]["depth"]
+        for name in ("block_dim", "depth"):  # a given --k or --T wins
+            if getattr(args, name) is None:
+                setattr(args, name, PRESETS[args.preset][name])
     cfg = _config(TrainConfig, args,
                   model=_config(ModelConfig, args, dim=src.dim),
                   sampler=_config(SamplerConfig, args))
@@ -343,8 +343,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, EmbedFormatError, CheckpointError, NumericsError, OSError,
-            ValueError) as err:
+    except (UsageError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (NonFiniteMetric, NonFiniteGradient) as err:

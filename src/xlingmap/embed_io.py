@@ -251,8 +251,9 @@ def _read_rows(fh, path, out, tokens, mismatch: str) -> None:
         names = [text[a:b].decode() for a, b in
                  zip(starts[:bad].tolist(), (opens - 1).tolist())] if lead else []
         for j, name in enumerate(names):
-            if not name or name in seen:
-                bad, message = j, f"duplicate token {name!r}" if name else "empty token"
+            error = _token_error(name, seen)
+            if error:
+                bad, message = j, error
                 break
             seen.add(name)
         # a value split by \v, \f or \r, which float() strips but numpy's
@@ -475,8 +476,21 @@ def _write_rows(path, header: str, matrix, tokens=None) -> None:
             fh.write(text)
 
 
+def _token_error(token: str, seen) -> str:
+    """Why ``token`` cannot join a vocabulary holding the tokens ``seen``, or
+    ``""``. A token is non-empty, new, and free of every character that
+    ``str.split()`` splits at (``str.isspace()``: besides the ASCII spaces
+    also ``\\x1c``-``\\x1f``, U+0085, U+00A0, U+2028, ...)."""
+    if not token:
+        return "empty token"
+    if token.split() != [token]:
+        return f"token {token!r} contains whitespace"
+    return f"duplicate token {token!r}" if token in seen else ""
+
+
 class Vocabulary:
-    """Ordered set of unique, non-empty, whitespace-free tokens."""
+    """Ordered set of unique, non-empty, whitespace-free tokens
+    (``_token_error``)."""
 
     __slots__ = ("tokens", "_index")
 
@@ -486,12 +500,9 @@ class Vocabulary:
             raise ValueError("vocabulary must contain at least one token")
         index = {}
         for i, tok in enumerate(tokens):
-            if not tok:
-                raise ValueError(f"empty token at position {i}")
-            if tok.split() != [tok]:  # str.split() splits where str.isspace()
-                raise ValueError(f"token {tok!r} contains whitespace")
-            if tok in index:
-                raise ValueError(f"duplicate token {tok!r}")
+            error = _token_error(tok, index)
+            if error:
+                raise ValueError(error if tok else f"{error} at position {i}")
             index[tok] = i
         self.tokens = tokens
         self._index = index

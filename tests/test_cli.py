@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -288,7 +288,13 @@ def test_map_then_nn_consistency(tmp_path, capsys):
     assert abs(sims[0, 0] - float(nn_sim)) < 1e-6
 
 
-def test_preset_flag(tmp_path):
+@pytest.mark.parametrize("shape_flag, block_dim, depth", [
+    ([], 40, 4),
+    (["--T", "2"], 40, 2),
+    (["--k", "8"], 8, 4),
+], ids=["preset only", "--T 2", "--k 8"])
+def test_preset_flag(tmp_path, shape_flag, block_dim, depth):
+    # the preset fills only the shape flags that are left out
     src = random_table(20, 40, seed=4, prefix="s")
     tgt = random_table(20, 40, seed=5, prefix="t")
     sp, tp = tmp_path / "s.vec", tmp_path / "t.vec"
@@ -296,12 +302,14 @@ def test_preset_flag(tmp_path):
     save_embeddings(tgt, tp)
     out = tmp_path / "run"
     rc = main(["train", "--src", str(sp), "--tgt", str(tp), "--out", str(out),
-               "--preset", "de-en", "--n", "8", "--max-steps", "1",
+               "--preset", "de-en", *shape_flag, "--n", "8", "--max-steps", "1",
                "--eval-every", "5", "--checkpoint-every", "5"])
     assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
     header, _ = read_checkpoint(out / "checkpoint_final.xlaae")
-    assert header["config"]["model"]["depth"] == 4
-    assert header["config"]["model"]["block_dim"] == 40
+    for config in (manifest["config"], header["config"]):
+        assert config["model"]["block_dim"] == block_dim
+        assert config["model"]["depth"] == depth
 
 
 def test_eval_maps_only_dictionary_source_rows(tmp_path, capsys, monkeypatch):
@@ -356,7 +364,8 @@ def fields_at_default(config):
     return names
 
 
-def test_every_train_config_field_has_a_flag(tmp_path):
+@pytest.mark.parametrize("case", ["every flag", "defaults"])
+def test_every_train_config_field_has_a_flag(tmp_path, case):
     sp, tp, _, _ = write_tables(tmp_path)
     out = tmp_path / "run"
     want = TrainConfig(
@@ -367,33 +376,41 @@ def test_every_train_config_field_has_a_flag(tmp_path):
         checkpoint_every=2, seed=11,
         sampler=SamplerConfig(subsample_threshold=0.001, formula="paper"),
     )
-    # a field this test leaves at its default is one no flag is shown to reach
-    assert fields_at_default(want) == []
-    assert main([
-        "train", "--src", str(sp), "--tgt", str(tp), "--out", str(out),
+    flags = [
         "--normalize", "--mode", "gan", "--k", "5", "--T", "3", "--n", "6",
         "--lr-gen", "0.002", "--lr-disc", "0.02", "--lambda-r", "0.5",
         "--lambda-a", "0.25", "--lambda-c", "2.0", "--max-steps", "3",
         "--eval-every", "2", "--checkpoint-every", "2", "--seed", "11",
         "--subsample-threshold", "0.001", "--subsample-formula", "paper",
         "--dropout", "0.2", "--leaky-slope", "0.05",
-    ]) == 0
+    ]
+    # a field this test leaves at its default is one no flag is shown to reach
+    assert fields_at_default(want) == []
+    if case == "defaults":
+        # a flag left out leaves its field at the config's default
+        want = replace(TrainConfig(model=ModelConfig(dim=6)), max_steps=1)
+        flags = ["--max-steps", "1"]
+    assert main(["train", "--src", str(sp), "--tgt", str(tp), "--out", str(out),
+                 *flags]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"] == want.to_dict()
     header, _ = read_checkpoint(out / "checkpoint_final.xlaae")
     assert TrainConfig.from_dict(header["config"]) == want
 
 
-def test_every_synth_spec_field_has_a_flag(tmp_path):
+@pytest.mark.parametrize("case", ["every flag", "defaults"])
+def test_every_synth_spec_field_has_a_flag(tmp_path, case):
     spec = SyntheticSpec(dim=5, source_size=30, target_size=25, components=3,
                          means_scale=2.0, cov_scale=0.5, noise_sigma=0.1,
                          zipf_exponent=1.5, seed=4)
+    flags = ["--dim", "5", "--source-size", "30", "--target-size", "25",
+             "--components", "3", "--means-scale", "2.0", "--cov-scale", "0.5",
+             "--noise", "0.1", "--zipf", "1.5", "--seed", "4"]
     assert fields_at_default(spec) == []
+    if case == "defaults":
+        spec, flags = SyntheticSpec(), []
     out = tmp_path / "cli"
-    assert main(["synth", "--out", str(out), "--dim", "5", "--source-size", "30",
-                 "--target-size", "25", "--components", "3", "--means-scale", "2.0",
-                 "--cov-scale", "0.5", "--noise", "0.1", "--zipf", "1.5",
-                 "--seed", "4"]) == 0
+    assert main(["synth", "--out", str(out), *flags]) == 0
     data = synth_generate(spec)
     ref = tmp_path / "ref"
     ref.mkdir()

@@ -559,6 +559,8 @@ MALFORMED_ROWS = {
     "two trailing spaces": ("x 1 0  ", "expected 2 values, found 4"),
     "tab": ("x 1\t0", "tab in row"),
     "duplicate": ("w0 1 0", "duplicate token 'w0'"),
+    "CR in token": ("x\ry 1 0", "token 'x\\ry' contains whitespace"),
+    "NBSP in token": ("x\xa0y 1 0", "token 'x\\xa0y' contains whitespace"),
     "unparseable": ("x 1 0x1", "unparseable value"),
     "empty field": ("x 1  ", "unparseable value"),
     "non-finite": ("x 1 -inf", "non-finite value"),
@@ -583,6 +585,17 @@ def test_block_parse_names_the_same_line(tmp_path, monkeypatch, case, bad_row):
         load_embeddings(path)
     assert str(err.value) == want
 
+
+@pytest.mark.parametrize("read_bytes", [18, embed_io.READ_BYTES])
+def test_token_error_comes_in_line_order(tmp_path, monkeypatch, read_bytes):
+    # a token with whitespace on line 2 is named ahead of a bad value on
+    # line 4, as a row-by-row read meets them, whether one read holds both
+    monkeypatch.setattr(embed_io, "READ_BYTES", read_bytes)
+    path = tmp_path / "e.vec"
+    path.write_text("3 2\na\xa0b 1 0\nw1 1 0\nw2 1 x\n", encoding="utf-8")
+    with pytest.raises(EmbedFormatError) as err:
+        load_embeddings(path)
+    assert str(err.value) == f"{path}:2: token 'a\\xa0b' contains whitespace"
 
 @pytest.mark.parametrize("block_rows", [2, 256])
 def test_row_count_error_comes_before_row_errors(tmp_path, monkeypatch, block_rows):
