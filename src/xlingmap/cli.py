@@ -7,6 +7,9 @@ precision@k, and ``synth`` generates a synthetic benchmark with known ground
 truth.
 Flags named like config fields have no defaults or choices of their own: the
 configs supply them, and ``--preset`` fills only a ``--k``/``--T`` left out.
+Every command reads its embedding tables through ``_load_table``: a table
+file parsed once is read again from its binary sidecar ``<file>.xlcache``
+for as long as the file is unchanged.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numeric failure during
 training. ``XLINGMAP_THREADS`` caps BLAS threads (default 1, keeping runs
@@ -22,10 +25,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ.setdefault(_var, _threads)
 
 import argparse
+import contextlib
 import hashlib
 import json
+import stat
 import sys
 import time
+import zlib
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -170,6 +176,84 @@ def _config(cls, args, **given):
     return cls(**{name: v for name, v in flags.items() if v is not None}, **given)
 
 
+# A sidecar is this line, then "dev ino size mtime_ns ctime_ns rows dim
+# token_bytes crc32" (the table file's stat key, the sizes, the crc32 of what
+# follows), then the tokens joined by "\n" and the matrix as little-endian
+# float64.
+_SIDECAR_MAGIC = b"xlingmap table sidecar 1\n"
+
+
+def _file_key(path):
+    """The stat key of ``path`` if it is a regular file, else ``None``."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _read_sidecar(sidecar: Path, key):
+    """The table in ``sidecar`` if it was written under ``key``, is whole
+    (sizes and crc32 match) and passes the table checks; else ``None``."""
+    try:
+        with open(sidecar, "rb") as fh:
+            if fh.readline(len(_SIDECAR_MAGIC)) != _SIDECAR_MAGIC:
+                return None
+            *got, rows, dim, token_bytes, crc = map(int, fh.readline(256).split())
+            if (got != key or rows < 1 or dim < 1 or token_bytes < 1
+                    or os.fstat(fh.fileno()).st_size
+                    != fh.tell() + token_bytes + 8 * rows * dim):
+                return None
+            tokens = fh.read(token_bytes)
+            matrix = np.empty((rows, dim), dtype="<f8")
+            if fh.readinto(matrix) != matrix.nbytes:
+                return None
+        if zlib.crc32(matrix, zlib.crc32(tokens)) != crc:
+            return None
+        return EmbeddingTable(Vocabulary(tokens.decode().split("\n")), matrix)
+    except (OSError, ValueError):
+        return None
+
+
+def _write_sidecar(sidecar: Path, key, table: EmbeddingTable) -> None:
+    """Write ``table`` to ``sidecar`` under ``key`` through a temporary file
+    moved into place. A sidecar only saves time, so a failed write leaves
+    no file behind and is not an error."""
+    tokens = "\n".join(table.vocab.tokens).encode()
+    matrix = np.ascontiguousarray(table.matrix, dtype="<f8")
+    header = [*key, *matrix.shape, len(tokens), zlib.crc32(matrix, zlib.crc32(tokens))]
+    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_SIDECAR_MAGIC + " ".join(map(str, header)).encode() + b"\n")
+            fh.write(tokens)
+            fh.write(matrix)
+        os.replace(tmp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _load_table(path) -> EmbeddingTable:
+    """``load_embeddings(path)``, read from the sidecar ``<path>.xlcache``
+    when that was written from the file as it is now. Otherwise the file is
+    parsed, and if it is a regular file whose stat key did not change during
+    the parse, its table goes to the sidecar. A file rewritten since gets a
+    new key (size, mtime or ctime), as long as the filesystem's timestamps
+    tell two writes apart."""
+    path = Path(path)
+    sidecar = path.with_name(path.name + ".xlcache")
+    key = _file_key(path)
+    table = _read_sidecar(sidecar, key) if key else None
+    if table is None:
+        table = load_embeddings(path)
+        if key and _file_key(path) == key:
+            _write_sidecar(sidecar, key, table)
+    return table
+
+
 def _load_mapping(args, *names):
     """The mapping of ``--checkpoint`` (or ``--encoder-matrix``), then the
     tables of the flags ``names``, each checked against its dimension."""
@@ -177,7 +261,7 @@ def _load_mapping(args, *names):
         encoder, _header = encoder_from_checkpoint(args.checkpoint)
     else:
         encoder = EncoderDecoder(load_matrix(args.encoder_matrix))
-    tables = [load_embeddings(getattr(args, name)) for name in names]
+    tables = [_load_table(getattr(args, name)) for name in names]
     for name, table in zip(names, tables):
         if table.dim != encoder.dim:
             raise UsageError(f"dimension mismatch: --{name} has d={table.dim}, "
@@ -186,8 +270,8 @@ def _load_mapping(args, *names):
 
 
 def _load_pair(args):
-    src = load_embeddings(args.src)
-    tgt = load_embeddings(args.tgt)
+    src = _load_table(args.src)
+    tgt = _load_table(args.tgt)
     if src.dim != tgt.dim:
         raise UsageError(
             f"dimension mismatch: src has d={src.dim}, tgt has d={tgt.dim}"

@@ -175,14 +175,15 @@ class Discriminator:
                 centered = z - running_mean
             y = np.multiply(centered, gamma.value * (inv * scale), out=a_out)
             y += beta.value * scale
-            positive = y >= 0.0
+            # the sign pattern is all backward needs from the pre-activation
+            positive = y >= 0.0 if training else None
             a = np.maximum(y, cfg.leaky_slope * y, out=y)
             kept = None
             if rate != 0.0:
                 kept = rng.keep_mask(a.shape, rate)
                 a *= kept
-            # the sign pattern is all backward needs from the pre-activation
-            steps.append((h, centered, inv, positive, kept))
+            if training:
+                steps.append((h, centered, inv, positive, kept))
             h = np.add(a, h, out=a)
         p = sigmoid(h @ self.output.value + self.output_bias.value)
         np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 
 from xlingmap.cli import main
 from xlingmap.embed_io import (
+    EmbeddingTable,
     load_embeddings,
     load_matrix,
     save_embeddings,
@@ -16,7 +19,7 @@ from xlingmap.embed_io import (
 from xlingmap.evaluation import SyntheticSpec, synth_generate
 from xlingmap.models import ModelConfig
 from xlingmap.sampling import SamplerConfig
-from xlingmap.training import TrainConfig, read_checkpoint
+from xlingmap.training import TrainConfig, encoder_from_checkpoint, read_checkpoint
 
 from conftest import random_table
 
@@ -75,11 +78,13 @@ def test_train_rejects_model_settings_before_manifest(tmp_path, capsys):
         assert not (out / "manifest.json").exists()
 
 
-def test_train_twice_same_seed_identical_checkpoints(tmp_path):
+def test_train_twice_same_seed_identical_checkpoints(tmp_path, parses):
     sp, tp, _, _ = write_tables(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(train_args(sp, tp, out1)) == 0
     assert main(train_args(sp, tp, out2)) == 0
+    # the second run reads both tables from their sidecars
+    assert parses == ["src.vec", "tgt.vec"]
     a = (out1 / "checkpoint_final.xlaae").read_bytes()
     b = (out2 / "checkpoint_final.xlaae").read_bytes()
     assert a == b
@@ -94,7 +99,7 @@ def test_train_dim_mismatch_exits_1(tmp_path, capsys):
     assert "dimension mismatch" in capsys.readouterr().err
 
 
-def test_resume_continues(tmp_path):
+def test_resume_continues(tmp_path, parses):
     sp, tp, _, _ = write_tables(tmp_path)
     out1 = tmp_path / "r1"
     assert main(train_args(sp, tp, out1)) == 0
@@ -114,6 +119,8 @@ def test_resume_continues(tmp_path):
     resumed = (out2 / "checkpoint_final.xlaae").read_bytes()
     straight = (out3 / "checkpoint_final.xlaae").read_bytes()
     assert resumed == straight
+    # resume and the second train read the tables from their sidecars
+    assert parses == ["src.vec", "tgt.vec"]
 
 
 def test_map_identity_checkpoint_round_trips(tmp_path):
@@ -465,3 +472,228 @@ def test_table_of_another_dimension_than_the_mapping_exits_1(
     assert captured.err == f"error: dimension mismatch: --{bad} has d=4, the mapping d=6\n"
     assert captured.out == ""
     assert not Path(paths["out"]).exists()
+
+
+# -- table sidecars -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sidecar_checkpoint(tmp_path_factory):
+    """A checkpoint for the d = 6 tables of ``write_tables``."""
+    tmp_path = tmp_path_factory.mktemp("sidecar")
+    sp, tp, _, _ = write_tables(tmp_path)
+    assert main(train_args(sp, tp, tmp_path / "run", max_steps=3)) == 0
+    return str(tmp_path / "run" / "checkpoint_final.xlaae")
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Names of the table files the commands parse, in order; a table read
+    from its sidecar is not parsed."""
+    from xlingmap import cli
+
+    names = []
+
+    def recording(path):
+        names.append(Path(path).name)
+        return load_embeddings(path)
+
+    monkeypatch.setattr(cli, "load_embeddings", recording)
+    return names
+
+
+def table_commands(checkpoint, sp, tp, tmp_path):
+    dict_path = tmp_path / "d.dict"
+    dict_path.write_text("s0\tt0\ns1\tt1\ns2\tt5\ns3\tt3\nzz\tt2\n", encoding="utf-8")
+    common = ["--checkpoint", checkpoint, "--src", str(sp)]
+    return {
+        "nn": ["nn", *common, "--tgt", str(tp), "--words", "s0,s3,s7", "--k", "5"],
+        "eval": ["eval", *common, "--tgt", str(tp), "--dict", str(dict_path), "--k", "3"],
+        "map": ["map", *common, "--out", str(tmp_path / "mapped.vec")],
+    }
+
+
+def run_command(capsys, argv):
+    """Exit code, stdout and stderr of one command, plus the bytes of the
+    file it writes to ``--out``."""
+    capsys.readouterr()
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    written = Path(argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else None
+    return rc, out, err, written
+
+
+def age(path):
+    """Set ``path``'s mtime an hour back, so that its next write gets another
+    timestamp even where the filesystem clock is coarse: the sidecar relies
+    on timestamps telling two writes apart."""
+    mtime = os.stat(path).st_mtime_ns - 3600 * 10**9
+    os.utime(path, ns=(mtime, mtime))
+
+
+@pytest.mark.parametrize("command", ["nn", "eval", "map"])
+def test_warm_command_reads_the_sidecars_and_gives_the_same_bytes(
+        tmp_path, capsys, parses, sidecar_checkpoint, command):
+    sp, tp, _, _ = write_tables(tmp_path)
+    argv = table_commands(sidecar_checkpoint, sp, tp, tmp_path)[command]
+    names = ["src.vec"] if command == "map" else ["src.vec", "tgt.vec"]
+    cold = run_command(capsys, argv)
+    assert cold[0] == 0 and parses == names
+    assert sorted(p.name for p in tmp_path.glob("*.xlcache*")) == [
+        f"{name}.xlcache" for name in names]
+    parses.clear()
+    assert run_command(capsys, argv) == cold
+    assert parses == []
+
+
+def test_sidecar_table_is_the_parsed_table(tmp_path, parses):
+    from xlingmap.cli import _load_table
+
+    sp, _, _, _ = write_tables(tmp_path)
+    cold, warm = _load_table(sp), _load_table(sp)
+    assert parses == ["src.vec"]
+    want = load_embeddings(sp)
+    for table in (cold, warm):
+        assert table.vocab.tokens == want.vocab.tokens
+        assert table.matrix.dtype == np.float64
+        assert table.matrix.tobytes() == want.matrix.tobytes()
+        assert not table.matrix.flags.writeable
+
+
+def test_rewrite_of_the_same_size_is_parsed_again(tmp_path, capsys, parses,
+                                                  sidecar_checkpoint):
+    sp, tp, _, _ = write_tables(tmp_path)
+    age(sp)
+    argv = table_commands(sidecar_checkpoint, sp, tp, tmp_path)["nn"]
+    assert run_command(capsys, argv)[0] == 0
+    # the same bytes with the rows of s1 and s2 swapped, written in place
+    lines = sp.read_bytes().splitlines(keepends=True)
+    lines[2], lines[3] = lines[3], lines[2]
+    before = os.stat(sp)
+    sp.write_bytes(b"".join(lines))
+    assert (os.stat(sp).st_ino, os.stat(sp).st_size) == (before.st_ino, before.st_size)
+    parses.clear()
+    got = run_command(capsys, argv)
+    assert parses == ["src.vec"]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    (fresh / "src.vec").write_bytes(sp.read_bytes())
+    want = run_command(capsys, table_commands(sidecar_checkpoint, fresh / "src.vec",
+                                              tp, fresh)["nn"])
+    assert got == want
+
+
+def test_map_onto_its_own_src_is_parsed_again(tmp_path, capsys, parses,
+                                              sidecar_checkpoint):
+    sp, _, _, _ = write_tables(tmp_path)
+    age(sp)
+    ref = tmp_path / "ref.vec"
+    ref.write_bytes(sp.read_bytes())
+    encoder, _ = encoder_from_checkpoint(sidecar_checkpoint)
+    for _ in range(2):
+        assert main(["map", "--checkpoint", sidecar_checkpoint, "--src", str(sp),
+                     "--out", str(sp)]) == 0
+        table = load_embeddings(ref)
+        save_embeddings(EmbeddingTable(table.vocab, encoder.map_rows(table.matrix)), ref)
+    assert parses == ["src.vec", "src.vec"]
+    assert sp.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "bit flip", "foreign magic"])
+def test_damaged_sidecar_is_ignored_and_replaced(tmp_path, capsys, parses,
+                                                 sidecar_checkpoint, damage):
+    sp, tp, _, _ = write_tables(tmp_path)
+    argv = table_commands(sidecar_checkpoint, sp, tp, tmp_path)["nn"]
+    cold = run_command(capsys, argv)
+    sidecar = tmp_path / "src.vec.xlcache"
+    good = sidecar.read_bytes()
+    sidecar.write_bytes({"truncated": good[:-1],
+                         "bit flip": good[:-1] + bytes([good[-1] ^ 1]),
+                         "foreign magic": b"X" + good[1:]}[damage])
+    parses.clear()
+    assert run_command(capsys, argv) == cold
+    assert parses == ["src.vec"]
+    assert sidecar.read_bytes() == good
+
+
+def test_no_damaged_sidecar_is_read(tmp_path):
+    from xlingmap.cli import _file_key, _load_table, _read_sidecar
+
+    sp, _, _, _ = write_tables(tmp_path, n=5, d=3)
+    _load_table(sp)
+    sidecar = tmp_path / "src.vec.xlcache"
+    good = sidecar.read_bytes()
+    key = _file_key(sp)
+    assert _read_sidecar(sidecar, key) is not None
+    for i in range(len(good)):
+        sidecar.write_bytes(good[:i] + bytes([good[i] ^ 1 << i % 8]) + good[i + 1:])
+        assert _read_sidecar(sidecar, key) is None, f"flip in byte {i}"
+    # a header claiming more rows than the file holds is refused before the
+    # matrix is allocated
+    magic, header, rest = good.split(b"\n", 2)
+    fields = header.split()
+    fields[-4] = b"%d" % 10**12
+    sidecar.write_bytes(b"\n".join([magic, b" ".join(fields), rest]))
+    assert _read_sidecar(sidecar, key) is None
+
+
+def test_malformed_table_names_its_line_and_leaves_no_sidecar(tmp_path, capsys,
+                                                              sidecar_checkpoint):
+    sp, tp, _, _ = write_tables(tmp_path)
+    good = sp.read_bytes()
+    lines = good.splitlines(keepends=True)
+    lines[2] = b"s1" + b" oops" * 6 + b"\n"
+    bad = b"".join(lines)
+    argv = table_commands(sidecar_checkpoint, sp, tp, tmp_path)["nn"]
+    sidecar = tmp_path / "src.vec.xlcache"
+
+    def fails_at_line_3():
+        rc, out, err, _ = run_command(capsys, argv)
+        return (rc, out, err.split(": ")[:2]) == (1, "", ["error", f"{sp}:3"])
+
+    sp.write_bytes(bad)
+    assert fails_at_line_3() and not sidecar.exists()
+    # a table with a sidecar, rewritten malformed
+    sp.write_bytes(good)
+    assert run_command(capsys, argv)[0] == 0 and sidecar.exists()
+    sp.write_bytes(bad)
+    assert fails_at_line_3()
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_sidecar_write_leaves_no_file(tmp_path, capsys, monkeypatch, parses,
+                                             sidecar_checkpoint, failure):
+    from xlingmap import cli
+
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(bytes(data)[:7])
+            no_space()
+
+    def opening(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return FullDisk(fh) if "w" in mode else fh
+
+    if failure == "write":
+        monkeypatch.setattr(cli, "open", opening, raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "replace", no_space)
+    sp, tp, _, _ = write_tables(tmp_path)
+    argv = table_commands(sidecar_checkpoint, sp, tp, tmp_path)["nn"]
+    first = run_command(capsys, argv)
+    assert first[0] == 0 and first[2] == ""
+    assert run_command(capsys, argv) == first
+    assert parses == ["src.vec", "tgt.vec"] * 2
+    assert list(tmp_path.glob("*.xlcache*")) == []
