@@ -7,9 +7,12 @@ precision@k, and ``synth`` generates a synthetic benchmark with known ground
 truth.
 Flags named like config fields have no defaults or choices of their own: the
 configs supply them, and ``--preset`` fills only a ``--k``/``--T`` left out.
-Every command reads its embedding tables through ``_load_table``: a table
-file parsed once is read again from its binary sidecar ``<file>.xlcache``
-for as long as the file is unchanged.
+Each command is one entry of ``_COMMANDS`` (help line, flag builder,
+handler), and the parser is built for the invoked command only: every
+command's name and help line, but only that command's flags. Every command
+reads its embedding tables through ``_load_table``: a table file parsed once
+is read again from its binary sidecar ``<file>.xlcache`` for as long as the
+file is unchanged.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numeric failure during
 training. ``XLINGMAP_THREADS`` caps BLAS threads (default 1, keeping runs
@@ -75,89 +78,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="xlingmap", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_train_flags(p, resume: bool):
-        p.add_argument("--src", required=True, help="source embedding file")
-        p.add_argument("--tgt", required=True, help="target embedding file")
-        p.add_argument("--src-freq", help="source frequency TSV")
-        p.add_argument("--tgt-freq", help="target frequency TSV")
-        p.add_argument("--out", required=True, help="output directory")
-        if resume:
-            p.add_argument("--checkpoint", required=True)
-            p.add_argument("--max-steps", type=int,
-                           help="override the step budget stored in the checkpoint")
-        else:
-            p.add_argument("--mode", choices=TRAIN_MODES)
-            p.add_argument("--preset", choices=sorted(PRESETS))
-            p.add_argument("--k", type=int, dest="block_dim",
-                           help="discriminator block width")
-            p.add_argument("--T", type=int, dest="depth",
-                           help="discriminator block count")
-            p.add_argument("--n", type=int, dest="batch_size")
-            p.add_argument("--lr-gen", type=float)
-            p.add_argument("--lr-disc", type=float)
-            p.add_argument("--lambda-r", type=float)
-            p.add_argument("--lambda-a", type=float)
-            p.add_argument("--lambda-c", type=float)
-            p.add_argument("--max-steps", type=int)
-            p.add_argument("--eval-every", type=int)
-            p.add_argument("--checkpoint-every", type=int)
-            p.add_argument("--seed", type=int)
-            p.add_argument("--subsample-threshold", type=float)
-            p.add_argument("--subsample-formula", choices=SUBSAMPLE_FORMULAS,
-                           dest="formula")
-            p.add_argument("--dropout", type=float, dest="dropout_rate",
-                           metavar="DROPOUT")
-            p.add_argument("--leaky-slope", type=float)
-            p.add_argument("--normalize", action="store_true",
-                           help="unit-normalize embedding rows before training")
-
-    add_train_flags(sub.add_parser("train", help="train a mapping"), resume=False)
-    add_train_flags(sub.add_parser("resume", help="resume from a checkpoint"),
-                    resume=True)
-
-    p_map = sub.add_parser("map", help="map a source table through a checkpoint")
-    p_map.add_argument("--checkpoint", required=True)
-    p_map.add_argument("--src", required=True)
-    p_map.add_argument("--out", required=True, help="output embedding file")
-
-    p_nn = sub.add_parser("nn", help="k-best target neighbors for query words")
-    p_nn.add_argument("--checkpoint", required=True)
-    p_nn.add_argument("--src", required=True)
-    p_nn.add_argument("--tgt", required=True)
-    p_nn.add_argument("--words", required=True,
-                      help="comma-separated source query words")
-    p_nn.add_argument("--k", type=int, default=10)
-
-    p_eval = sub.add_parser("eval", help="dictionary precision@k")
-    group = p_eval.add_mutually_exclusive_group(required=True)
-    group.add_argument("--checkpoint")
-    group.add_argument("--encoder-matrix",
-                       help="text matrix file to use as the mapping weight")
-    p_eval.add_argument("--src", required=True)
-    p_eval.add_argument("--tgt", required=True)
-    p_eval.add_argument("--dict", required=True, dest="dictionary")
-    p_eval.add_argument("--k", type=int, default=10)
-    p_eval.add_argument("--out", help="write the JSON report here as well")
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic benchmark")
-    p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--dim", type=int)
-    p_synth.add_argument("--source-size", type=int)
-    p_synth.add_argument("--target-size", type=int)
-    p_synth.add_argument("--components", type=int)
-    p_synth.add_argument("--means-scale", type=float)
-    p_synth.add_argument("--cov-scale", type=float)
-    p_synth.add_argument("--noise", type=float, dest="noise_sigma", metavar="NOISE")
-    p_synth.add_argument("--zipf", type=float, dest="zipf_exponent", metavar="ZIPF")
-    p_synth.add_argument("--seed", type=int)
-    return parser
 
 
 def _sha256_file(path) -> str:
@@ -310,6 +230,43 @@ def _progress_printer():
     return on_record
 
 
+def _run_flags(p) -> None:
+    """The tables and output directory of ``train`` and ``resume``."""
+    p.add_argument("--src", required=True, help="source embedding file")
+    p.add_argument("--tgt", required=True, help="target embedding file")
+    p.add_argument("--src-freq", help="source frequency TSV")
+    p.add_argument("--tgt-freq", help="target frequency TSV")
+    p.add_argument("--out", required=True, help="output directory")
+
+
+def _train_flags(p) -> None:
+    _run_flags(p)
+    p.add_argument("--mode", choices=TRAIN_MODES)
+    p.add_argument("--preset", choices=sorted(PRESETS))
+    p.add_argument("--k", type=int, dest="block_dim",
+                   help="discriminator block width")
+    p.add_argument("--T", type=int, dest="depth",
+                   help="discriminator block count")
+    p.add_argument("--n", type=int, dest="batch_size")
+    p.add_argument("--lr-gen", type=float)
+    p.add_argument("--lr-disc", type=float)
+    p.add_argument("--lambda-r", type=float)
+    p.add_argument("--lambda-a", type=float)
+    p.add_argument("--lambda-c", type=float)
+    p.add_argument("--max-steps", type=int)
+    p.add_argument("--eval-every", type=int)
+    p.add_argument("--checkpoint-every", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--subsample-threshold", type=float)
+    p.add_argument("--subsample-formula", choices=SUBSAMPLE_FORMULAS,
+                   dest="formula")
+    p.add_argument("--dropout", type=float, dest="dropout_rate",
+                   metavar="DROPOUT")
+    p.add_argument("--leaky-slope", type=float)
+    p.add_argument("--normalize", action="store_true",
+                   help="unit-normalize embedding rows before training")
+
+
 def _cmd_train(args) -> int:
     src, tgt, src_freq, tgt_freq = _load_pair(args)
     if args.normalize:
@@ -330,6 +287,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _resume_flags(p) -> None:
+    _run_flags(p)
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--max-steps", type=int,
+                   help="override the step budget stored in the checkpoint")
+
+
 def _cmd_resume(args) -> int:
     src, tgt, src_freq, tgt_freq = _load_pair(args)
     trainer = Trainer.resume(args.checkpoint, src, tgt, src_freq, tgt_freq)
@@ -347,12 +311,27 @@ def _cmd_resume(args) -> int:
     return 0
 
 
+def _map_flags(p) -> None:
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--src", required=True)
+    p.add_argument("--out", required=True, help="output embedding file")
+
+
 def _cmd_map(args) -> int:
     encoder, src = _load_mapping(args, "src")
     mapped = EmbeddingTable(src.vocab, encoder.map_rows(src.matrix))
     save_embeddings(mapped, args.out)
     print(f"mapped {len(src.vocab)} embeddings -> {args.out}")
     return 0
+
+
+def _nn_flags(p) -> None:
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--src", required=True)
+    p.add_argument("--tgt", required=True)
+    p.add_argument("--words", required=True,
+                   help="comma-separated source query words")
+    p.add_argument("--k", type=int, default=10)
 
 
 def _cmd_nn(args) -> int:
@@ -374,6 +353,18 @@ def _cmd_nn(args) -> int:
         for rank, (row, sim) in enumerate(zip(top, top_sims), start=1):
             print(f"{word}\t{rank}\t{tgt.vocab.tokens[row]}\t{sim:.6f}")
     return 0
+
+
+def _eval_flags(p) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--checkpoint")
+    group.add_argument("--encoder-matrix",
+                       help="text matrix file to use as the mapping weight")
+    p.add_argument("--src", required=True)
+    p.add_argument("--tgt", required=True)
+    p.add_argument("--dict", required=True, dest="dictionary")
+    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--out", help="write the JSON report here as well")
 
 
 def _cmd_eval(args) -> int:
@@ -398,6 +389,19 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _synth_flags(p) -> None:
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--source-size", type=int)
+    p.add_argument("--target-size", type=int)
+    p.add_argument("--components", type=int)
+    p.add_argument("--means-scale", type=float)
+    p.add_argument("--cov-scale", type=float)
+    p.add_argument("--noise", type=float, dest="noise_sigma", metavar="NOISE")
+    p.add_argument("--zipf", type=float, dest="zipf_exponent", metavar="ZIPF")
+    p.add_argument("--seed", type=int)
+
+
 def _cmd_synth(args) -> int:
     data = synth_generate(_config(SyntheticSpec, args))
     out = Path(args.out)
@@ -412,21 +416,38 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+# Each command's help line, the function adding its flags, and its handler.
 _COMMANDS = {
-    "train": _cmd_train,
-    "resume": _cmd_resume,
-    "map": _cmd_map,
-    "nn": _cmd_nn,
-    "eval": _cmd_eval,
-    "synth": _cmd_synth,
+    "train": ("train a mapping", _train_flags, _cmd_train),
+    "resume": ("resume from a checkpoint", _resume_flags, _cmd_resume),
+    "map": ("map a source table through a checkpoint", _map_flags, _cmd_map),
+    "nn": ("k-best target neighbors for query words", _nn_flags, _cmd_nn),
+    "eval": ("dictionary precision@k", _eval_flags, _cmd_eval),
+    "synth": ("generate a synthetic benchmark", _synth_flags, _cmd_synth),
 }
 
 
+def _build_parser(command) -> _Parser:
+    """The parser of every command's name and help line, and of the flags
+    of ``command`` alone (of none if ``command`` names no command)."""
+    parser = _Parser(prog="xlingmap", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_flags(p)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no top-level option takes a value, so the command is the first
+    # argument that is not an option
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (UsageError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -498,12 +498,23 @@ class Vocabulary:
         tokens = tuple(tokens)
         if not tokens:
             raise ValueError("vocabulary must contain at least one token")
-        index = {}
-        for i, tok in enumerate(tokens):
-            error = _token_error(tok, index)
-            if error:
-                raise ValueError(error if tok else f"{error} at position {i}")
-            index[tok] = i
+        # one pass for the whole rule: the tokens are all new if the index has
+        # one entry each, and all non-empty and whitespace-free if splitting
+        # them joined gives them back; only a failure is looked for token by
+        # token, to raise the first error
+        try:
+            index = dict(zip(tokens, range(len(tokens))))
+            valid = (len(index) == len(tokens)
+                     and "\n".join(tokens).split() == list(tokens))
+        except TypeError:  # a token that is not a str, or not hashable
+            valid = False
+        if not valid:
+            index = {}
+            for i, tok in enumerate(tokens):
+                error = _token_error(tok, index)
+                if error:
+                    raise ValueError(error if tok else f"{error} at position {i}")
+                index[tok] = i
         self.tokens = tokens
         self._index = index
 

@@ -1,6 +1,8 @@
 import errno
 import json
 import os
+import re
+import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -46,13 +48,76 @@ def train_args(sp, tp, out, **extra):
     return args
 
 
+# Every flag each command accepts, and the top level's.
+FLAGS = {
+    None: ["--help", "--version"],
+    "train": ["--src", "--tgt", "--src-freq", "--tgt-freq", "--out", "--mode",
+              "--preset", "--k", "--T", "--n", "--lr-gen", "--lr-disc",
+              "--lambda-r", "--lambda-a", "--lambda-c", "--max-steps",
+              "--eval-every", "--checkpoint-every", "--seed",
+              "--subsample-threshold", "--subsample-formula", "--dropout",
+              "--leaky-slope", "--normalize"],
+    "resume": ["--src", "--tgt", "--src-freq", "--tgt-freq", "--out",
+               "--checkpoint", "--max-steps"],
+    "map": ["--checkpoint", "--src", "--out"],
+    "nn": ["--checkpoint", "--src", "--tgt", "--words", "--k"],
+    "eval": ["--checkpoint", "--encoder-matrix", "--src", "--tgt", "--dict",
+             "--k", "--out"],
+    "synth": ["--out", "--dim", "--source-size", "--target-size", "--components",
+              "--means-scale", "--cov-scale", "--noise", "--zipf", "--seed"],
+}
+
+
+@pytest.mark.parametrize("command", FLAGS, ids=lambda c: c or "top")
+def test_help_exits_0_and_lists_every_flag(capsys, command):
+    argv = [command, "--help"] if command else ["--help"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    want = set(FLAGS[command]) | ({"--help"} if command else set())
+    assert set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", out)) == want
+    if command is None:  # every command, with its help line
+        for name, line in [("train", "train a mapping"),
+                           ("resume", "resume from a checkpoint"),
+                           ("map", "map a source table through a checkpoint"),
+                           ("nn", "k-best target neighbors for query words"),
+                           ("eval", "dictionary precision@k"),
+                           ("synth", "generate a synthetic benchmark")]:
+            assert re.search(rf"^    {name} +{re.escape(line)}$", out, re.M), name
+
+
 def test_missing_required_flag_exits_1(capsys):
     assert main(["train", "--tgt", "x.vec", "--out", "o"]) == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: the following arguments are required: --src\n")
+    required = {
+        "train": "--src, --tgt, --out",
+        "resume": "--src, --tgt, --out, --checkpoint",
+        "map": "--checkpoint, --src, --out",
+        "nn": "--checkpoint, --src, --tgt, --words",
+        "eval": "--src, --tgt, --dict",
+        "synth": "--out",
+    }
+    for command, flags in required.items():
+        # an unknown option ahead of the command is reported after these
+        for argv in ([command], ["-x", command]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: the following arguments are required: {flags}\n")
+    given = ["--src", "s", "--tgt", "t", "--dict", "d"]
+    assert main(["eval", *given]) == 1
+    assert capsys.readouterr().err == (
+        "error: one of the arguments --checkpoint --encoder-matrix is required\n")
 
 
-def test_unknown_command_exits_1():
-    assert main(["frobnicate"]) == 1
+def test_unknown_command_exits_1(capsys):
+    # how argparse quotes the choices differs between Python versions
+    names = r"\W+".join(["train", "resume", "map", "nn", "eval", "synth"])
+    for argv in (["frobnicate"], ["frobnicate", "--src", "x"], ["frobnicate", "nn"]):
+        assert main(argv) == 1
+        assert re.fullmatch(r"error: argument command: invalid choice: '?frobnicate'? "
+                            rf"\(choose from \W*{names}\W*\)\n", capsys.readouterr().err)
 
 
 def test_train_writes_artifacts(tmp_path, capsys):
@@ -521,6 +586,19 @@ def run_command(capsys, argv):
     out, err = capsys.readouterr()
     written = Path(argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else None
     return rc, out, err, written
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch,
+                                          sidecar_checkpoint):
+    # the console script calls main() with no arguments
+    sp, tp, _, _ = write_tables(tmp_path)
+    argv = table_commands(sidecar_checkpoint, sp, tp, tmp_path)["nn"]
+    assert main(argv) == 0
+    want = capsys.readouterr()
+    assert len(want.out.splitlines()) == 3 * 5
+    monkeypatch.setattr(sys, "argv", ["xlingmap", *argv])
+    assert main() == 0
+    assert capsys.readouterr() == want
 
 
 def age(path):

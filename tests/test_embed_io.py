@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -128,6 +129,66 @@ def test_every_whitespace_character_rejected_in_tokens():
     # and every other character below U+3001 is accepted
     others = [chr(i) for i in range(0x3001) if not chr(i).isspace()]
     assert len(Vocabulary(["a" + c + "b" for c in others])) == len(others)
+
+
+def first_token_error(tokens):
+    """The error the token rule names first, read token by token."""
+    seen = set()
+    for i, tok in enumerate(tokens):
+        if not tok:
+            return f"empty token at position {i}"
+        if any(c.isspace() for c in tok):
+            return f"token {tok!r} contains whitespace"
+        if tok in seen:
+            return f"duplicate token {tok!r}"
+        seen.add(tok)
+    return None
+
+
+def test_first_bad_token_is_named_whatever_the_order():
+    good = [f"w{i}" for i in range(8)]
+    bad = ["", "a\x1cb", "b\xa0c", "w1"]  # empty, two whitespaces, a duplicate
+    for order in itertools.permutations(bad):
+        for at in ([0, 3, 5, 9], [2, 4, 6, 11], [8, 9, 10, 11]):
+            tokens = list(good)
+            for i, tok in sorted(zip(at, order)):
+                tokens.insert(i, tok)
+            want = first_token_error(tokens)
+            assert want is not None
+            with pytest.raises(ValueError) as err:
+                Vocabulary(tokens)
+            assert str(err.value) == want
+    # a whitespace token repeated is named for its whitespace
+    with pytest.raises(ValueError, match=r"^token 'a\\x1cb' contains whitespace$"):
+        Vocabulary(["x", "a\x1cb", "a\x1cb"])
+
+
+@pytest.mark.parametrize("token, error, message", [
+    (5, AttributeError, "'int' object has no attribute 'split'"),
+    (["x"], AttributeError, "'list' object has no attribute 'split'"),
+    (None, ValueError, "empty token at position 1"),
+], ids=["int", "list", "None"])
+def test_token_that_is_not_a_str_raises_as_before(token, error, message):
+    with pytest.raises(error) as err:
+        Vocabulary(["a", token])
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_valid_vocabulary_checks_no_token_alone(monkeypatch):
+    calls = []
+
+    def counting(token, seen):
+        calls.append(token)
+        return original(token, seen)
+
+    original = embed_io._token_error
+    monkeypatch.setattr(embed_io, "_token_error", counting)
+    tokens = [f"w{i}" for i in range(1000)] + ["é", "、", "a\x00b"]
+    assert Vocabulary(tokens).tokens == tuple(tokens)
+    assert calls == []
+    with pytest.raises(ValueError, match="duplicate token 'w7'"):
+        Vocabulary(tokens + ["w7"])
+    assert len(calls) == len(tokens) + 1  # only a failure is looked for per token
 
 
 def test_normalize_rows():
