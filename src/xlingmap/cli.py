@@ -219,15 +219,13 @@ def _write_manifest(out: Path, cfg: TrainConfig, args, command: str) -> None:
         fh.write("\n")
 
 
-def _progress_printer():
-    def on_record(record: dict) -> None:
-        if record.get("type") == "eval":
-            print(
-                f"step {record['step']}: collapse={record['collapse_cos']:.3f} "
-                f"cov_err={record['cov_frobenius_error']:.3f} "
-                f"monitor_acc={record['monitor_accuracy']:.3f}"
-            )
-    return on_record
+def _print_progress(record: dict) -> None:
+    if record["type"] == "eval":
+        print(
+            f"step {record['step']}: collapse={record['collapse_cos']:.3f} "
+            f"cov_err={record['cov_frobenius_error']:.3f} "
+            f"monitor_acc={record['monitor_accuracy']:.3f}"
+        )
 
 
 def _run_flags(p) -> None:
@@ -282,7 +280,7 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     _write_manifest(out, cfg, args, "train")
     trainer = Trainer(cfg, src, tgt, src_freq, tgt_freq)
-    final = trainer.run(out_dir=out, on_record=_progress_printer())
+    final = trainer.run(out_dir=out, on_record=_print_progress)
     print(f"finished {trainer.step_count} steps; final checkpoint: {final}")
     return 0
 
@@ -306,7 +304,7 @@ def _cmd_resume(args) -> int:
         trainer.cfg = replace(trainer.cfg, max_steps=args.max_steps)
     out = Path(args.out)
     _write_manifest(out, trainer.cfg, args, "resume")
-    final = trainer.run(out_dir=out, on_record=_progress_printer())
+    final = trainer.run(out_dir=out, on_record=_print_progress)
     print(f"finished {trainer.step_count} steps; final checkpoint: {final}")
     return 0
 

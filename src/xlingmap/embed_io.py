@@ -478,11 +478,13 @@ def _write_rows(path, header: str, matrix, tokens=None) -> None:
 
 def _token_error(token: str, seen) -> str:
     """Why ``token`` cannot join a vocabulary holding the tokens ``seen``, or
-    ``""``. A token is non-empty, new, and free of every character that
-    ``str.split()`` splits at (``str.isspace()``: besides the ASCII spaces
-    also ``\\x1c``-``\\x1f``, U+0085, U+00A0, U+2028, ...)."""
+    ``""``. A token is a non-empty ``str``, new, and free of every character
+    that ``str.split()`` splits at (``str.isspace()``: besides the ASCII
+    spaces also ``\\x1c``-``\\x1f``, U+0085, U+00A0, U+2028, ...)."""
     if not token:
         return "empty token"
+    if not isinstance(token, str):
+        return f"token {token!r} is not a str"
     if token.split() != [token]:
         return f"token {token!r} contains whitespace"
     return f"duplicate token {token!r}" if token in seen else ""
@@ -574,7 +576,7 @@ class FrequencyTable:
     nonzero probability.
     """
 
-    __slots__ = ("vocab", "counts", "total")
+    __slots__ = ("vocab", "counts")
 
     def __init__(self, vocab: Vocabulary, counts: dict):
         full = {}
@@ -587,7 +589,6 @@ class FrequencyTable:
             full[tok] = c
         self.vocab = vocab
         self.counts = full
-        self.total = sum(full.values())
 
     @classmethod
     def uniform(cls, vocab: Vocabulary) -> "FrequencyTable":

@@ -8,6 +8,11 @@ modes the training discriminator and a structurally identical monitoring
 discriminator are updated on the same batches every step; the monitor never
 influences the generator and exists purely as an over/underfitting probe.
 
+Each record of the metrics log is a plain dict, built once: ``step``
+returns the ``step`` record, ``evaluate`` the ``eval`` record, and ``run``
+writes them as it receives them, and an ``error`` record before it re-raises
+a numeric failure (the README's "Metrics log" lists every field).
+
 Checkpoints capture parameters, batch-norm running statistics, optimizer
 moments, every RNG substream and the step counter, so a restored run
 continues exactly the trajectory of an uninterrupted one.
@@ -109,31 +114,6 @@ class TrainConfig:
             raise CheckpointError(f"checkpoint config: {err}") from None
 
 
-@dataclass(frozen=True)
-class StepMetrics:
-    step: int
-    loss_recon: float
-    loss_adv: float
-    loss_cos: float
-    loss_total: float
-    disc_bce: float
-    monitor_bce: float
-    monitor_acc: float
-    collapse_cos: float
-    collapse_std: float
-    wall_time: float
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["type"] = "step"
-        return d
-
-    def finite(self) -> bool:
-        return all(
-            np.isfinite(v) for k, v in asdict(self).items() if k != "step"
-        )
-
-
 def _joint_pass(cfg: TrainConfig, encoder: EncoderDecoder, disc: Discriminator,
                 f: np.ndarray, e: np.ndarray, rng):
     """One training-mode forward of ``disc`` on the joint batch
@@ -220,8 +200,10 @@ class Trainer:
 
     # -- single training steps -------------------------------------------
 
-    def step(self) -> StepMetrics:
-        """Both players from one joint-batch pass, then the monitor."""
+    def step(self) -> dict:
+        """Both players from one joint-batch pass, then the monitor. Returns
+        the step record; raises :class:`NonFiniteMetric` unless every value
+        but its ``type`` and ``step`` is finite."""
         t0 = time.perf_counter()
         n = self.cfg.batch_size
         f = sample_batch(self.src_dist, self.src, n, self.rngs["sample_src"])
@@ -238,19 +220,21 @@ class Trainer:
         self.d_monitor.backward(grad)
         self.opt_monitor.step()
         self.step_count += 1
-        metrics = StepMetrics(
-            step=self.step_count,
+        record = {
+            "type": "step",
+            "step": self.step_count,
             **losses,
-            disc_bce=disc_bce,
-            monitor_bce=monitor_bce,
-            monitor_acc=monitor_accuracy(p[:n], p[n:]),
-            collapse_cos=collapse_cos,
-            collapse_std=collapse_std,
-            wall_time=time.perf_counter() - t0,
-        )
-        if not metrics.finite():
-            raise NonFiniteMetric(self.step_count, repr(metrics))
-        return metrics
+            "disc_bce": disc_bce,
+            "monitor_bce": monitor_bce,
+            "monitor_acc": monitor_accuracy(p[:n], p[n:]),
+            "collapse_cos": collapse_cos,
+            "collapse_std": collapse_std,
+            "wall_time": time.perf_counter() - t0,
+        }
+        if not all(math.isfinite(v) for k, v in record.items()
+                   if k not in ("type", "step")):
+            raise NonFiniteMetric(self.step_count, repr(record))
+        return record
 
     # -- evaluation --------------------------------------------------------
 
@@ -261,15 +245,12 @@ class Trainer:
         e = sample_batch(self.tgt_dist, self.tgt, EVAL_SIZE, rng)
         mapped = self.encoder.map_rows(f)
         collapse_cos, collapse_std = collapse_metric(mapped)
-        report = distribution_match_report(mapped, e, self.d_monitor)
         return {
             "type": "eval",
             "step": self.step_count,
             "collapse_cos": collapse_cos,
             "collapse_std": collapse_std,
-            "mean_diff": report["mean_diff"],
-            "cov_frobenius_error": report["cov_frobenius_error"],
-            "monitor_accuracy": report["monitor_accuracy"],
+            **distribution_match_report(mapped, e, self.d_monitor),
         }
 
     # -- the outer loop ------------------------------------------------------
@@ -289,13 +270,13 @@ class Trainer:
 
             while self.step_count < self.cfg.max_steps:
                 try:
-                    metrics = self.step()
+                    record = self.step()
                 except (NonFiniteMetric, NonFiniteGradient) as err:
                     emit({"type": "error", "step": self.step_count, "message": str(err)})
                     metrics_fh.flush()
                     self.save_checkpoint(out / "checkpoint_diagnostic.xlaae")
                     raise
-                emit(metrics.to_dict())
+                emit(record)
                 s = self.step_count
                 if s % self.cfg.eval_every == 0:
                     emit(self.evaluate())

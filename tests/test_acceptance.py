@@ -5,7 +5,6 @@ Criteria 6 and 7, the two training experiments (``gan`` collapse and
 ``aae`` distribution match), have no test yet: their bounds are still to be
 measured.
 """
-import dataclasses
 import math
 import re
 import time
@@ -174,18 +173,18 @@ def test_criterion_2_analytic_anchors():
     for mode in ("gan", "aae"):
         tr = Trainer(TrainConfig(model=model, mode=mode, batch_size=8, seed=3), src, tgt)
         m = tr.step()
-        assert abs(m.loss_adv - ln2) < 1e-9
-        assert abs(m.disc_bce - ln2) < 1e-9
-        values[mode] = (m.loss_adv, m.disc_bce)
+        assert abs(m["loss_adv"] - ln2) < 1e-9
+        assert abs(m["disc_bce"] - ln2) < 1e-9
+        values[mode] = (m["loss_adv"], m["disc_bce"])
     tr = Trainer(
         TrainConfig(model=model, mode="aae", lambda_a=0.0, lambda_c=0.0,
                     batch_size=8, seed=3),
         src, tgt,
     )
     m = tr.step()
-    assert abs(m.loss_total) < 1e-9
+    assert abs(m["loss_total"]) < 1e-9
     report(2, f"step-1 L_a and BCE = ln2 ± 1e-9 in both modes; "
-              f"L_GR(orthogonal, la=lc=0) = {m.loss_total:.2e}")
+              f"L_GR(orthogonal, la=lc=0) = {m['loss_total']:.2e}")
 
 
 # -- criterion 3: orthogonality at init -----------------------------------
@@ -227,7 +226,7 @@ def test_criterion_4_sampler_statistics():
 
 
 def _metrics_key(m):
-    d = dataclasses.asdict(m)
+    d = dict(m)
     d.pop("wall_time")
     return tuple(sorted(d.items()))
 

@@ -133,6 +133,24 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert "sha256" in manifest["inputs"]["src"]
 
 
+def test_numeric_failure_exits_2_with_error_record_and_diagnostic(tmp_path, capsys):
+    synth = tmp_path / "synth"
+    assert main(["synth", "--out", str(synth), "--dim", "6", "--source-size", "40",
+                 "--target-size", "40", "--noise", "0", "--seed", "1"]) == 0
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow under test
+        assert main(["train", "--src", str(synth / "src.vec"), "--tgt",
+                     str(synth / "tgt.vec"), "--out", str(out), "--k", "4", "--T", "2",
+                     "--n", "8", "--lr-gen", "1e300", "--seed", "1"]) == 2
+    message = "non-finite gradient in parameter 'encoder.weight'"
+    assert capsys.readouterr().err.splitlines()[-1] == f"numeric failure: {message}"
+    last = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
+    assert last == {"type": "error", "step": 1, "message": message}
+    assert (out / "checkpoint_diagnostic.xlaae").exists()
+    assert not (out / "checkpoint_final.xlaae").exists()
+
+
 def test_train_rejects_model_settings_before_manifest(tmp_path, capsys):
     sp, tp, _, _ = write_tables(tmp_path)
     for flag, value, fragment in (("leaky_slope", 1.5, "leaky slope"),

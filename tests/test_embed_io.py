@@ -163,15 +163,16 @@ def test_first_bad_token_is_named_whatever_the_order():
         Vocabulary(["x", "a\x1cb", "a\x1cb"])
 
 
-@pytest.mark.parametrize("token, error, message", [
-    (5, AttributeError, "'int' object has no attribute 'split'"),
-    (["x"], AttributeError, "'list' object has no attribute 'split'"),
-    (None, ValueError, "empty token at position 1"),
-], ids=["int", "list", "None"])
-def test_token_that_is_not_a_str_raises_as_before(token, error, message):
-    with pytest.raises(error) as err:
+@pytest.mark.parametrize("token, message", [
+    (5, "token 5 is not a str"),
+    (["x"], "token ['x'] is not a str"),
+    (b"x", "token b'x' is not a str"),
+    (None, "empty token at position 1"),
+], ids=["int", "list", "bytes", "None"])
+def test_token_that_is_not_a_str_raises_as_before(token, message):
+    with pytest.raises(ValueError) as err:
         Vocabulary(["a", token])
-    assert type(err.value) is error and str(err.value) == message
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 def test_valid_vocabulary_checks_no_token_alone(monkeypatch):
@@ -217,7 +218,6 @@ def test_load_frequencies_basic(tmp_path):
     path.write_text("a\t9\nb\t1\n", encoding="utf-8")
     f = load_frequencies(path, vocab)
     assert f.counts == {"a": 9, "b": 1}
-    assert f.total == 10
 
 
 def test_load_frequencies_floor_for_missing(tmp_path):
@@ -226,7 +226,6 @@ def test_load_frequencies_floor_for_missing(tmp_path):
     path.write_text("a\t9\nb\t1\n", encoding="utf-8")
     f = load_frequencies(path, vocab)
     assert f.counts["c"] == 1
-    assert f.total == 11
 
 
 @pytest.mark.parametrize("content", ["a\t-3\n", "a\t2.5\n", "a\tx\n", "a 3\n"])
@@ -254,7 +253,6 @@ def test_frequency_save_load_identity(tmp_path):
     save_frequencies(f, path)
     back = load_frequencies(path, vocab)
     assert back.counts == f.counts
-    assert back.total == f.total
 
 
 def test_frequency_table_validates():
