@@ -12,7 +12,9 @@ handler), and the parser is built for the invoked command only: every
 command's name and help line, but only that command's flags. Every command
 reads its embedding tables through ``_load_table``: a table file parsed once
 is read again from its binary sidecar ``<file>.xlcache`` for as long as the
-file is unchanged.
+file is unchanged. The sidecar carries a checksum per block of rows, and
+``nn`` and ``eval`` read and check only the blocks of the ``--src`` rows
+they rank: those of the query words, or of the dictionary's source words.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numeric failure during
 training. ``XLINGMAP_THREADS`` caps BLAS threads (default 1, keeping runs
@@ -97,10 +99,14 @@ def _config(cls, args, **given):
 
 
 # A sidecar is this line, then "dev ino size mtime_ns ctime_ns rows dim
-# token_bytes crc32" (the table file's stat key, the sizes, the crc32 of what
-# follows), then the tokens joined by "\n" and the matrix as little-endian
-# float64.
-_SIDECAR_MAGIC = b"xlingmap table sidecar 1\n"
+# token_bytes crc32" (the table file's stat key, the sizes, the crc32 of the
+# tokens and the block checksums), then the tokens joined by "\n", one
+# little-endian uint32 crc32 per block of matrix rows, and the matrix as
+# little-endian float64.
+_SIDECAR_MAGIC = b"xlingmap table sidecar 2\n"
+# Matrix bytes per checksummed block, rounded down to whole rows (at least
+# one): a command reads and checks only the blocks of the rows it uses.
+_SIDECAR_BLOCK_BYTES = 1 << 16
 
 
 def _file_key(path):
@@ -114,25 +120,76 @@ def _file_key(path):
     return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
 
-def _read_sidecar(sidecar: Path, key):
+def _block_rows(dim: int) -> int:
+    return max(1, _SIDECAR_BLOCK_BYTES // (8 * dim))
+
+
+def _block_crcs(matrix) -> list:
+    """The crc32 of each ``_SIDECAR_BLOCK_BYTES`` block of whole rows of the
+    C-contiguous ``matrix``, the last block maybe shorter."""
+    view = memoryview(matrix).cast("B")
+    size = 8 * matrix.shape[1] * _block_rows(matrix.shape[1])
+    return [zlib.crc32(view[i:i + size]) for i in range(0, len(view), size)]
+
+
+def _held(tokens, words):
+    """The words of ``words`` that ``tokens`` holds, each at its first
+    occurrence, and their indices in ``tokens``."""
+    index = dict(zip(tokens, range(len(tokens))))
+    held = [w for w in dict.fromkeys(words) if w in index]
+    return held, [index[w] for w in held]
+
+
+def _read_sidecar(sidecar: Path, key, words=None):
     """The table in ``sidecar`` if it was written under ``key``, is whole
-    (sizes and crc32 match) and passes the table checks; else ``None``."""
+    (sizes and crc32 of the tokens and block checksums match) and passes
+    the table checks; else ``None``. With ``words``, the table of those of
+    them it holds, in first-occurrence order, or ``()`` if it holds none.
+    Only the blocks of the rows taken are read, one read per run of
+    consecutive blocks, and each is checked against its crc32."""
     try:
         with open(sidecar, "rb") as fh:
             if fh.readline(len(_SIDECAR_MAGIC)) != _SIDECAR_MAGIC:
                 return None
             *got, rows, dim, token_bytes, crc = map(int, fh.readline(256).split())
-            if (got != key or rows < 1 or dim < 1 or token_bytes < 1
-                    or os.fstat(fh.fileno()).st_size
-                    != fh.tell() + token_bytes + 8 * rows * dim):
+            if got != key or rows < 1 or dim < 1 or token_bytes < 1:
+                return None
+            step = _block_rows(dim)
+            crcs = np.empty(-(-rows // step), dtype="<u4")
+            base = fh.tell() + token_bytes + crcs.nbytes  # where the matrix begins
+            if os.fstat(fh.fileno()).st_size != base + 8 * rows * dim:
                 return None
             tokens = fh.read(token_bytes)
-            matrix = np.empty((rows, dim), dtype="<f8")
-            if fh.readinto(matrix) != matrix.nbytes:
+            if (fh.readinto(crcs) != crcs.nbytes
+                    or zlib.crc32(crcs, zlib.crc32(tokens)) != crc):
                 return None
-        if zlib.crc32(matrix, zlib.crc32(tokens)) != crc:
-            return None
-        return EmbeddingTable(Vocabulary(tokens.decode().split("\n")), matrix)
+            tokens = tokens.decode().split("\n")
+            if len(tokens) != rows:
+                return None
+            if words is None:
+                held, picked = tokens, None
+                blocks = np.arange(crcs.size)
+            else:
+                held, picked = _held(tokens, words)
+                if not held:
+                    return ()
+                picked = np.array(picked)
+                blocks = np.unique(picked // step)
+            crcs = crcs.tolist()
+            matrix = np.empty((len(held), dim), dtype="<f8")
+            for run in np.split(blocks, np.flatnonzero(np.diff(blocks) > 1) + 1):
+                start, stop = run[0] * step, min(rows, (run[-1] + 1) * step)
+                # a whole read reads straight into the table
+                buf = matrix[start:stop] if picked is None else np.empty(
+                    (stop - start, dim), dtype="<f8")
+                fh.seek(base + 8 * dim * start)
+                if (fh.readinto(buf) != buf.nbytes
+                        or _block_crcs(buf) != crcs[run[0]:run[-1] + 1]):
+                    return None
+                if picked is not None:
+                    inside = np.flatnonzero((picked >= start) & (picked < stop))
+                    matrix[inside] = buf[picked[inside] - start]
+        return EmbeddingTable(Vocabulary(held), matrix)
     except (OSError, ValueError):
         return None
 
@@ -143,12 +200,14 @@ def _write_sidecar(sidecar: Path, key, table: EmbeddingTable) -> None:
     no file behind and is not an error."""
     tokens = "\n".join(table.vocab.tokens).encode()
     matrix = np.ascontiguousarray(table.matrix, dtype="<f8")
-    header = [*key, *matrix.shape, len(tokens), zlib.crc32(matrix, zlib.crc32(tokens))]
+    crcs = np.array(_block_crcs(matrix), dtype="<u4")
+    header = [*key, *matrix.shape, len(tokens), zlib.crc32(crcs, zlib.crc32(tokens))]
     tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(_SIDECAR_MAGIC + " ".join(map(str, header)).encode() + b"\n")
             fh.write(tokens)
+            fh.write(crcs)
             fh.write(matrix)
         os.replace(tmp, sidecar)
     except OSError:
@@ -156,37 +215,43 @@ def _write_sidecar(sidecar: Path, key, table: EmbeddingTable) -> None:
             os.unlink(tmp)
 
 
-def _load_table(path) -> EmbeddingTable:
-    """``load_embeddings(path)``, read from the sidecar ``<path>.xlcache``
-    when that was written from the file as it is now. Otherwise the file is
-    parsed, and if it is a regular file whose stat key did not change during
-    the parse, its table goes to the sidecar. A file rewritten since gets a
-    new key (size, mtime or ctime), as long as the filesystem's timestamps
-    tell two writes apart."""
+def _load_table(path, words=None):
+    """``load_embeddings(path)``, or with ``words``, the table of those of
+    them that the file holds, in first-occurrence order (``None`` if it
+    holds none). Read from the sidecar ``<path>.xlcache`` when that was
+    written from the file as it is now. Otherwise the whole file is parsed,
+    and if it is a regular file whose stat key did not change during the
+    parse, its table goes to the sidecar. A file rewritten since gets a new
+    key (size, mtime or ctime), as long as the filesystem's timestamps tell
+    two writes apart."""
     path = Path(path)
     sidecar = path.with_name(path.name + ".xlcache")
     key = _file_key(path)
-    table = _read_sidecar(sidecar, key) if key else None
+    table = _read_sidecar(sidecar, key, words) if key else None
     if table is None:
         table = load_embeddings(path)
         if key and _file_key(path) == key:
             _write_sidecar(sidecar, key, table)
-    return table
+        if words is not None:
+            held, rows = _held(table.vocab.tokens, words)
+            table = EmbeddingTable(Vocabulary(held), table.matrix[rows]) if held else ()
+    return table or None
 
 
-def _load_mapping(args, *names):
+def _load_mapping(args, **tables):
     """The mapping of ``--checkpoint`` (or ``--encoder-matrix``), then the
-    tables of the flags ``names``, each checked against its dimension."""
+    table of each flag in ``tables`` (``_load_table`` of its path and the
+    words given), each checked against its dimension."""
     if args.checkpoint:
         encoder, _header = encoder_from_checkpoint(args.checkpoint)
     else:
         encoder = EncoderDecoder(load_matrix(args.encoder_matrix))
-    tables = [_load_table(getattr(args, name)) for name in names]
-    for name, table in zip(names, tables):
-        if table.dim != encoder.dim:
+    loaded = [_load_table(getattr(args, name), words) for name, words in tables.items()]
+    for name, table in zip(tables, loaded):
+        if table is not None and table.dim != encoder.dim:
             raise UsageError(f"dimension mismatch: --{name} has d={table.dim}, "
                              f"the mapping d={encoder.dim}")
-    return (encoder, *tables)
+    return (encoder, *loaded)
 
 
 def _load_pair(args):
@@ -316,7 +381,7 @@ def _map_flags(p) -> None:
 
 
 def _cmd_map(args) -> int:
-    encoder, src = _load_mapping(args, "src")
+    encoder, src = _load_mapping(args, src=None)
     mapped = EmbeddingTable(src.vocab, encoder.map_rows(src.matrix))
     save_embeddings(mapped, args.out)
     print(f"mapped {len(src.vocab)} embeddings -> {args.out}")
@@ -333,13 +398,14 @@ def _nn_flags(p) -> None:
 
 
 def _cmd_nn(args) -> int:
-    encoder, src, tgt = _load_mapping(args, "src", "tgt")
     words = [w for w in args.words.split(",") if w]
+    # only the query words' rows of --src are read
+    encoder, src, tgt = _load_mapping(args, src=words, tgt=None)
     if not words:
         raise UsageError("no query words given")
     present = []
     for word in words:
-        if word in src.vocab:
+        if src is not None and word in src.vocab:
             present.append(word)
         else:
             print(f"warning: {word!r} not in source vocabulary", file=sys.stderr)
@@ -366,14 +432,13 @@ def _eval_flags(p) -> None:
 
 
 def _cmd_eval(args) -> int:
-    encoder, src, tgt = _load_mapping(args, "src", "tgt")
+    # only the dictionary's source words are ranked, so only their rows of
+    # --src are read and mapped
     dictionary = BilingualDictionary.load(args.dictionary)
-    # only the dictionary's source words are ranked, so only they are mapped
-    words = [w for w in dictionary.entries if w in src.vocab]
-    if not words:
+    encoder, src, tgt = _load_mapping(args, src=dictionary.entries, tgt=None)
+    if src is None:
         raise ValueError("no resolvable dictionary entries")
-    rows = encoder.map_rows(src.matrix[[src.vocab.index(w) for w in words]])
-    res = precision_at_k(EmbeddingTable(Vocabulary(words), rows), tgt,
+    res = precision_at_k(EmbeddingTable(src.vocab, encoder.map_rows(src.matrix)), tgt,
                          dictionary, args.k)
     payload = {
         "precision": {f"p@{j}": p for j, p in enumerate(res.precision, start=1)},

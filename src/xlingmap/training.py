@@ -200,6 +200,9 @@ class Trainer:
 
     # -- single training steps -------------------------------------------
 
+    # numpy's floating-point warnings are silenced: what overflows shows as
+    # NonFiniteGradient from Adam, or as NonFiniteMetric from the record
+    @np.errstate(all="ignore")
     def step(self) -> dict:
         """Both players from one joint-batch pass, then the monitor. Returns
         the step record; raises :class:`NonFiniteMetric` unless every value
@@ -238,6 +241,7 @@ class Trainer:
 
     # -- evaluation --------------------------------------------------------
 
+    @np.errstate(all="ignore")
     def evaluate(self) -> dict:
         """Frozen-model evaluation on fresh draws from the eval substream."""
         rng = self.rngs["eval"]
@@ -408,9 +412,11 @@ def write_checkpoint(path, header: dict, arrays: dict) -> None:
         raise
 
 
-def read_checkpoint(path):
+def read_checkpoint(path, names=None):
     """Parse and verify a checkpoint; returns (header, arrays), each array
-    writeable and owning its memory."""
+    writeable and owning its memory. With ``names``, only the arrays of
+    those names are decoded; the digest covers the whole file and every
+    directory entry is still walked."""
     data = Path(path).read_bytes()
     end = len(data) - 32  # where the payload's SHA-256 digest begins
     if end < len(CHECKPOINT_MAGIC) + 8:
@@ -447,8 +453,10 @@ def read_checkpoint(path):
         (ndim,) = struct.unpack_from("<I", data, take(4))
         dims = struct.unpack_from(f"<{ndim}Q", data, take(8 * ndim))
         count = math.prod(dims)
-        arrays[name] = np.frombuffer(data, "<f8", count, take(8 * count)).reshape(
-            dims).astype(np.float64)
+        at = take(8 * count)
+        if names is None or name in names:
+            arrays[name] = np.frombuffer(data, "<f8", count, at).reshape(
+                dims).astype(np.float64)
     if offset != end:
         raise CheckpointError(f"{path}: trailing bytes after arrays")
     return header, arrays
@@ -460,7 +468,7 @@ def encoder_from_checkpoint(path):
     Returns (encoder, header) so callers can validate dimensions against
     their input tables.
     """
-    header, arrays = read_checkpoint(path)
+    header, arrays = read_checkpoint(path, {"encoder.weight", "encoder.enc_bias"})
     if "encoder.weight" not in arrays:
         raise CheckpointError(f"{path}: checkpoint has no encoder weight")
     if "encoder.enc_bias" in arrays:

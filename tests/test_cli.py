@@ -3,6 +3,8 @@ import json
 import os
 import re
 import sys
+import warnings
+import zlib
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -139,12 +141,15 @@ def test_numeric_failure_exits_2_with_error_record_and_diagnostic(tmp_path, caps
                  "--target-size", "40", "--noise", "0", "--seed", "1"]) == 0
     out = tmp_path / "run"
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow under test
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["train", "--src", str(synth / "src.vec"), "--tgt",
                      str(synth / "tgt.vec"), "--out", str(out), "--k", "4", "--T", "2",
                      "--n", "8", "--lr-gen", "1e300", "--seed", "1"]) == 2
+    # the overflow warns nothing: the failure line is all that stderr holds
+    assert [str(w.message) for w in caught] == []
     message = "non-finite gradient in parameter 'encoder.weight'"
-    assert capsys.readouterr().err.splitlines()[-1] == f"numeric failure: {message}"
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
     last = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
     assert last == {"type": "error", "step": 1, "message": message}
     assert (out / "checkpoint_diagnostic.xlaae").exists()
@@ -793,3 +798,173 @@ def test_failed_sidecar_write_leaves_no_file(tmp_path, capsys, monkeypatch, pars
     assert run_command(capsys, argv) == first
     assert parses == ["src.vec", "tgt.vec"] * 2
     assert list(tmp_path.glob("*.xlcache*")) == []
+
+
+# -- sidecars of several checksummed blocks ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def blocks_inputs(tmp_path_factory):
+    """600 x 40 tables (three 64 KB blocks of rows each in a sidecar) and a
+    checkpoint for them."""
+    tmp_path = tmp_path_factory.mktemp("blocks")
+    src, tgt = random_table(600, 40, seed=1, prefix="s"), random_table(600, 40, seed=2,
+                                                                      prefix="t")
+    save_embeddings(src, tmp_path / "src.vec")
+    save_embeddings(tgt, tmp_path / "tgt.vec")
+    assert main(train_args(tmp_path / "src.vec", tmp_path / "tgt.vec", tmp_path / "run",
+                           max_steps=1)) == 0
+    return tmp_path
+
+
+def blocks_commands(inputs, tmp_path):
+    """Fresh copies of the tables of ``blocks_inputs`` in ``tmp_path``, and
+    ``nn``, ``eval`` and ``map`` on them: ``nn`` reads only the first and
+    the last block of ``--src``."""
+    for name in ("src.vec", "tgt.vec"):
+        (tmp_path / name).write_bytes((inputs / name).read_bytes())
+    dict_path = tmp_path / "d.dict"
+    dict_path.write_text("s1\tt1\ns300\tt300\ns590\tt2\nzz\tt3\ns1\tt7\n", encoding="utf-8")
+    common = ["--checkpoint", str(inputs / "run" / "checkpoint_final.xlaae"),
+              "--src", str(tmp_path / "src.vec")]
+    tables = [*common, "--tgt", str(tmp_path / "tgt.vec")]
+    return {
+        "nn": ["nn", *tables, "--words", "s5,s450,zz", "--k", "4"],
+        "eval": ["eval", *tables, "--dict", str(dict_path), "--k", "3"],
+        "map": ["map", *common, "--out", str(tmp_path / "mapped.vec")],
+    }
+
+
+def format1_sidecar(path) -> bytes:
+    """The sidecar of ``path`` in the first format: one crc32 over the tokens
+    and the whole matrix."""
+    from xlingmap.cli import _file_key
+
+    table = load_embeddings(path)
+    tokens = "\n".join(table.vocab.tokens).encode()
+    header = [*_file_key(path), *table.matrix.shape, len(tokens),
+              zlib.crc32(table.matrix, zlib.crc32(tokens))]
+    return (b"xlingmap table sidecar 1\n" + " ".join(map(str, header)).encode() + b"\n"
+            + tokens + table.matrix.astype("<f8").tobytes())
+
+
+def flip_in_block(sidecar, block, rows=600, dim=40):
+    """Flip one bit in the middle of the ``block``-th block of matrix rows."""
+    from xlingmap.cli import _block_rows
+
+    data = bytearray(sidecar.read_bytes())
+    size = 8 * dim * _block_rows(dim)
+    assert -(-rows // _block_rows(dim)) == 3
+    data[len(data) - 8 * rows * dim + block * size + size // 2] ^= 0x04
+    sidecar.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("command", ["nn", "eval", "map"])
+def test_commands_give_the_same_bytes_with_and_without_sidecars(
+        tmp_path, capsys, parses, blocks_inputs, command):
+    argv = blocks_commands(blocks_inputs, tmp_path)[command]
+    names = ["src.vec"] if command == "map" else ["src.vec", "tgt.vec"]
+    sidecar = tmp_path / "src.vec.xlcache"
+    cold = run_command(capsys, argv)
+    assert cold[0] == 0 and parses == names
+    good = sidecar.read_bytes()
+    assert good.startswith(b"xlingmap table sidecar 2\n")
+    parses.clear()
+    assert run_command(capsys, argv) == cold and parses == []
+    # a sidecar of the first format is refused and replaced
+    sidecar.write_bytes(format1_sidecar(tmp_path / "src.vec"))
+    assert run_command(capsys, argv) == cold and parses == ["src.vec"]
+    assert sidecar.read_bytes() == good
+
+
+def test_damage_is_caught_by_the_first_command_that_reads_its_block(
+        tmp_path, capsys, parses, blocks_inputs):
+    commands = blocks_commands(blocks_inputs, tmp_path)
+    sidecar = tmp_path / "src.vec.xlcache"
+    nn = run_command(capsys, commands["nn"])
+    mapped = run_command(capsys, commands["map"])
+    good = sidecar.read_bytes()
+    parses.clear()
+    # block 1 holds no query word: nn neither reads it nor notices
+    flip_in_block(sidecar, 1)
+    damaged = sidecar.read_bytes()
+    assert run_command(capsys, commands["nn"]) == nn
+    assert parses == [] and sidecar.read_bytes() == damaged
+    # map reads every block: it parses the text and writes the sidecar again
+    assert run_command(capsys, commands["map"]) == mapped
+    assert parses == ["src.vec"] and sidecar.read_bytes() == good
+    parses.clear()
+    # block 2 holds s450
+    flip_in_block(sidecar, 2)
+    assert run_command(capsys, commands["nn"]) == nn
+    assert parses == ["src.vec"] and sidecar.read_bytes() == good
+
+
+def test_nn_duplicate_and_missing_words(tmp_path, capsys, blocks_inputs):
+    from xlingmap.evaluation import knn
+
+    argv = blocks_commands(blocks_inputs, tmp_path)["nn"]
+    at = argv.index("--words") + 1
+    encoder, _ = encoder_from_checkpoint(argv[argv.index("--checkpoint") + 1])
+    src, tgt = load_embeddings(tmp_path / "src.vec"), load_embeddings(tmp_path / "tgt.vec")
+    asked = ["s450", "zz", "s5", "s450", "yy", "s5"]
+    present = ["s450", "s5", "s450", "s5"]
+    rows, sims = knn(encoder.map_rows(src.matrix[[src.vocab.index(w) for w in present]]),
+                     tgt, 4)
+    want = (0, "".join(f"{w}\t{rank}\t{tgt.vocab.tokens[r]}\t{s:.6f}\n"
+                       for w, top, top_sims in zip(present, rows, sims)
+                       for rank, (r, s) in enumerate(zip(top, top_sims), start=1)),
+            "warning: 'zz' not in source vocabulary\n"
+            "warning: 'yy' not in source vocabulary\n", None)
+    none = (1, "", "warning: 'zz' not in source vocabulary\n"
+                   "warning: 'yy' not in source vocabulary\n", None)
+    for words, expected in ((asked, want), (["zz", "yy"], none)):
+        argv[at] = ",".join(words)
+        for _ in ("cold", "warm"):
+            (tmp_path / "src.vec.xlcache").unlink(missing_ok=True)
+            assert run_command(capsys, argv) == expected
+
+
+def test_whole_read_equals_the_read_of_every_row(tmp_path, parses):
+    from xlingmap.cli import _load_table
+
+    sp = tmp_path / "src.vec"
+    save_embeddings(random_table(600, 40, seed=1, prefix="s"), sp)
+    want = load_embeddings(sp)
+    tokens = list(want.vocab.tokens)
+    backwards = [*tokens[::-1], "zz", *tokens[:5]]
+    # parsed, then from the sidecar
+    got = [_load_table(sp, backwards), _load_table(sp, backwards), _load_table(sp),
+           _load_table(sp, tokens)]
+    assert parses == ["src.vec"]
+    for table, order in zip(got, [tokens[::-1], tokens[::-1], tokens, tokens]):
+        assert list(table.vocab.tokens) == order
+        rows = [want.vocab.index(w) for w in order]
+        assert table.matrix.tobytes() == want.matrix[rows].tobytes()
+        assert not table.matrix.flags.writeable
+    assert _load_table(sp, ["zz"]) is None and parses == ["src.vec"]
+
+
+def test_a_partial_read_checks_every_block_it_reads(tmp_path, monkeypatch):
+    from xlingmap import cli
+
+    monkeypatch.setattr(cli, "_SIDECAR_BLOCK_BYTES", 48)  # two rows of three values
+    sp = tmp_path / "src.vec"
+    save_embeddings(random_table(9, 3, seed=1, prefix="s"), sp)
+    cli._load_table(sp)
+    sidecar = tmp_path / "src.vec.xlcache"
+    good = sidecar.read_bytes()
+    key = cli._file_key(sp)
+    words = ["s7", "s1", "s6"]  # the rows of blocks 0 and 3 of 5
+    want = cli._read_sidecar(sidecar, key, words)
+    assert list(want.vocab.tokens) == words
+    matrix_at = len(good) - 8 * 9 * 3
+    for i in range(len(good)):
+        sidecar.write_bytes(good[:i] + bytes([good[i] ^ 1 << i % 8]) + good[i + 1:])
+        assert cli._read_sidecar(sidecar, key) is None, f"flip in byte {i}"
+        got = cli._read_sidecar(sidecar, key, words)
+        if i >= matrix_at and (i - matrix_at) // 48 in (1, 2, 4):
+            assert got.vocab == want.vocab, f"flip in byte {i}"
+            assert got.matrix.tobytes() == want.matrix.tobytes(), f"flip in byte {i}"
+        else:
+            assert got is None, f"flip in byte {i}"

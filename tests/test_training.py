@@ -257,14 +257,35 @@ def test_checkpoint_reader_errors_and_arrays(tmp_path):
         got = back[name]
         assert got.shape == want.shape and np.array_equal(got, want)
         assert got.dtype == np.float64 and got.flags.owndata and got.flags.writeable
+    # with names, only those arrays are decoded
+    header, back = read_checkpoint(path, {"s", "absent"})
+    assert header["step"] == 3 and list(back) == ["s"]
+    assert np.array_equal(back["s"], arrays["s"]) and back["s"].flags.owndata
     payload = path.read_bytes()[:-32]
     for body, message in [(payload[:-8], "truncated checkpoint"),
                           (payload[:12], "truncated checkpoint"),
                           (payload + b"\0", "trailing bytes after arrays"),
                           (b"XLAAE002" + payload[8:], "bad magic bytes")]:
         path.write_bytes(body + hashlib.sha256(body).digest())
-        with pytest.raises(CheckpointError, match=f": {message}$"):
-            read_checkpoint(path)
+        for names in (None, {"w"}):
+            with pytest.raises(CheckpointError, match=f": {message}$"):
+                read_checkpoint(path, names)
+
+
+def test_encoder_read_detects_damage_in_other_arrays(tables, tmp_path):
+    # encoder_from_checkpoint decodes only the encoder weight, but the digest
+    # still covers every array
+    src, tgt = tables
+    path = tmp_path / "e.ckpt"
+    Trainer(tiny_cfg(), src, tgt).save_checkpoint(path)
+    header, arrays = read_checkpoint(path)
+    last = arrays[header["arrays"][-1]]
+    assert header["arrays"][0] == "encoder.weight" and last.size
+    blob = bytearray(path.read_bytes())
+    blob[-32 - last.nbytes // 2] ^= 0x10  # inside the last array's values
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="digest"):
+        encoder_from_checkpoint(path)
 
 
 def test_resume_matches_uninterrupted_run(tables, tmp_path):
