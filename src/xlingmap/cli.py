@@ -243,7 +243,7 @@ def _load_mapping(args, **tables):
     table of each flag in ``tables`` (``_load_table`` of its path and the
     words given), each checked against its dimension."""
     if args.checkpoint:
-        encoder, _header = encoder_from_checkpoint(args.checkpoint)
+        encoder = encoder_from_checkpoint(args.checkpoint)
     else:
         encoder = EncoderDecoder(load_matrix(args.encoder_matrix))
     loaded = [_load_table(getattr(args, name), words) for name, words in tables.items()]
@@ -380,6 +380,10 @@ def _map_flags(p) -> None:
     p.add_argument("--out", required=True, help="output embedding file")
 
 
+# map, nn and eval silence numpy's floating-point warnings: rows that a
+# mapping overflows fail a check (the table's, or knn's on the query rows),
+# so that stderr holds only the error line
+@np.errstate(all="ignore")
 def _cmd_map(args) -> int:
     encoder, src = _load_mapping(args, src=None)
     mapped = EmbeddingTable(src.vocab, encoder.map_rows(src.matrix))
@@ -397,6 +401,7 @@ def _nn_flags(p) -> None:
     p.add_argument("--k", type=int, default=10)
 
 
+@np.errstate(all="ignore")
 def _cmd_nn(args) -> int:
     words = [w for w in args.words.split(",") if w]
     # only the query words' rows of --src are read
@@ -431,6 +436,7 @@ def _eval_flags(p) -> None:
     p.add_argument("--out", help="write the JSON report here as well")
 
 
+@np.errstate(all="ignore")
 def _cmd_eval(args) -> int:
     # only the dictionary's source words are ranked, so only their rows of
     # --src are read and mapped
@@ -438,14 +444,8 @@ def _cmd_eval(args) -> int:
     encoder, src, tgt = _load_mapping(args, src=dictionary.entries, tgt=None)
     if src is None:
         raise ValueError("no resolvable dictionary entries")
-    res = precision_at_k(EmbeddingTable(src.vocab, encoder.map_rows(src.matrix)), tgt,
-                         dictionary, args.k)
-    payload = {
-        "precision": {f"p@{j}": p for j, p in enumerate(res.precision, start=1)},
-        "resolvable": res.resolvable,
-        "unresolvable": res.unresolvable,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(precision_at_k(encoder, src, tgt, dictionary, args.k), indent=2,
+                      sort_keys=True)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

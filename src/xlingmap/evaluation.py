@@ -14,19 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed_io import EmbeddingTable, FrequencyTable, Vocabulary
-from .models import Discriminator, init_orthogonal
+from .models import Discriminator, EncoderDecoder, init_orthogonal
 from .numerics import Rng
 
 
 # Similarities per GEMM block in ``knn`` (8 MB of float64), whatever m is.
 KNN_BLOCK = 1 << 20
-
-
-@dataclass(frozen=True)
-class PrecisionReport:
-    precision: tuple  # p@1, ..., p@k
-    resolvable: int
-    unresolvable: int
 
 
 class BilingualDictionary:
@@ -76,6 +69,9 @@ def knn(queries, tgt: EmbeddingTable, k: int):
     q_norms = _row_norms(q)
     if np.any(q_norms == 0.0):
         raise ValueError(f"zero query row {int(np.argmax(q_norms == 0.0))}")
+    if not np.all(np.isfinite(q_norms)):  # its unit row would be all zeros
+        raise ValueError(f"query row {int(np.argmin(np.isfinite(q_norms)))} "
+                         "has a norm that is not finite")
     norms = _row_norms(tgt.matrix)
     if np.any(norms == 0.0):
         bad = int(np.argmax(norms == 0.0))
@@ -123,31 +119,34 @@ def _top_k(scores, k: int):
     return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
-def precision_at_k(mapped_src: EmbeddingTable, tgt: EmbeddingTable,
-                   dictionary: BilingualDictionary, k: int) -> PrecisionReport:
-    """p@1..p@k: for each j, the fraction of resolvable entries whose top j
-    contains an accepted target, all from one ranking of every entry."""
+def precision_at_k(encoder: EncoderDecoder, src: EmbeddingTable, tgt: EmbeddingTable,
+                   dictionary: BilingualDictionary, k: int) -> dict:
+    """The report ``eval`` prints, ``{"precision": {"p@1": ...}, "resolvable":
+    r, "unresolvable": u}``: p@j is the fraction of resolvable entries whose
+    top j contains an accepted target, from one ranking of every entry.
+    ``src`` is mapped whole, in one ``map_rows`` call."""
+    mapped = encoder.map_rows(src.matrix)
     # entry i's accepted rows offset by i * V: one membership test for all
     size = len(tgt.vocab)
     queries, accepted = [], []
     for src_tok, targets in dictionary.entries.items():
         rows = [tgt.vocab.index(t) for t in targets if t in tgt.vocab]
-        if src_tok in mapped_src.vocab and rows:
+        if src_tok in src.vocab and rows:
             accepted.extend(len(queries) * size + row for row in rows)
-            queries.append(mapped_src.vocab.index(src_tok))
+            queries.append(src.vocab.index(src_tok))
     if not queries:
         raise ValueError("no resolvable dictionary entries")
-    ranked, _ = knn(mapped_src.matrix[queries], tgt, k)
+    ranked, _ = knn(mapped[queries], tgt, k)
     # both sides hold each value once (a ranking repeats no row), which
     # spares np.isin its np.unique passes
     hit = np.isin(ranked + np.arange(0, len(queries) * size, size)[:, None], accepted,
                   assume_unique=True)
     precision = np.logical_or.accumulate(hit, axis=1).mean(axis=0)
-    return PrecisionReport(
-        precision=tuple(float(p) for p in precision),
-        resolvable=len(queries),
-        unresolvable=len(dictionary.entries) - len(queries),
-    )
+    return {
+        "precision": {f"p@{j}": float(p) for j, p in enumerate(precision, start=1)},
+        "resolvable": len(queries),
+        "unresolvable": len(dictionary.entries) - len(queries),
+    }
 
 
 def collapse_metric(outputs):
@@ -262,7 +261,8 @@ def synth_generate(spec: SyntheticSpec) -> SyntheticData:
 
 
 def distribution_match_report(mapped, target_sample, monitor: Discriminator) -> dict:
-    """First/second-moment agreement between two samples, plus how well the
+    """The collapse of the mapped sample (:func:`collapse_metric`), the
+    first/second-moment agreement between the two samples, and how well the
     monitoring discriminator can still tell them apart (targets positive,
     mapped rows negative; see :func:`monitor_accuracy`)."""
     mapped = np.asarray(mapped, dtype=np.float64)
@@ -288,7 +288,10 @@ def distribution_match_report(mapped, target_sample, monitor: Discriminator) -> 
     cov_diff = np.linalg.norm(cm - ct)
     cov_error = cov_diff if ct_norm < 1e-12 else cov_diff / ct_norm
 
+    collapse_cos, collapse_std = collapse_metric(mapped)
     return {
+        "collapse_cos": collapse_cos,
+        "collapse_std": collapse_std,
         "mean_diff": float(mean_diff),
         "cov_frobenius_error": float(cov_error),
         "monitor_accuracy": monitor_accuracy(

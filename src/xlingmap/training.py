@@ -9,9 +9,10 @@ discriminator are updated on the same batches every step; the monitor never
 influences the generator and exists purely as an over/underfitting probe.
 
 Each record of the metrics log is a plain dict, built once: ``step``
-returns the ``step`` record, ``evaluate`` the ``eval`` record, and ``run``
-writes them as it receives them, and an ``error`` record before it re-raises
-a numeric failure (the README's "Metrics log" lists every field).
+returns the ``step`` record, ``evaluate`` the ``eval`` record, each checked
+to hold finite values, and ``run`` writes them as it receives them, and an
+``error`` record before it re-raises a numeric failure (the README's
+"Metrics log" lists every field).
 
 Checkpoints capture parameters, batch-norm running statistics, optimizer
 moments, every RNG substream and the step counter, so a restored run
@@ -68,6 +69,14 @@ class NonFiniteMetric(RuntimeError):
     def __init__(self, step: int, detail: str):
         super().__init__(f"non-finite metric at step {step}: {detail}")
         self.step = step
+
+
+def _checked(record: dict) -> dict:
+    """``record``; :class:`NonFiniteMetric` if a value other than its
+    ``type`` and ``step`` is not finite."""
+    if not all(math.isfinite(v) for k, v in record.items() if k not in ("type", "step")):
+        raise NonFiniteMetric(record["step"], repr(record))
+    return record
 
 
 @dataclass(frozen=True)
@@ -223,7 +232,7 @@ class Trainer:
         self.d_monitor.backward(grad)
         self.opt_monitor.step()
         self.step_count += 1
-        record = {
+        return _checked({
             "type": "step",
             "step": self.step_count,
             **losses,
@@ -233,29 +242,20 @@ class Trainer:
             "collapse_cos": collapse_cos,
             "collapse_std": collapse_std,
             "wall_time": time.perf_counter() - t0,
-        }
-        if not all(math.isfinite(v) for k, v in record.items()
-                   if k not in ("type", "step")):
-            raise NonFiniteMetric(self.step_count, repr(record))
-        return record
+        })
 
     # -- evaluation --------------------------------------------------------
 
     @np.errstate(all="ignore")
     def evaluate(self) -> dict:
-        """Frozen-model evaluation on fresh draws from the eval substream."""
+        """Frozen-model evaluation on fresh draws from the eval substream.
+        Returns the eval record, checked like the step record."""
         rng = self.rngs["eval"]
         f = sample_batch(self.src_dist, self.src, EVAL_SIZE, rng)
         e = sample_batch(self.tgt_dist, self.tgt, EVAL_SIZE, rng)
-        mapped = self.encoder.map_rows(f)
-        collapse_cos, collapse_std = collapse_metric(mapped)
-        return {
-            "type": "eval",
-            "step": self.step_count,
-            "collapse_cos": collapse_cos,
-            "collapse_std": collapse_std,
-            **distribution_match_report(mapped, e, self.d_monitor),
-        }
+        return _checked({"type": "eval", "step": self.step_count,
+                         **distribution_match_report(self.encoder.map_rows(f), e,
+                                                     self.d_monitor)})
 
     # -- the outer loop ------------------------------------------------------
 
@@ -274,17 +274,16 @@ class Trainer:
 
             while self.step_count < self.cfg.max_steps:
                 try:
-                    record = self.step()
+                    emit(self.step())
+                    if self.step_count % self.cfg.eval_every == 0:
+                        emit(self.evaluate())
+                        metrics_fh.flush()
                 except (NonFiniteMetric, NonFiniteGradient) as err:
                     emit({"type": "error", "step": self.step_count, "message": str(err)})
                     metrics_fh.flush()
                     self.save_checkpoint(out / "checkpoint_diagnostic.xlaae")
                     raise
-                emit(record)
                 s = self.step_count
-                if s % self.cfg.eval_every == 0:
-                    emit(self.evaluate())
-                    metrics_fh.flush()
                 if s % self.cfg.checkpoint_every == 0:
                     self.save_checkpoint(out / f"checkpoint_{s:08d}.xlaae")
             final = out / "checkpoint_final.xlaae"
@@ -462,15 +461,11 @@ def read_checkpoint(path, names=None):
     return header, arrays
 
 
-def encoder_from_checkpoint(path):
-    """Rebuild just the mapping (encoder/decoder) from a checkpoint.
-
-    Returns (encoder, header) so callers can validate dimensions against
-    their input tables.
-    """
-    header, arrays = read_checkpoint(path, {"encoder.weight", "encoder.enc_bias"})
+def encoder_from_checkpoint(path) -> EncoderDecoder:
+    """Rebuild just the mapping (encoder/decoder) from a checkpoint."""
+    arrays = read_checkpoint(path, {"encoder.weight", "encoder.enc_bias"})[1]
     if "encoder.weight" not in arrays:
         raise CheckpointError(f"{path}: checkpoint has no encoder weight")
     if "encoder.enc_bias" in arrays:
         raise CheckpointError(f"{path}: encoder bias is not supported")
-    return EncoderDecoder(arrays["encoder.weight"]), header
+    return EncoderDecoder(arrays["encoder.weight"])

@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from xlingmap.embed_io import (
-    EmbeddingTable,
     FrequencyTable,
     Vocabulary,
     load_embeddings,
@@ -32,7 +31,7 @@ from xlingmap.layers import (
     cosine_dissim_loss,
     sigmoid,
 )
-from xlingmap.models import Discriminator, ModelConfig, build_models
+from xlingmap.models import Discriminator, EncoderDecoder, ModelConfig, build_models
 from xlingmap.numerics import Rng
 from xlingmap.sampling import SamplerConfig, build_adjusted
 from xlingmap.training import TrainConfig, Trainer, _joint_pass
@@ -285,12 +284,11 @@ def test_criterion_5_determinism_and_resume(tmp_path):
 def test_criterion_8_oracle_pipeline():
     data = synth_generate(SyntheticSpec(dim=16, source_size=200, target_size=200,
                                         noise_sigma=0.0, seed=21))
-    mapped = EmbeddingTable(data.src.vocab, data.src.matrix @ data.map_matrix)
-    rep = precision_at_k(mapped, data.tgt, data.truth, 1)
-    assert rep.precision == (1.0,)
-    assert rep.unresolvable == 0
-    report(8, f"encoder forced to hidden map: P@1 = {rep.precision[0]} over "
-              f"{rep.resolvable} entries")
+    rep = precision_at_k(EncoderDecoder(data.map_matrix), data.src, data.tgt, data.truth, 1)
+    assert rep["precision"] == {"p@1": 1.0}
+    assert rep["unresolvable"] == 0
+    report(8, f"encoder forced to hidden map: P@1 = {rep['precision']['p@1']} over "
+              f"{rep['resolvable']} entries")
 
 
 # -- criterion 9: I/O round trips ------------------------------------------

@@ -21,9 +21,14 @@ from xlingmap.embed_io import (
     save_matrix,
 )
 from xlingmap.evaluation import SyntheticSpec, synth_generate
-from xlingmap.models import ModelConfig
+from xlingmap.models import EncoderDecoder, ModelConfig
 from xlingmap.sampling import SamplerConfig
-from xlingmap.training import TrainConfig, encoder_from_checkpoint, read_checkpoint
+from xlingmap.training import (
+    TrainConfig,
+    encoder_from_checkpoint,
+    read_checkpoint,
+    write_checkpoint,
+)
 
 from conftest import random_table
 
@@ -135,7 +140,10 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert "sha256" in manifest["inputs"]["src"]
 
 
-def test_numeric_failure_exits_2_with_error_record_and_diagnostic(tmp_path, capsys):
+def diverged_train(tmp_path, capsys, *extra):
+    """Train on the CI synth tables with ``--lr-gen 1e300``: exit code,
+    stderr, the metrics records and the run directory. Asserts that numpy
+    warned nothing."""
     synth = tmp_path / "synth"
     assert main(["synth", "--out", str(synth), "--dim", "6", "--source-size", "40",
                  "--target-size", "40", "--noise", "0", "--seed", "1"]) == 0
@@ -143,15 +151,37 @@ def test_numeric_failure_exits_2_with_error_record_and_diagnostic(tmp_path, caps
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["train", "--src", str(synth / "src.vec"), "--tgt",
-                     str(synth / "tgt.vec"), "--out", str(out), "--k", "4", "--T", "2",
-                     "--n", "8", "--lr-gen", "1e300", "--seed", "1"]) == 2
+        rc = main(["train", "--src", str(synth / "src.vec"), "--tgt",
+                   str(synth / "tgt.vec"), "--out", str(out), "--k", "4", "--T", "2",
+                   "--n", "8", "--lr-gen", "1e300", "--seed", "1", *extra])
     # the overflow warns nothing: the failure line is all that stderr holds
     assert [str(w.message) for w in caught] == []
+    records = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
+    return rc, capsys.readouterr().err, records, out
+
+
+def test_numeric_failure_exits_2_with_error_record_and_diagnostic(tmp_path, capsys):
+    rc, err, records, out = diverged_train(tmp_path, capsys)
+    assert rc == 2
     message = "non-finite gradient in parameter 'encoder.weight'"
-    assert capsys.readouterr().err == f"numeric failure: {message}\n"
-    last = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
-    assert last == {"type": "error", "step": 1, "message": message}
+    assert err == f"numeric failure: {message}\n"
+    assert records[-1] == {"type": "error", "step": 1, "message": message}
+    assert (out / "checkpoint_diagnostic.xlaae").exists()
+    assert not (out / "checkpoint_final.xlaae").exists()
+
+
+def test_non_finite_eval_record_exits_2(tmp_path, capsys):
+    # step 1's gradients are finite, but its weight maps the eval rows to
+    # values whose spread overflows
+    rc, err, records, out = diverged_train(tmp_path, capsys, "--max-steps", "1",
+                                           "--eval-every", "1")
+    assert rc == 2
+    assert [r["type"] for r in records] == ["step", "error"]
+    message = records[-1]["message"]
+    assert records[-1] == {"type": "error", "step": 1, "message": message}
+    assert re.fullmatch(re.escape("non-finite metric at step 1: {'type': 'eval', 'step': 1, ")
+                        + ".*'collapse_std': inf.*", message)
+    assert err == f"numeric failure: {message}\n"
     assert (out / "checkpoint_diagnostic.xlaae").exists()
     assert not (out / "checkpoint_final.xlaae").exists()
 
@@ -324,6 +354,35 @@ def test_eval_k_outside_table_exits_1(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_overflowing_mapping_exits_1(tmp_path, capsys):
+    # the map scaled by 1e300 maps each row to finite values whose norm
+    # overflows: the query row is rejected, where its similarities would
+    # all read 0 and rank the targets by row order
+    args = synth_eval_args(tmp_path, 3)
+    synth = tmp_path / "synth"
+    scaled = tmp_path / "scaled.txt"
+    save_matrix(load_matrix(synth / "map.txt") * 1e300, scaled)
+    assert main(["train", "--src", str(synth / "src.vec"), "--tgt", str(synth / "tgt.vec"),
+                 "--out", str(tmp_path / "run"), "--k", "4", "--T", "2", "--n", "8",
+                 "--max-steps", "1"]) == 0
+    ckpt = tmp_path / "scaled.xlaae"
+    header, arrays = read_checkpoint(tmp_path / "run" / "checkpoint_final.xlaae")
+    arrays["encoder.weight"] = load_matrix(scaled)
+    write_checkpoint(ckpt, header, arrays)
+    at = args.index("--encoder-matrix")
+    for argv in (args[:at + 1] + [str(scaled)] + args[at + 2:],
+                 args[:at] + ["--checkpoint", str(ckpt)] + args[at + 2:],
+                 ["nn", "--checkpoint", str(ckpt), "--src", str(synth / "src.vec"),
+                  "--tgt", str(synth / "tgt.vec"), "--words", "s0001", "--k", "3"]):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == ("", "error: query row 0 has a norm that is not "
+                                           "finite\n")
+
+
 def test_eval_and_nn_rank_once(tmp_path, capsys, monkeypatch):
     from xlingmap import cli, evaluation
 
@@ -409,7 +468,6 @@ def test_preset_flag(tmp_path, shape_flag, block_dim, depth):
 
 def test_eval_maps_only_dictionary_source_rows(tmp_path, capsys, monkeypatch):
     from xlingmap import cli
-    from xlingmap.embed_io import EmbeddingTable
     from xlingmap.evaluation import BilingualDictionary, precision_at_k
 
     sp, tp, src, tgt = write_tables(tmp_path)
@@ -422,28 +480,25 @@ def test_eval_maps_only_dictionary_source_rows(tmp_path, capsys, monkeypatch):
                          "yy\tt2\n", encoding="utf-8")
     seen = []
 
-    def recording(mapped_src, tgt_table, dictionary, k):
-        seen.append(mapped_src)
-        return precision_at_k(mapped_src, tgt_table, dictionary, k)
+    def recording(encoder, src_table, tgt_table, dictionary, k):
+        seen.append((encoder, src_table))
+        return precision_at_k(encoder, src_table, tgt_table, dictionary, k)
 
     monkeypatch.setattr(cli, "precision_at_k", recording)
     capsys.readouterr()
     assert main(["eval", "--encoder-matrix", str(matrix_path), "--src", str(sp),
                  "--tgt", str(tp), "--dict", str(dict_path), "--k", "5"]) == 0
     report = json.loads(capsys.readouterr().out)
-    (mapped,) = seen
-    assert sorted(mapped.vocab.tokens) == ["s1", "s12", "s3", "s7"]
-    rows = [src.vocab.index(w) for w in mapped.vocab.tokens]
-    assert np.allclose(mapped.matrix, src.matrix[rows] @ weight, rtol=0, atol=1e-14)
-    # the report of the whole mapped table, as the command computed it before
-    full = precision_at_k(EmbeddingTable(src.vocab, src.matrix @ weight), tgt,
+    ((encoder, held),) = seen
+    assert sorted(held.vocab.tokens) == ["s1", "s12", "s3", "s7"]
+    rows = [src.vocab.index(w) for w in held.vocab.tokens]
+    assert np.allclose(encoder.map_rows(held.matrix), src.matrix[rows] @ weight,
+                       rtol=0, atol=1e-14)
+    # the report of the whole table, as the command computed it before
+    full = precision_at_k(EncoderDecoder(weight), src, tgt,
                           BilingualDictionary.load(dict_path), 5)
-    assert report == {
-        "precision": {f"p@{j}": p for j, p in enumerate(full.precision, start=1)},
-        "resolvable": full.resolvable,
-        "unresolvable": full.unresolvable,
-    }
-    assert (full.resolvable, full.unresolvable) == (3, 3)
+    assert report == full
+    assert (full["resolvable"], full["unresolvable"]) == (3, 3)
 
 
 def fields_at_default(config):
@@ -690,7 +745,7 @@ def test_map_onto_its_own_src_is_parsed_again(tmp_path, capsys, parses,
     age(sp)
     ref = tmp_path / "ref.vec"
     ref.write_bytes(sp.read_bytes())
-    encoder, _ = encoder_from_checkpoint(sidecar_checkpoint)
+    encoder = encoder_from_checkpoint(sidecar_checkpoint)
     for _ in range(2):
         assert main(["map", "--checkpoint", sidecar_checkpoint, "--src", str(sp),
                      "--out", str(sp)]) == 0
@@ -905,7 +960,7 @@ def test_nn_duplicate_and_missing_words(tmp_path, capsys, blocks_inputs):
 
     argv = blocks_commands(blocks_inputs, tmp_path)["nn"]
     at = argv.index("--words") + 1
-    encoder, _ = encoder_from_checkpoint(argv[argv.index("--checkpoint") + 1])
+    encoder = encoder_from_checkpoint(argv[argv.index("--checkpoint") + 1])
     src, tgt = load_embeddings(tmp_path / "src.vec"), load_embeddings(tmp_path / "tgt.vec")
     asked = ["s450", "zz", "s5", "s450", "yy", "s5"]
     present = ["s450", "s5", "s450", "s5"]

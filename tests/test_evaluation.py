@@ -13,7 +13,7 @@ from xlingmap.evaluation import (
     precision_at_k,
     synth_generate,
 )
-from xlingmap.models import Discriminator, ModelConfig
+from xlingmap.models import Discriminator, EncoderDecoder, ModelConfig
 from xlingmap.numerics import Rng
 
 from conftest import cosine, random_table
@@ -185,20 +185,29 @@ def test_knn_rejects_bad_input():
                                  (np.zeros((0, 3)), 2, "m >= 1"),
                                  (np.ones(3), 2, "m >= 1"),
                                  (np.ones((2, 4)), 2, "m x 3"),
-                                 (np.array([[1.0, 0, 0], [0, 0, 0]]), 2, "zero query row 1")):
-        with pytest.raises(ValueError, match=fragment):
+                                 (np.array([[1.0, 0, 0], [0, 0, 0]]), 2, "zero query row 1"),
+                                 # a norm that overflows, or of a row not finite
+                                 (np.array([[1.0, 0, 0], [1e300, 0, 1e300]]), 2,
+                                  "query row 1 has a norm that is not finite"),
+                                 (np.array([[np.inf, 0, 0]]), 2, "query row 0 has a norm"),
+                                 (np.array([[1.0, 0, 0], [np.nan, 1, 0]]), 2,
+                                  "query row 1 has a norm")):
+        with pytest.raises(ValueError, match=fragment), np.errstate(all="ignore"):
             knn(queries, t, k)
     holed = EmbeddingTable(t.vocab, np.vstack([t.matrix[:4], np.zeros((1, 3))]))
     with pytest.raises(ValueError, match="zero target row for token 'w4'"):
         knn(np.ones((1, 3)), holed, 2)
 
 
+def identity(dim):
+    return EncoderDecoder(np.eye(dim))
+
+
 def test_precision_identity_mapping():
     t = random_table(15, 4, seed=7)
     d = BilingualDictionary({tok: {tok} for tok in t.vocab.tokens})
-    rep = precision_at_k(t, t, d, 1)
-    assert rep.precision == (1.0,)
-    assert rep.resolvable == 15 and rep.unresolvable == 0
+    rep = precision_at_k(identity(4), t, t, d, 1)
+    assert rep == {"precision": {"p@1": 1.0}, "resolvable": 15, "unresolvable": 0}
 
 
 def test_precision_all_misses():
@@ -210,15 +219,15 @@ def test_precision_all_misses():
         tgt.vocab,
         np.vstack([np.full(3, 100.0), tgt.matrix[1:]]),
     )
-    rep = precision_at_k(src, far, d, 1)
-    assert 0.0 <= rep.precision[0] <= 1.0
+    rep = precision_at_k(identity(3), src, far, d, 1)
+    assert 0.0 <= rep["precision"]["p@1"] <= 1.0
 
 
 def test_precision_monotone_in_k():
     src = random_table(20, 5, seed=10, prefix="s")
     tgt = random_table(20, 5, seed=11, prefix="t")
     d = BilingualDictionary({f"s{i}": {f"t{i}"} for i in range(20)})
-    values = precision_at_k(src, tgt, d, 20).precision
+    values = list(precision_at_k(identity(5), src, tgt, d, 20)["precision"].values())
     assert len(values) == 20
     assert list(values) == sorted(values)
     assert values[-1] == 1.0  # k = |vocab| always hits
@@ -236,26 +245,26 @@ def test_precision_matches_per_k_brute_force():
     entries["missing"] = {"t0"}
     entries["s0"] = {"t3", "absent"}
     d = BilingualDictionary(entries)
-    rep = precision_at_k(src, tgt, d, 10)
+    rep = precision_at_k(identity(4), src, tgt, d, 10)
     resolvable = [s for s in entries if s != "missing"]
-    assert (rep.resolvable, rep.unresolvable) == (30, 1)
+    assert (rep["resolvable"], rep["unresolvable"]) == (30, 1)
     for k in range(1, 11):
         hits = 0
         for s in resolvable:
             top = {tgt.vocab.tokens[i] for i, _ in brute_force_knn(src.matrix[src.vocab.index(s)], tgt, k)}
             hits += bool(top & entries[s])
-        assert rep.precision[k - 1] == hits / 30
+        assert rep["precision"][f"p@{k}"] == hits / 30
 
 
 def test_precision_counts_unresolvable():
     src = random_table(5, 3, seed=12, prefix="s")
     tgt = random_table(5, 3, seed=13, prefix="t")
     d = BilingualDictionary({"s0": {"t0"}, "missing": {"t1"}, "s1": {"absent"}})
-    rep = precision_at_k(src, tgt, d, 2)
-    assert rep.resolvable == 1
-    assert rep.unresolvable == 2
+    rep = precision_at_k(identity(3), src, tgt, d, 2)
+    assert rep["resolvable"] == 1
+    assert rep["unresolvable"] == 2
     with pytest.raises(ValueError, match="resolvable"):
-        precision_at_k(src, tgt, BilingualDictionary({"nope": {"t0"}}), 1)
+        precision_at_k(identity(3), src, tgt, BilingualDictionary({"nope": {"t0"}}), 1)
 
 
 def test_collapse_identical_rows():
@@ -339,9 +348,8 @@ def test_synth_oracle_precision():
     spec = SyntheticSpec(dim=6, source_size=40, target_size=40, noise_sigma=0.0,
                          seed=5)
     data = synth_generate(spec)
-    mapped = EmbeddingTable(data.src.vocab, data.src.matrix @ data.map_matrix)
-    rep = precision_at_k(mapped, data.tgt, data.truth, 1)
-    assert rep.precision == (1.0,)
+    rep = precision_at_k(EncoderDecoder(data.map_matrix), data.src, data.tgt, data.truth, 1)
+    assert rep["precision"] == {"p@1": 1.0}
 
 
 def test_synth_zipf_counts_positive_decreasing():
