@@ -266,24 +266,6 @@ def _load_pair(args):
     return src, tgt, src_freq, tgt_freq
 
 
-def _write_manifest(out: Path, cfg: TrainConfig, args, command: str) -> None:
-    inputs = {k: getattr(args, k) for k in ("src", "tgt", "src_freq", "tgt_freq")
-              if getattr(args, k)}
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "seed": cfg.seed,
-        "config": cfg.to_dict(),
-        "inputs": {k: {"path": str(v), "sha256": _sha256_file(v)}
-                   for k, v in inputs.items()},
-        "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _print_progress(record: dict) -> None:
     if record["type"] == "eval":
         print(
@@ -291,6 +273,30 @@ def _print_progress(record: dict) -> None:
             f"cov_err={record['cov_frobenius_error']:.3f} "
             f"monitor_acc={record['monitor_accuracy']:.3f}"
         )
+
+
+def _run(trainer: Trainer, args, command: str) -> int:
+    """The tail of ``train`` and ``resume``, once their tables are accepted:
+    write ``manifest.json`` under ``--out``, run there, print the final line."""
+    inputs = {k: getattr(args, k) for k in ("src", "tgt", "src_freq", "tgt_freq")
+              if getattr(args, k)}
+    manifest = {
+        "command": command,
+        "version": __version__,
+        "seed": trainer.cfg.seed,
+        "config": trainer.cfg.to_dict(),
+        "inputs": {k: {"path": str(v), "sha256": _sha256_file(v)}
+                   for k, v in inputs.items()},
+        "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    final = trainer.run(out_dir=out, on_record=_print_progress)
+    print(f"finished {trainer.step_count} steps; final checkpoint: {final}")
+    return 0
 
 
 def _run_flags(p) -> None:
@@ -333,8 +339,8 @@ def _train_flags(p) -> None:
 def _cmd_train(args) -> int:
     src, tgt, src_freq, tgt_freq = _load_pair(args)
     if args.normalize:
-        src = normalize_rows(src)
-        tgt = normalize_rows(tgt)
+        src = normalize_rows(src, "the source table")
+        tgt = normalize_rows(tgt, "the target table")
     if args.preset:
         for name in ("block_dim", "depth"):  # a given --k or --T wins
             if getattr(args, name) is None:
@@ -342,12 +348,7 @@ def _cmd_train(args) -> int:
     cfg = _config(TrainConfig, args,
                   model=_config(ModelConfig, args, dim=src.dim),
                   sampler=_config(SamplerConfig, args))
-    out = Path(args.out)
-    _write_manifest(out, cfg, args, "train")
-    trainer = Trainer(cfg, src, tgt, src_freq, tgt_freq)
-    final = trainer.run(out_dir=out, on_record=_print_progress)
-    print(f"finished {trainer.step_count} steps; final checkpoint: {final}")
-    return 0
+    return _run(Trainer(cfg, src, tgt, src_freq, tgt_freq), args, "train")
 
 
 def _resume_flags(p) -> None:
@@ -367,11 +368,7 @@ def _cmd_resume(args) -> int:
                 f"{trainer.step_count}"
             )
         trainer.cfg = replace(trainer.cfg, max_steps=args.max_steps)
-    out = Path(args.out)
-    _write_manifest(out, trainer.cfg, args, "resume")
-    final = trainer.run(out_dir=out, on_record=_print_progress)
-    print(f"finished {trainer.step_count} steps; final checkpoint: {final}")
-    return 0
+    return _run(trainer, args, "resume")
 
 
 def _map_flags(p) -> None:
@@ -417,7 +414,7 @@ def _cmd_nn(args) -> int:
     if not present:
         return 1
     queries = encoder.map_rows(src.matrix[[src.vocab.index(w) for w in present]])
-    rows, sims = knn(queries, tgt, min(args.k, len(tgt.vocab)))
+    rows, sims = knn(queries, tgt, min(args.k, len(tgt.vocab)), present)
     for word, top, top_sims in zip(present, rows, sims):
         for rank, (row, sim) in enumerate(zip(top, top_sims), start=1):
             print(f"{word}\t{rank}\t{tgt.vocab.tokens[row]}\t{sim:.6f}")

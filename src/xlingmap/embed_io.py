@@ -40,6 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .layers import _row_norms
+
 
 class EmbedFormatError(ValueError):
     """Malformed embedding or frequency file; message carries the line number."""
@@ -666,14 +668,10 @@ def save_frequencies(freq: FrequencyTable, path) -> None:
             fh.write(f"{tok}\t{freq.counts[tok]}\n")
 
 
-def normalize_rows(table: EmbeddingTable) -> EmbeddingTable:
-    """Rescale every row to unit Euclidean norm; rejects zero rows."""
-    norms = np.linalg.norm(table.matrix, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.argmax(norms == 0.0))
-        raise ValueError(
-            f"cannot normalize zero row for token {table.vocab.tokens[bad]!r}"
-        )
+def normalize_rows(table: EmbeddingTable, where: str = "the table") -> EmbeddingTable:
+    """Rescale every row to unit Euclidean norm; a zero row is an error
+    naming its token and ``where``."""
+    norms = _row_norms(table.matrix, table.vocab.tokens, where)
     return EmbeddingTable(table.vocab, table.matrix / norms[:, None])
 
 

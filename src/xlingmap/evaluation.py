@@ -14,12 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed_io import EmbeddingTable, FrequencyTable, Vocabulary
+from .layers import _row_norms
 from .models import Discriminator, EncoderDecoder, init_orthogonal
 from .numerics import Rng
 
 
-# Similarities per GEMM block in ``knn`` (8 MB of float64), whatever m is.
-KNN_BLOCK = 1 << 20
+# Similarities per GEMM block in ``knn`` (8 MB of float64) and per partition
+# in ``_top_k`` (64 KB), whatever m is.
+KNN_BLOCK, PARTITION_BLOCK = 1 << 20, 1 << 13
 
 
 class BilingualDictionary:
@@ -54,11 +56,13 @@ class BilingualDictionary:
                     fh.write(f"{src}\t{tgt}\n")
 
 
-def knn(queries, tgt: EmbeddingTable, k: int):
+def knn(queries, tgt: EmbeddingTable, k: int, words=None):
     """Exact top-k target rows by cosine similarity for each row of the
     (m x d) ``queries``: ``(rows, sims)``, both (m x k), similarities
     non-increasing along each row. Ties break by ascending target row
-    index, so results are deterministic."""
+    index, so results are deterministic. A query row that is zero or whose
+    norm is not finite is an error naming its word of ``words`` (its row
+    index if ``words`` is not given)."""
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] == 0 or q.shape[1] != tgt.dim:
         raise ValueError(f"queries must be an m x {tgt.dim} matrix with m >= 1, "
@@ -66,16 +70,12 @@ def knn(queries, tgt: EmbeddingTable, k: int):
     size = len(tgt.vocab)
     if not 1 <= k <= size:
         raise ValueError(f"k={k} outside [1, {size}]")
-    q_norms = _row_norms(q)
-    if np.any(q_norms == 0.0):
-        raise ValueError(f"zero query row {int(np.argmax(q_norms == 0.0))}")
+    words = range(len(q)) if words is None else words
+    q_norms = _row_norms(q, words, "the queries")
     if not np.all(np.isfinite(q_norms)):  # its unit row would be all zeros
-        raise ValueError(f"query row {int(np.argmin(np.isfinite(q_norms)))} "
+        raise ValueError(f"query row {words[int(np.argmin(np.isfinite(q_norms)))]!r} "
                          "has a norm that is not finite")
-    norms = _row_norms(tgt.matrix)
-    if np.any(norms == 0.0):
-        bad = int(np.argmax(norms == 0.0))
-        raise ValueError(f"zero target row for token {tgt.vocab.tokens[bad]!r}")
+    norms = _row_norms(tgt.matrix, tgt.vocab.tokens, "the target table")
     unit = q / q_norms[:, None]
     rows = np.empty((q.shape[0], k), dtype=np.intp)
     sims = np.empty((q.shape[0], k))
@@ -90,14 +90,6 @@ def knn(queries, tgt: EmbeddingTable, k: int):
     return rows, sims
 
 
-def _row_norms(matrix):
-    """``np.linalg.norm(matrix, axis=1)``, bitwise, from blocks of rows of at
-    most ``KNN_BLOCK`` values: the whole squared matrix is never held."""
-    step = max(1, KNN_BLOCK // matrix.shape[1])
-    return np.concatenate([np.linalg.norm(matrix[start:start + step], axis=1)
-                           for start in range(0, len(matrix), step)])
-
-
 def _top_k(scores, k: int):
     """The columns of each row's ``k`` best scores, best first, ties by
     ascending column: the first ``k`` columns of a stable sort of
@@ -105,8 +97,10 @@ def _top_k(scores, k: int):
     least the row's k-th best, found by a partition."""
     size = scores.shape[1]
     if k < size:
-        # copied out, so that the partitioned block is freed at once
-        kth = np.partition(scores, size - k, axis=1)[:, size - k].copy()
+        # a few rows per partition: a copy of the whole block doubles its memory
+        kth, step = np.empty(len(scores)), max(1, PARTITION_BLOCK // size)
+        for i in range(0, len(scores), step):
+            kth[i:i + step] = np.partition(scores[i:i + step], size - k, axis=1)[:, size - k]
         # flat indices: np.nonzero on a 2-d mask takes about 15x as long
         r, c = np.divmod(np.flatnonzero(scores >= kth[:, None]), size)
         counts = np.bincount(r, minlength=len(scores))
@@ -128,24 +122,24 @@ def precision_at_k(encoder: EncoderDecoder, src: EmbeddingTable, tgt: EmbeddingT
     mapped = encoder.map_rows(src.matrix)
     # entry i's accepted rows offset by i * V: one membership test for all
     size = len(tgt.vocab)
-    queries, accepted = [], []
+    words, accepted = [], []
     for src_tok, targets in dictionary.entries.items():
         rows = [tgt.vocab.index(t) for t in targets if t in tgt.vocab]
         if src_tok in src.vocab and rows:
-            accepted.extend(len(queries) * size + row for row in rows)
-            queries.append(src.vocab.index(src_tok))
-    if not queries:
+            accepted.extend(len(words) * size + row for row in rows)
+            words.append(src_tok)
+    if not words:
         raise ValueError("no resolvable dictionary entries")
-    ranked, _ = knn(mapped[queries], tgt, k)
+    ranked, _ = knn(mapped[[src.vocab.index(w) for w in words]], tgt, k, words)
     # both sides hold each value once (a ranking repeats no row), which
     # spares np.isin its np.unique passes
-    hit = np.isin(ranked + np.arange(0, len(queries) * size, size)[:, None], accepted,
+    hit = np.isin(ranked + np.arange(0, len(words) * size, size)[:, None], accepted,
                   assume_unique=True)
     precision = np.logical_or.accumulate(hit, axis=1).mean(axis=0)
     return {
         "precision": {f"p@{j}": float(p) for j, p in enumerate(precision, start=1)},
-        "resolvable": len(queries),
-        "unresolvable": len(dictionary.entries) - len(queries),
+        "resolvable": len(words),
+        "unresolvable": len(dictionary.entries) - len(words),
     }
 
 
@@ -162,7 +156,7 @@ def collapse_metric(outputs):
     if outputs.ndim != 2 or outputs.shape[0] < 2:
         raise ValueError("need a matrix with at least 2 rows")
     std = float(outputs.std(axis=0).mean())
-    norms = np.linalg.norm(outputs, axis=1)
+    norms = _row_norms(outputs)
     nonzero = norms > 0.0
     m = int(nonzero.sum())
     if m < 2:

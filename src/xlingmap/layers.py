@@ -1,7 +1,7 @@
-"""The logistic sigmoid and the losses of the discriminator and the
-generator objective: cosine, adversarial and binary cross-entropy. Each
-loss is one function that returns its value together with its
-hand-derived gradient.
+"""The logistic sigmoid, the losses of the discriminator and the generator
+objective (cosine, adversarial and binary cross-entropy), and the row norms
+every cosine in the package divides by. Each loss is one function that
+returns its value together with its hand-derived gradient.
 """
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import numpy as np
 # Probabilities are clamped this far from 0/1 before logs so losses stay
 # finite for any input; far below float64 training relevance.
 PROB_CLAMP = 1e-12
+# Values per block of rows in ``_row_norms`` (8 MB of float64), whatever d is.
+NORM_BLOCK = 1 << 20
 
 
 class LayerError(ValueError):
@@ -23,10 +25,15 @@ def sigmoid(x):
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _row_norms(a, what: str):
-    norms = np.linalg.norm(a, axis=1)
-    if np.any(norms == 0.0):
-        raise LayerError(f"zero row in {what}")
+def _row_norms(matrix, tokens=None, where: str = "the table"):
+    """``np.linalg.norm(matrix, axis=1)``, bitwise, from blocks of rows of at
+    most ``NORM_BLOCK`` values (the whole squared matrix is never held); given
+    the rows' ``tokens``, a zero row raises :class:`LayerError` naming it and ``where``."""
+    norms, step = np.empty(len(matrix)), max(1, NORM_BLOCK // max(1, matrix.shape[1]))
+    for start in range(0, len(matrix), step):
+        norms[start:start + step] = np.linalg.norm(matrix[start:start + step], axis=1)
+    if tokens is not None and not norms.all():
+        raise LayerError(f"zero row {tokens[int(np.argmin(norms != 0.0))]!r} in {where}")
     return norms
 
 
@@ -35,8 +42,8 @@ def cosine_dissim_loss(a, b):
     its gradient w.r.t. ``b``: ``(loss, grad)``."""
     if a.shape != b.shape:
         raise LayerError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = _row_norms(a, "first argument")
-    nb = _row_norms(b, "second argument")
+    na = _row_norms(a, range(len(a)), "the first argument")
+    nb = _row_norms(b, range(len(b)), "the second argument")
     cos = (a * b).sum(axis=1) / (na * nb)
     loss = float(np.mean(1.0 - np.clip(cos, -1.0, 1.0)))
     grad = -(a / (na * nb)[:, None] - (cos / nb**2)[:, None] * b) / a.shape[0]

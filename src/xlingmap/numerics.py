@@ -49,7 +49,7 @@ class Rng:
         """Boolean dropout mask, True where kept: raw 64-bit output read as
         little-endian 16-bit integers, kept where >= ``ceil(rate * 2**16)``,
         so the keep probability is within 2**-16 of ``1 - rate``."""
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         raw = self._gen.bit_generator.random_raw(-(-size // 4))
         bits = raw.astype("<u8", copy=False).view("<u2")[:size]
         return (bits >= math.ceil(rate * 65536)).reshape(shape)

@@ -196,6 +196,36 @@ def test_train_rejects_model_settings_before_manifest(tmp_path, capsys):
         assert not (out / "manifest.json").exists()
 
 
+def with_zero_row(table, row, path):
+    """Save ``table`` to ``path`` with its row ``row`` set to zero."""
+    matrix = table.matrix.copy()
+    matrix[row] = 0.0
+    save_embeddings(EmbeddingTable(table.vocab, matrix), path)
+    return path
+
+
+def test_aae_refuses_a_zero_row_before_step_1(tmp_path, capsys):
+    # both cosine losses of aae are undefined on a zero row; gan takes it
+    sp, tp, src, tgt = write_tables(tmp_path)
+    assert main(train_args(sp, tp, tmp_path / "run")) == 0
+    ckpt = tmp_path / "run" / "checkpoint_final.xlaae"
+    for flag, table, where in (("src", src, "source"), ("tgt", tgt, "target")):
+        paths = {"src": sp, "tgt": tp,
+                 flag: with_zero_row(table, 3, tmp_path / f"zeroed-{flag}.vec")}
+        message = f"error: zero row {table.vocab.tokens[3]!r} in the {where} table\n"
+        for argv in (train_args(paths["src"], paths["tgt"], tmp_path / "aae"),
+                     ["resume", "--checkpoint", str(ckpt), "--src", str(paths["src"]),
+                      "--tgt", str(paths["tgt"]), "--out", str(tmp_path / "aae"),
+                      "--max-steps", "10"]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", message)
+            assert not (tmp_path / "aae").exists()
+        out = tmp_path / f"gan-{flag}"
+        assert main(train_args(paths["src"], paths["tgt"], out, mode="gan")) == 0
+        assert (out / "checkpoint_final.xlaae").exists()
+
+
 def test_train_twice_same_seed_identical_checkpoints(tmp_path, parses):
     sp, tp, _, _ = write_tables(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -379,8 +409,26 @@ def test_overflowing_mapping_exits_1(tmp_path, capsys):
             warnings.simplefilter("always")
             assert main(argv) == 1
         assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr() == ("", "error: query row 0 has a norm that is not "
-                                           "finite\n")
+        assert capsys.readouterr() == ("", "error: query row 's0001' has a norm that "
+                                           "is not finite\n")
+
+
+def test_zero_source_row_names_its_word(tmp_path, capsys):
+    # a zero --src row maps to a zero query row, on which no cosine is defined
+    args = synth_eval_args(tmp_path, 3)
+    synth = tmp_path / "synth"
+    zeroed = with_zero_row(load_embeddings(synth / "src.vec"), 1, tmp_path / "zeroed.vec")
+    assert main(["train", "--src", str(synth / "src.vec"), "--tgt", str(synth / "tgt.vec"),
+                 "--out", str(tmp_path / "run"), "--k", "4", "--T", "2", "--n", "8",
+                 "--max-steps", "1"]) == 0
+    at = args.index("--src")
+    for argv in (args[:at + 1] + [str(zeroed)] + args[at + 2:],
+                 ["nn", "--checkpoint", str(tmp_path / "run" / "checkpoint_final.xlaae"),
+                  "--src", str(zeroed), "--tgt", str(synth / "tgt.vec"),
+                  "--words", "s0001,s0002", "--k", "3"]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: zero row 's0002' in the queries\n")
 
 
 def test_eval_and_nn_rank_once(tmp_path, capsys, monkeypatch):
@@ -388,9 +436,9 @@ def test_eval_and_nn_rank_once(tmp_path, capsys, monkeypatch):
 
     calls = []
 
-    def counting(queries, tgt, k):
+    def counting(queries, *args):
         calls.append(len(queries))
-        return real(queries, tgt, k)
+        return real(queries, *args)
 
     real = evaluation.knn
     monkeypatch.setattr(evaluation, "knn", counting)

@@ -208,7 +208,7 @@ def test_normalize_idempotent():
 
 def test_normalize_rejects_zero_row():
     t = EmbeddingTable(Vocabulary(["a", "b"]), [[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="'b'"):
+    with pytest.raises(ValueError, match="zero row 'b' in the table"):
         normalize_rows(t)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xlingmap import evaluation
+from xlingmap import evaluation, layers
 from xlingmap.embed_io import EmbeddingTable, Vocabulary
 from xlingmap.evaluation import (
     BilingualDictionary,
@@ -124,7 +124,8 @@ def test_knn_blocks_match_brute_force(monkeypatch):
             assert np.array_equal(sims.view(np.uint64), full_sims[:, :k].view(np.uint64))
 
     # the selection alone against the stable sort, on integer-valued scores
-    # with heavy ties, signed zeros and rows holding NaN
+    # with heavy ties, signed zeros and rows holding NaN, partitioned whole
+    # or one or two rows at a time
     for seed in range(200):
         rng = np.random.default_rng(seed)
         m, size = rng.integers(1, 6), rng.integers(2, 40)
@@ -135,6 +136,8 @@ def test_knn_blocks_match_brute_force(monkeypatch):
         for k in {1, int(rng.integers(1, size + 1)), size - 1, size}:
             want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
             with monkeypatch.context() as patch:
+                if seed % 3:
+                    patch.setattr(evaluation, "PARTITION_BLOCK", size * (seed % 3))
                 if k < size and not np.isnan(scores).any():
                     # below k = V, finite scores are never sorted whole
                     patch.setattr(np, "argsort", None)
@@ -151,12 +154,12 @@ def test_knn_target_norms_by_blocks(monkeypatch):
     queries = rng.normal(size=(30, 37))
     whole = np.linalg.norm(m, axis=1)
     for block in (37, 37 * 7 + 3, 1000):
-        monkeypatch.setattr(evaluation, "KNN_BLOCK", block)
-        norms = evaluation._row_norms(m)
+        monkeypatch.setattr(layers, "NORM_BLOCK", block)
+        norms = layers._row_norms(m)
         assert np.array_equal(norms.view(np.uint64), whole.view(np.uint64))
         rows, sims = knn(queries, t, 10)
         with monkeypatch.context() as patch:
-            patch.setattr(evaluation, "_row_norms", lambda a: np.linalg.norm(a, axis=1))
+            patch.setattr(evaluation, "_row_norms", lambda a, *_: np.linalg.norm(a, axis=1))
             want_rows, want_sims = knn(queries, t, 10)
         assert np.array_equal(rows, want_rows)
         assert np.array_equal(sims.view(np.uint64), want_sims.view(np.uint64))
@@ -185,7 +188,8 @@ def test_knn_rejects_bad_input():
                                  (np.zeros((0, 3)), 2, "m >= 1"),
                                  (np.ones(3), 2, "m >= 1"),
                                  (np.ones((2, 4)), 2, "m x 3"),
-                                 (np.array([[1.0, 0, 0], [0, 0, 0]]), 2, "zero query row 1"),
+                                 (np.array([[1.0, 0, 0], [0, 0, 0]]), 2,
+                                  "zero row 1 in the queries"),
                                  # a norm that overflows, or of a row not finite
                                  (np.array([[1.0, 0, 0], [1e300, 0, 1e300]]), 2,
                                   "query row 1 has a norm that is not finite"),
@@ -195,8 +199,14 @@ def test_knn_rejects_bad_input():
         with pytest.raises(ValueError, match=fragment), np.errstate(all="ignore"):
             knn(queries, t, k)
     holed = EmbeddingTable(t.vocab, np.vstack([t.matrix[:4], np.zeros((1, 3))]))
-    with pytest.raises(ValueError, match="zero target row for token 'w4'"):
+    with pytest.raises(ValueError, match="zero row 'w4' in the target table"):
         knn(np.ones((1, 3)), holed, 2)
+    # given the query rows' words, the errors name the word
+    for queries, fragment in (([[1.0, 0, 0], [0, 0, 0]], "zero row 'b' in the queries"),
+                              ([[1.0, 0, 0], [1e300, 0, 1e300]],
+                               "query row 'b' has a norm that is not finite")):
+        with pytest.raises(ValueError, match=fragment), np.errstate(all="ignore"):
+            knn(np.array(queries), t, 2, ["a", "b"])
 
 
 def identity(dim):
