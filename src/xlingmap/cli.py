@@ -468,8 +468,8 @@ def _cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_embeddings(data.src, out / "src.vec")
     save_embeddings(data.tgt, out / "tgt.vec")
-    save_frequencies(data.src_freq, out / "src.freq")
-    save_frequencies(data.tgt_freq, out / "tgt.freq")
+    save_frequencies(data.src.vocab, data.src_freq, out / "src.freq")
+    save_frequencies(data.tgt.vocab, data.tgt_freq, out / "tgt.freq")
     data.truth.save(out / "truth.dict")
     save_matrix(data.map_matrix, out / "map.txt")
     print(f"wrote synthetic benchmark to {out}")

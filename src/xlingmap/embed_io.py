@@ -1,5 +1,5 @@
 """Loading, validation and saving of embedding tables and word frequency
-tables.
+counts.
 
 Embedding files use the plain-text format with a ``"<vocab_size> <dim>"``
 header line followed by one ``"<token> <v1> ... <vd>"`` line per word,
@@ -30,7 +30,8 @@ value in fixed notation it rounds |x| * 10**(16 - E) exactly to 17 digits
 and lays them out with table lookups. Zeros and values that ``'%.17g'``
 writes with an exponent are formatted one by one.
 
-Frequency files are TSV: ``"<token>\\t<count>"`` per line.
+Frequency files are TSV: ``"<token>\\t<count>"`` per line, read as one
+count per table row.
 """
 from __future__ import annotations
 
@@ -528,11 +529,6 @@ class Vocabulary:
     def __contains__(self, token) -> bool:
         return token in self._index
 
-    def __eq__(self, other) -> bool:
-        # the sampler compares on every draw, mostly a vocabulary with itself
-        return other is self or (
-            isinstance(other, Vocabulary) and self.tokens == other.tokens)
-
     def index(self, token: str) -> int:
         try:
             return self._index[token]
@@ -570,33 +566,6 @@ class EmbeddingTable:
         return self.matrix.shape[1]
 
 
-class FrequencyTable:
-    """Per-token counts paired with a vocabulary.
-
-    Every vocabulary token gets a count: tokens missing from the source data
-    receive a floor count of 1 so the sampler can assign every embedding a
-    nonzero probability.
-    """
-
-    __slots__ = ("vocab", "counts")
-
-    def __init__(self, vocab: Vocabulary, counts: dict):
-        full = {}
-        for tok in vocab.tokens:
-            c = counts.get(tok, 1)
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"count for {tok!r} is not an integer: {c!r}")
-            if c < 0:
-                raise ValueError(f"negative count for {tok!r}: {c}")
-            full[tok] = c
-        self.vocab = vocab
-        self.counts = full
-
-    @classmethod
-    def uniform(cls, vocab: Vocabulary) -> "FrequencyTable":
-        return cls(vocab, {})
-
-
 def load_embeddings(path) -> EmbeddingTable:
     """Parse an embedding file, validating header, dimensions and values."""
     path = Path(path)
@@ -626,11 +595,10 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
                 table.vocab.tokens)
 
 
-def load_frequencies(path, vocab: Vocabulary) -> FrequencyTable:
-    """Parse a TSV frequency file, restricted to ``vocab``.
-
-    Vocabulary tokens missing from the file receive count 1.
-    """
+def load_frequencies(path, vocab: Vocabulary) -> np.ndarray:
+    """The count of each row of ``vocab``, in table order (int64), from a TSV
+    frequency file. Lines for tokens not in ``vocab`` are skipped; a row the
+    file lacks counts 1."""
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n")
@@ -638,7 +606,7 @@ def load_frequencies(path, vocab: Vocabulary) -> FrequencyTable:
         lines.pop()
     if not lines:
         raise EmbedFormatError(f"{path}: empty frequency file")
-    counts = {}
+    counts = np.full(len(vocab), -1, dtype=np.int64)  # -1: not in the file yet
     for i, line in enumerate(lines):
         lineno = i + 1
         parts = line.split("\t")
@@ -653,19 +621,23 @@ def load_frequencies(path, vocab: Vocabulary) -> FrequencyTable:
             ) from None
         if count < 0:
             raise EmbedFormatError(f"{path}:{lineno}: negative count {count}")
+        if count > _INT64.max:
+            raise EmbedFormatError(f"{path}:{lineno}: count {count} beyond int64")
         if token not in vocab:
             continue
-        if token in counts:
+        row = vocab.index(token)
+        if counts[row] >= 0:
             raise EmbedFormatError(f"{path}:{lineno}: duplicate token {token!r}")
-        counts[token] = count
-    return FrequencyTable(vocab, counts)
+        counts[row] = count
+    counts[counts < 0] = 1
+    return counts
 
 
-def save_frequencies(freq: FrequencyTable, path) -> None:
-    path = Path(path)
+def save_frequencies(vocab: Vocabulary, counts, path) -> None:
+    """Write one ``<token>\\t<count>`` line per row of ``vocab``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for tok in freq.vocab.tokens:
-            fh.write(f"{tok}\t{freq.counts[tok]}\n")
+        for tok, count in zip(vocab.tokens, np.asarray(counts).tolist()):
+            fh.write(f"{tok}\t{count}\n")
 
 
 def normalize_rows(table: EmbeddingTable, where: str = "the table") -> EmbeddingTable:

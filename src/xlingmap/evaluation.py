@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_io import EmbeddingTable, FrequencyTable, Vocabulary
+from .embed_io import EmbeddingTable, Vocabulary
 from .layers import _row_norms
 from .models import Discriminator, EncoderDecoder, init_orthogonal
 from .numerics import Rng
@@ -62,7 +62,8 @@ def knn(queries, tgt: EmbeddingTable, k: int, words=None):
     non-increasing along each row. Ties break by ascending target row
     index, so results are deterministic. A query row that is zero or whose
     norm is not finite is an error naming its word of ``words`` (its row
-    index if ``words`` is not given)."""
+    index if ``words`` is not given). A target row that is zero, or whose
+    norm overflows, scores NaN and ranks last."""
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] == 0 or q.shape[1] != tgt.dim:
         raise ValueError(f"queries must be an m x {tgt.dim} matrix with m >= 1, "
@@ -75,7 +76,7 @@ def knn(queries, tgt: EmbeddingTable, k: int, words=None):
     if not np.all(np.isfinite(q_norms)):  # its unit row would be all zeros
         raise ValueError(f"query row {words[int(np.argmin(np.isfinite(q_norms)))]!r} "
                          "has a norm that is not finite")
-    norms = _row_norms(tgt.matrix, tgt.vocab.tokens, "the target table")
+    norms = _row_norms(tgt.matrix)
     unit = q / q_norms[:, None]
     rows = np.empty((q.shape[0], k), dtype=np.intp)
     sims = np.empty((q.shape[0], k))
@@ -83,7 +84,8 @@ def knn(queries, tgt: EmbeddingTable, k: int, words=None):
     for start in range(0, q.shape[0], step):
         block = slice(start, start + step)
         scores = unit[block] @ tgt.matrix.T
-        scores /= norms
+        with np.errstate(invalid="ignore"):  # 0 / 0 on a zero target row
+            scores /= norms
         np.clip(scores, -1.0, 1.0, out=scores)
         rows[block] = _top_k(scores, k)
         sims[block] = np.take_along_axis(scores, rows[block], axis=1)
@@ -199,15 +201,16 @@ class SyntheticSpec:
 class SyntheticData:
     src: EmbeddingTable
     tgt: EmbeddingTable
-    src_freq: FrequencyTable
-    tgt_freq: FrequencyTable
+    src_freq: np.ndarray  # one count per table row
+    tgt_freq: np.ndarray
     truth: BilingualDictionary
     map_matrix: np.ndarray
 
 
-def _zipf_counts(size: int, exponent: float) -> list:
+def _zipf_counts(size: int, exponent: float) -> np.ndarray:
     base = 1_000_000.0
-    return [max(1, round(base / (r + 1) ** exponent)) for r in range(size)]
+    return np.array([max(1, round(base / (r + 1) ** exponent)) for r in range(size)],
+                    dtype=np.int64)
 
 
 def _tokens(prefix: str, size: int) -> list:
@@ -236,21 +239,15 @@ def synth_generate(spec: SyntheticSpec) -> SyntheticData:
 
     src_tokens = _tokens("s", spec.source_size)
     tgt_tokens = _tokens("t", spec.target_size)
-    src_vocab = Vocabulary(src_tokens)
-    tgt_vocab = Vocabulary(tgt_tokens)
-    src = EmbeddingTable(src_vocab, src_matrix)
-    tgt = EmbeddingTable(tgt_vocab, tgt_matrix)
-    src_freq = FrequencyTable(
-        src_vocab, dict(zip(src_tokens, _zipf_counts(spec.source_size, spec.zipf_exponent)))
-    )
-    tgt_freq = FrequencyTable(
-        tgt_vocab, dict(zip(tgt_tokens, _zipf_counts(spec.target_size, spec.zipf_exponent)))
-    )
+    src = EmbeddingTable(Vocabulary(src_tokens), src_matrix)
+    tgt = EmbeddingTable(Vocabulary(tgt_tokens), tgt_matrix)
     paired = min(spec.source_size, spec.target_size)
     truth = BilingualDictionary(
         {src_tokens[i]: {tgt_tokens[i]} for i in range(paired)}
     )
-    return SyntheticData(src=src, tgt=tgt, src_freq=src_freq, tgt_freq=tgt_freq,
+    return SyntheticData(src=src, tgt=tgt,
+                         src_freq=_zipf_counts(spec.source_size, spec.zipf_exponent),
+                         tgt_freq=_zipf_counts(spec.target_size, spec.zipf_exponent),
                          truth=truth, map_matrix=q)
 
 

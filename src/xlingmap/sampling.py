@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_io import EmbeddingTable, FrequencyTable
+from .embed_io import EmbeddingTable
 from .numerics import Rng
 
 SUBSAMPLE_FORMULAS = ("code", "paper")
@@ -46,45 +46,22 @@ def keep_weight(rel_freq, threshold: float, formula: str = "code"):
     return np.minimum(w, 1.0)
 
 
-class AdjustedDistribution:
-    """Sampling distribution over a vocabulary with an O(log V) inversion table."""
+def build_adjusted(counts, cfg: SamplerConfig) -> np.ndarray:
+    """The cumulative sampling distribution over table rows, proportional to
+    count * keep_weight(relative frequency), as a float64 array whose last
+    entry is exactly 1.
 
-    def __init__(self, vocab, probabilities):
-        probabilities = np.asarray(probabilities, dtype=np.float64)
-        if probabilities.ndim != 1 or probabilities.size != len(vocab):
-            raise ValueError("probability vector does not match vocabulary")
-        if np.any(probabilities <= 0.0):
-            raise ValueError("all probabilities must be positive")
-        if abs(probabilities.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
-        self.vocab = vocab
-        self.probabilities = probabilities
-        self._cum = np.cumsum(probabilities)
-        self._cum[-1] = 1.0
-
-    def sample_indices(self, n: int, rng: Rng) -> np.ndarray:
-        if n < 1:
-            raise ValueError("sample size must be >= 1")
-        u = np.atleast_1d(rng.uniform(size=n))
-        return np.searchsorted(self._cum, u, side="right")
-
-
-def build_adjusted(freq: FrequencyTable, cfg: SamplerConfig) -> AdjustedDistribution:
-    """Distribution proportional to count * keep_weight(relative frequency).
-
-    Counts are floored at 1 so every word stays sampleable.
+    Counts are floored at 1 so every row stays sampleable.
     """
-    counts = np.array(
-        [max(1, freq.counts[tok]) for tok in freq.vocab.tokens], dtype=np.float64
-    )
+    counts = np.maximum(counts, 1).astype(np.float64)
     rel = counts / counts.sum()
     weights = counts * keep_weight(rel, cfg.subsample_threshold, cfg.formula)
-    return AdjustedDistribution(freq.vocab, weights / weights.sum())
+    cum = np.cumsum(weights / weights.sum())
+    cum[-1] = 1.0
+    return cum
 
 
-def sample_batch(dist: AdjustedDistribution, table: EmbeddingTable, n: int,
-                 rng: Rng):
-    """Draw n rows i.i.d. with replacement; returns a fresh (n x d) array."""
-    if dist.vocab != table.vocab:
-        raise ValueError("distribution vocabulary does not match table")
-    return table.matrix[dist.sample_indices(n, rng)]
+def sample_batch(cum: np.ndarray, table: EmbeddingTable, n: int, rng: Rng):
+    """Draw n rows i.i.d. with replacement by the cumulative distribution
+    ``cum`` over the table's rows; returns a fresh (n x d) array."""
+    return table.matrix[np.searchsorted(cum, rng.uniform(size=n), side="right")]

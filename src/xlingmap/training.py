@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed_io import EmbeddingTable, FrequencyTable
+from .embed_io import EmbeddingTable
 from .evaluation import collapse_metric, distribution_match_report, monitor_accuracy
 from .layers import _row_norms, adversarial_loss, bce_loss, cosine_dissim_loss
 from .models import Discriminator, EncoderDecoder, ModelConfig, build_models
@@ -174,14 +174,32 @@ def _joint_pass(cfg: TrainConfig, encoder: EncoderDecoder, disc: Discriminator,
     return joint, losses, disc_bce, grad_recon.T @ e_hat + f.T @ grad_e_hat
 
 
+def _counts(counts, table: EmbeddingTable, side: str) -> np.ndarray:
+    """``counts`` if it holds one non-negative integer count per row of
+    ``table``, in table order; ones (uniform sampling) if it is ``None``;
+    else a ``ValueError`` naming ``side``."""
+    if counts is None:
+        return np.ones(len(table.vocab), dtype=np.int64)
+    counts = np.asarray(counts)
+    if counts.shape != (len(table.vocab),):
+        raise ValueError(f"{side} counts have shape {counts.shape}, not one per "
+                         f"row of the {side} table ({len(table.vocab)})")
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError(f"{side} counts are {counts.dtype}, not integers")
+    if counts.min() < 0:
+        row = int(np.argmin(counts >= 0))
+        raise ValueError(f"negative {side} count {counts[row]} for "
+                         f"{table.vocab.tokens[row]!r}")
+    return counts
+
+
 class Trainer:
     """Owns the models, optimizers, samplers and RNG substreams of one run."""
 
     STREAMS = ("sample_src", "sample_tgt", "dropout_train", "dropout_monitor", "eval")
 
     def __init__(self, cfg: TrainConfig, src: EmbeddingTable, tgt: EmbeddingTable,
-                 src_freq: FrequencyTable | None = None,
-                 tgt_freq: FrequencyTable | None = None):
+                 src_freq=None, tgt_freq=None):
         if src.dim != cfg.model.dim or tgt.dim != cfg.model.dim:
             raise ValueError(
                 f"embedding dims (src {src.dim}, tgt {tgt.dim}) do not match "
@@ -193,12 +211,8 @@ class Trainer:
         self.cfg = cfg
         self.src = src
         self.tgt = tgt
-        if src_freq is None:
-            src_freq = FrequencyTable.uniform(src.vocab)
-        if tgt_freq is None:
-            tgt_freq = FrequencyTable.uniform(tgt.vocab)
-        self.src_dist = build_adjusted(src_freq, cfg.sampler)
-        self.tgt_dist = build_adjusted(tgt_freq, cfg.sampler)
+        self.src_cum = build_adjusted(_counts(src_freq, src, "source"), cfg.sampler)
+        self.tgt_cum = build_adjusted(_counts(tgt_freq, tgt, "target"), cfg.sampler)
 
         root = Rng(cfg.seed)
         self.rngs = {name: root.substream(name) for name in self.STREAMS}
@@ -221,8 +235,8 @@ class Trainer:
         but its ``type`` and ``step`` is finite."""
         t0 = time.perf_counter()
         n = self.cfg.batch_size
-        f = sample_batch(self.src_dist, self.src, n, self.rngs["sample_src"])
-        e = sample_batch(self.tgt_dist, self.tgt, n, self.rngs["sample_tgt"])
+        f = sample_batch(self.src_cum, self.src, n, self.rngs["sample_src"])
+        e = sample_batch(self.tgt_cum, self.tgt, n, self.rngs["sample_tgt"])
         joint, losses, disc_bce, grad_w = _joint_pass(
             self.cfg, self.encoder, self.d_train, f, e, self.rngs["dropout_train"]
         )
@@ -254,8 +268,8 @@ class Trainer:
         """Frozen-model evaluation on fresh draws from the eval substream.
         Returns the eval record, checked like the step record."""
         rng = self.rngs["eval"]
-        f = sample_batch(self.src_dist, self.src, EVAL_SIZE, rng)
-        e = sample_batch(self.tgt_dist, self.tgt, EVAL_SIZE, rng)
+        f = sample_batch(self.src_cum, self.src, EVAL_SIZE, rng)
+        e = sample_batch(self.tgt_cum, self.tgt, EVAL_SIZE, rng)
         return _checked({"type": "eval", "step": self.step_count,
                          **distribution_match_report(self.encoder.map_rows(f), e,
                                                      self.d_monitor)})
@@ -333,8 +347,7 @@ class Trainer:
 
     @classmethod
     def resume(cls, path, src: EmbeddingTable, tgt: EmbeddingTable,
-               src_freq: FrequencyTable | None = None,
-               tgt_freq: FrequencyTable | None = None) -> "Trainer":
+               src_freq=None, tgt_freq=None) -> "Trainer":
         """Rebuild a trainer from a checkpoint; continues bit-identically
         given the same embedding and frequency inputs. Only checkpoints of
         this ``STEP_SCHEME`` resume."""

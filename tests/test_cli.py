@@ -238,6 +238,28 @@ def test_train_twice_same_seed_identical_checkpoints(tmp_path, parses):
     assert a == b
 
 
+def test_train_reads_one_count_per_table_row(tmp_path):
+    # reversed frequency files with a line for a token not in the table give
+    # the checkpoints of synth's own files: the counts follow the table rows
+    synth = tmp_path / "synth"
+    assert main(["synth", "--out", str(synth), "--dim", "6", "--source-size", "40",
+                 "--target-size", "40", "--noise", "0", "--seed", "1"]) == 0
+    for name in ("src", "tgt"):
+        lines = (synth / f"{name}.freq").read_text(encoding="utf-8").splitlines()
+        (tmp_path / f"{name}.freq").write_text(
+            "\n".join(["zz\t123", *reversed(lines)]) + "\n", encoding="utf-8")
+    runs = {"own": synth, "reversed": tmp_path, "none": None}
+    for run, where in runs.items():
+        freq = {} if where is None else {"src_freq": where / "src.freq",
+                                         "tgt_freq": where / "tgt.freq"}
+        assert main(train_args(synth / "src.vec", synth / "tgt.vec", tmp_path / run,
+                               max_steps=4, checkpoint_every=2, **freq)) == 0
+    for name in ("checkpoint_00000002.xlaae", "checkpoint_final.xlaae"):
+        own, rev, none = ((tmp_path / run / name).read_bytes() for run in runs)
+        assert own == rev
+        assert own != none
+
+
 def test_train_dim_mismatch_exits_1(tmp_path, capsys):
     sp, _, _, _ = write_tables(tmp_path)
     other = random_table(10, 4, seed=3, prefix="t")
@@ -290,7 +312,7 @@ def test_map_identity_checkpoint_round_trips(tmp_path):
     assert main(["map", "--checkpoint", str(ident), "--src", str(sp),
                  "--out", str(mapped_path)]) == 0
     mapped = load_embeddings(mapped_path)
-    assert mapped.vocab == src.vocab
+    assert mapped.vocab.tokens == src.vocab.tokens
     assert np.max(np.abs(mapped.matrix - src.matrix)) < 1e-15
 
 
@@ -429,6 +451,35 @@ def test_zero_source_row_names_its_word(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "error: zero row 's0002' in the queries\n")
+
+
+def test_zero_target_row_ranks_last(tmp_path, capsys):
+    # gan trains on a zero --tgt row, and nn and eval with its mapping rank
+    # that row last, with similarity nan
+    args = synth_eval_args(tmp_path, 30)
+    synth = tmp_path / "synth"
+    zeroed = str(with_zero_row(load_embeddings(synth / "tgt.vec"), 4, tmp_path / "zeroed.vec"))
+    assert main(["train", "--mode", "gan", "--src", str(synth / "src.vec"), "--tgt", zeroed,
+                 "--out", str(tmp_path / "run"), "--k", "4", "--T", "2", "--n", "8",
+                 "--max-steps", "1"]) == 0
+    capsys.readouterr()
+    assert main(["nn", "--checkpoint", str(tmp_path / "run" / "checkpoint_final.xlaae"),
+                 "--src", str(synth / "src.vec"), "--tgt", zeroed,
+                 "--words", "s0001,s0002", "--k", "30"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for word in ("s0001", "s0002"):
+        lines = [line.split("\t") for line in out.splitlines() if line.startswith(word)]
+        assert len(lines) == 30 and lines[-1][2:] == ["t0005", "nan"]
+        assert "nan" not in [line[3] for line in lines[:-1]]
+    # through the true map every entry ranks its target first, but s0005,
+    # whose zero target ranks 30th of 30
+    at = args.index("--tgt")
+    assert main(args[:at + 1] + [zeroed] + args[at + 2:]) == 0
+    out, err = capsys.readouterr()
+    precision = json.loads(out)["precision"]
+    assert err == "" and precision["p@1"] == precision["p@29"] == 29 / 30
+    assert precision["p@30"] == 1.0
 
 
 def test_eval_and_nn_rank_once(tmp_path, capsys, monkeypatch):
@@ -614,8 +665,8 @@ def test_every_synth_spec_field_has_a_flag(tmp_path, case):
     ref.mkdir()
     save_embeddings(data.src, ref / "src.vec")
     save_embeddings(data.tgt, ref / "tgt.vec")
-    save_frequencies(data.src_freq, ref / "src.freq")
-    save_frequencies(data.tgt_freq, ref / "tgt.freq")
+    save_frequencies(data.src.vocab, data.src_freq, ref / "src.freq")
+    save_frequencies(data.tgt.vocab, data.tgt_freq, ref / "tgt.freq")
     data.truth.save(ref / "truth.dict")
     save_matrix(data.map_matrix, ref / "map.txt")
     for name in ("src.vec", "tgt.vec", "src.freq", "tgt.freq", "truth.dict", "map.txt"):
@@ -1067,7 +1118,7 @@ def test_a_partial_read_checks_every_block_it_reads(tmp_path, monkeypatch):
         assert cli._read_sidecar(sidecar, key) is None, f"flip in byte {i}"
         got = cli._read_sidecar(sidecar, key, words)
         if i >= matrix_at and (i - matrix_at) // 48 in (1, 2, 4):
-            assert got.vocab == want.vocab, f"flip in byte {i}"
+            assert got.vocab.tokens == want.vocab.tokens, f"flip in byte {i}"
             assert got.matrix.tobytes() == want.matrix.tobytes(), f"flip in byte {i}"
         else:
             assert got is None, f"flip in byte {i}"

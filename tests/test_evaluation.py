@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -198,9 +200,15 @@ def test_knn_rejects_bad_input():
                                   "query row 1 has a norm")):
         with pytest.raises(ValueError, match=fragment), np.errstate(all="ignore"):
             knn(queries, t, k)
-    holed = EmbeddingTable(t.vocab, np.vstack([t.matrix[:4], np.zeros((1, 3))]))
-    with pytest.raises(ValueError, match="zero row 'w4' in the target table"):
-        knn(np.ones((1, 3)), holed, 2)
+    # a zero target row scores NaN and ranks last, without a numpy warning
+    holed = EmbeddingTable(t.vocab, np.vstack([t.matrix[:1], np.zeros((1, 3)),
+                                               t.matrix[2:]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, sims = knn(np.ones((2, 3)), holed, 5)
+        assert np.all(rows[:, -1] == 1) and np.isnan(sims[:, -1]).all()
+        assert not np.isnan(sims[:, :-1]).any()
+        assert np.array_equal(knn(np.ones((2, 3)), holed, 2)[0], rows[:, :2])
     # given the query rows' words, the errors name the word
     for queries, fragment in (([[1.0, 0, 0], [0, 0, 0]], "zero row 'b' in the queries"),
                               ([[1.0, 0, 0], [1e300, 0, 1e300]],
@@ -350,7 +358,7 @@ def test_synth_reproducible():
     b = synth_generate(spec)
     assert np.array_equal(a.src.matrix, b.src.matrix)
     assert np.array_equal(a.tgt.matrix, b.tgt.matrix)
-    assert a.src_freq.counts == b.src_freq.counts
+    assert np.array_equal(a.src_freq, b.src_freq) and np.array_equal(a.tgt_freq, b.tgt_freq)
     assert a.truth.entries == b.truth.entries
 
 
@@ -364,7 +372,8 @@ def test_synth_oracle_precision():
 
 def test_synth_zipf_counts_positive_decreasing():
     data = synth_generate(SyntheticSpec(dim=3, source_size=30, target_size=30))
-    counts = [data.src_freq.counts[t] for t in data.src.vocab.tokens]
+    counts = data.src_freq.tolist()
+    assert data.src_freq.dtype == np.int64 and len(counts) == len(data.src.vocab)
     assert all(c >= 1 for c in counts)
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 

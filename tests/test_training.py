@@ -9,7 +9,7 @@ import pytest
 
 from xlingmap import training
 from xlingmap.cli import main
-from xlingmap.embed_io import FrequencyTable, save_embeddings
+from xlingmap.embed_io import save_embeddings
 from xlingmap.models import ModelConfig
 from xlingmap.numerics import Rng
 from xlingmap.optim import NonFiniteGradient
@@ -109,8 +109,8 @@ def test_discriminator_update_leaves_encoder_untouched(tables):
     n = tr.cfg.batch_size
     from xlingmap.sampling import sample_batch
 
-    f = sample_batch(tr.src_dist, src, n, tr.rngs["sample_src"])
-    e = sample_batch(tr.tgt_dist, tgt, n, tr.rngs["sample_tgt"])
+    f = sample_batch(tr.src_cum, src, n, tr.rngs["sample_src"])
+    e = sample_batch(tr.tgt_cum, tgt, n, tr.rngs["sample_tgt"])
     # the joint pass only computes gradients; the discriminator's step
     # moves its own parameters alone
     training._joint_pass(tr.cfg, tr.encoder, tr.d_train, f, e, tr.rngs["dropout_train"])
@@ -376,8 +376,7 @@ def test_trainer_validates_dimensions(tables):
 
 def test_frequency_tables_feed_sampler(tables):
     src, tgt = tables
-    freq = FrequencyTable(src.vocab, {t: 5 for t in src.vocab.tokens})
-    tr = Trainer(tiny_cfg(), src, tgt, src_freq=freq)
+    tr = Trainer(tiny_cfg(), src, tgt, src_freq=np.full(len(src.vocab), 5))
     m = tr.step()
     assert finite(m)
 
