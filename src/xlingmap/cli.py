@@ -11,10 +11,12 @@ Each command is one entry of ``_COMMANDS`` (help line, flag builder,
 handler), and the parser is built for the invoked command only: every
 command's name and help line, but only that command's flags. Every command
 reads its embedding tables through ``_load_table``: a table file parsed once
-is read again from its binary sidecar ``<file>.xlcache`` for as long as the
-file is unchanged. The sidecar carries a checksum per block of rows, and
-``nn`` and ``eval`` read and check only the blocks of the ``--src`` rows
-they rank: those of the query words, or of the dictionary's source words.
+is read again from its binary sidecar ``<file>.xlcache``, mapped read-only,
+for as long as the file is unchanged. The sidecar carries a checksum per
+block of rows and the rows' norms; a whole table is the mapped sidecar
+itself, and ``nn`` and ``eval`` check and copy only the blocks of the
+``--src`` rows they rank: those of the query words, or of the dictionary's
+source words.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numeric failure during
 training. ``XLINGMAP_THREADS`` caps BLAS threads (default 1, keeping runs
@@ -33,11 +35,13 @@ import argparse
 import contextlib
 import hashlib
 import json
+import mmap
 import stat
 import sys
 import time
 import zlib
 from dataclasses import fields, replace
+from itertools import compress, count
 from pathlib import Path
 
 import numpy as np
@@ -99,13 +103,14 @@ def _config(cls, args, **given):
 
 
 # A sidecar is this line, then "dev ino size mtime_ns ctime_ns rows dim
-# token_bytes crc32" (the table file's stat key, the sizes, the crc32 of the
-# tokens and the block checksums), then the tokens joined by "\n", one
-# little-endian uint32 crc32 per block of matrix rows, and the matrix as
-# little-endian float64.
-_SIDECAR_MAGIC = b"xlingmap table sidecar 2\n"
+# token_bytes crc32" (the table file's stat key, the sizes, and the crc32 of
+# the bytes from the tokens to the matrix, 10 digits wide), then the tokens
+# joined by "\n", one little-endian uint32 crc32 per block of matrix rows,
+# zero bytes up to a multiple of 64, the row norms and the matrix as
+# little-endian float64: aligned arrays over the read-only mapped file.
+_SIDECAR_MAGIC = b"xlingmap table sidecar 3\n"
 # Matrix bytes per checksummed block, rounded down to whole rows (at least
-# one): a command reads and checks only the blocks of the rows it uses.
+# one): a command checks only the blocks of the rows it uses.
 _SIDECAR_BLOCK_BYTES = 1 << 16
 
 
@@ -124,29 +129,32 @@ def _block_rows(dim: int) -> int:
     return max(1, _SIDECAR_BLOCK_BYTES // (8 * dim))
 
 
-def _block_crcs(matrix) -> list:
-    """The crc32 of each ``_SIDECAR_BLOCK_BYTES`` block of whole rows of the
-    C-contiguous ``matrix``, the last block maybe shorter."""
+def _block_crcs(matrix, blocks) -> list:
+    """The crc32 of each of the ``blocks`` (indices) of the C-contiguous
+    ``matrix``: ``_block_rows`` whole rows each, the last maybe fewer."""
     view = memoryview(matrix).cast("B")
     size = 8 * matrix.shape[1] * _block_rows(matrix.shape[1])
-    return [zlib.crc32(view[i:i + size]) for i in range(0, len(view), size)]
+    return [zlib.crc32(view[b * size:(b + 1) * size]) for b in blocks]
 
 
 def _held(tokens, words):
     """The words of ``words`` that ``tokens`` holds, each at its first
-    occurrence, and their indices in ``tokens``."""
-    index = dict(zip(tokens, range(len(tokens))))
-    held = [w for w in dict.fromkeys(words) if w in index]
+    occurrence, and their indices in ``tokens``: only the words are indexed."""
+    wanted = dict.fromkeys(words)
+    index = {tokens[i]: i for i in compress(count(), map(wanted.__contains__, tokens))}
+    held = [w for w in wanted if w in index]
     return held, [index[w] for w in held]
 
 
 def _read_sidecar(sidecar: Path, key, words=None):
     """The table in ``sidecar`` if it was written under ``key``, is whole
-    (sizes and crc32 of the tokens and block checksums match) and passes
-    the table checks; else ``None``. With ``words``, the table of those of
-    them it holds, in first-occurrence order, or ``()`` if it holds none.
-    Only the blocks of the rows taken are read, one read per run of
-    consecutive blocks, and each is checked against its crc32."""
+    (the sizes and the crc32 of the bytes from the tokens to the matrix
+    match) and passes the table checks; else ``None``. With ``words``, the table of those of them
+    it holds, in first-occurrence order, or ``()`` if it holds none. The
+    file is mapped read-only and checked in place, block by block against
+    its crc32: a whole read checks every block and adopts the mapped matrix
+    and norms, a partial read checks the blocks of its rows and copies
+    those rows."""
     try:
         with open(sidecar, "rb") as fh:
             if fh.readline(len(_SIDECAR_MAGIC)) != _SIDECAR_MAGIC:
@@ -154,42 +162,30 @@ def _read_sidecar(sidecar: Path, key, words=None):
             *got, rows, dim, token_bytes, crc = map(int, fh.readline(256).split())
             if got != key or rows < 1 or dim < 1 or token_bytes < 1:
                 return None
-            step = _block_rows(dim)
-            crcs = np.empty(-(-rows // step), dtype="<u4")
-            base = fh.tell() + token_bytes + crcs.nbytes  # where the matrix begins
+            start, blocks = fh.tell(), -(-rows // _block_rows(dim))
+            norms_at = -(-(start + token_bytes + 4 * blocks) // 64) * 64
+            base = norms_at + 8 * rows  # where the matrix begins
             if os.fstat(fh.fileno()).st_size != base + 8 * rows * dim:
                 return None
-            tokens = fh.read(token_bytes)
-            if (fh.readinto(crcs) != crcs.nbytes
-                    or zlib.crc32(crcs, zlib.crc32(tokens)) != crc):
-                return None
-            tokens = tokens.decode().split("\n")
-            if len(tokens) != rows:
-                return None
-            if words is None:
-                held, picked = tokens, None
-                blocks = np.arange(crcs.size)
-            else:
-                held, picked = _held(tokens, words)
-                if not held:
-                    return ()
-                picked = np.array(picked)
-                blocks = np.unique(picked // step)
-            crcs = crcs.tolist()
-            matrix = np.empty((len(held), dim), dtype="<f8")
-            for run in np.split(blocks, np.flatnonzero(np.diff(blocks) > 1) + 1):
-                start, stop = run[0] * step, min(rows, (run[-1] + 1) * step)
-                # a whole read reads straight into the table
-                buf = matrix[start:stop] if picked is None else np.empty(
-                    (stop - start, dim), dtype="<f8")
-                fh.seek(base + 8 * dim * start)
-                if (fh.readinto(buf) != buf.nbytes
-                        or _block_crcs(buf) != crcs[run[0]:run[-1] + 1]):
-                    return None
-                if picked is not None:
-                    inside = np.flatnonzero((picked >= start) & (picked < stop))
-                    matrix[inside] = buf[picked[inside] - start]
-        return EmbeddingTable(Vocabulary(held), matrix)
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        if zlib.crc32(memoryview(data)[start:base]) != crc:
+            return None
+        tokens = data[start:start + token_bytes].decode().split("\n")
+        if len(tokens) != rows:
+            return None
+        crcs = np.frombuffer(data, "<u4", blocks, start + token_bytes)
+        norms = np.frombuffer(data, "<f8", rows, norms_at)
+        matrix = np.frombuffer(data, "<f8", rows * dim, base).reshape(rows, dim)
+        if words is None:
+            held, picked, blocks = tokens, slice(None), range(blocks)
+        else:
+            held, picked = _held(tokens, words)
+            if not held:
+                return ()
+            blocks = sorted({row // _block_rows(dim) for row in picked})
+        if _block_crcs(matrix, blocks) != crcs[blocks].tolist():
+            return None
+        return EmbeddingTable(Vocabulary(held), matrix[picked], norms[picked])
     except (OSError, ValueError):
         return None
 
@@ -200,14 +196,16 @@ def _write_sidecar(sidecar: Path, key, table: EmbeddingTable) -> None:
     no file behind and is not an error."""
     tokens = "\n".join(table.vocab.tokens).encode()
     matrix = np.ascontiguousarray(table.matrix, dtype="<f8")
-    crcs = np.array(_block_crcs(matrix), dtype="<u4")
-    header = [*key, *matrix.shape, len(tokens), zlib.crc32(crcs, zlib.crc32(tokens))]
+    blocks = range(-(-len(matrix) // _block_rows(table.dim)))
+    body = tokens + np.array(_block_crcs(matrix, blocks), dtype="<u4").tobytes()
+    head = _SIDECAR_MAGIC + " ".join(map(str, [*key, *matrix.shape, len(tokens)])).encode()
+    norms = table.row_norms().astype("<f8").tobytes()
+    # the header ends in the 12 bytes " %010d\n", so the padding is known first
+    body += bytes(-(len(head) + 12 + len(body)) % 64) + norms
     tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_SIDECAR_MAGIC + " ".join(map(str, header)).encode() + b"\n")
-            fh.write(tokens)
-            fh.write(crcs)
+            fh.write(head + b" %010d\n" % zlib.crc32(body) + body)
             fh.write(matrix)
         os.replace(tmp, sidecar)
     except OSError:

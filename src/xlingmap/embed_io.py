@@ -30,8 +30,8 @@ value in fixed notation it rounds |x| * 10**(16 - E) exactly to 17 digits
 and lays them out with table lookups. Zeros and values that ``'%.17g'``
 writes with an exponent are formatted one by one.
 
-Frequency files are TSV: ``"<token>\\t<count>"`` per line, read as one
-count per table row.
+Frequency files are TSV: ``"<token>\\t<count>"`` per line, the count ASCII
+digits, read as one count per table row.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .layers import _row_norms
+from .layers import _check_nonzero, _row_norms
 
 
 class EmbedFormatError(ValueError):
@@ -540,12 +540,15 @@ class EmbeddingTable:
     """A vocabulary plus one embedding row per token, immutable after build.
 
     A float64 array is adopted, not copied, and marked read-only: the caller
-    hands over an array it no longer writes to.
+    hands over an array it no longer writes to. A table read whole from its
+    sidecar adopts the sidecar's read-only mapped pages themselves. The
+    rows' norms are ``norms`` if given (a sidecar stores them), else
+    computed on first use; either way they are the bits of ``_row_norms``.
     """
 
-    __slots__ = ("vocab", "matrix")
+    __slots__ = ("vocab", "matrix", "_norms")
 
-    def __init__(self, vocab: Vocabulary, matrix):
+    def __init__(self, vocab: Vocabulary, matrix, norms=None):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError(f"embedding matrix must be 2-d, got {matrix.ndim}-d")
@@ -558,12 +561,25 @@ class EmbeddingTable:
         if not np.all(np.isfinite(matrix)):
             raise ValueError("embedding matrix contains non-finite values")
         matrix.setflags(write=False)
+        if norms is not None:
+            norms.setflags(write=False)
         self.vocab = vocab
         self.matrix = matrix
+        self._norms = norms
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
+
+    def row_norms(self, where=None):
+        """The Euclidean norm of each row, computed at most once; given
+        ``where``, a zero row raises naming its token and ``where``."""
+        if self._norms is None:
+            self._norms = _row_norms(self.matrix)
+            self._norms.setflags(write=False)
+        if where is not None:
+            _check_nonzero(self._norms, self.vocab.tokens, where)
+        return self._norms
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -597,8 +613,9 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
 
 def load_frequencies(path, vocab: Vocabulary) -> np.ndarray:
     """The count of each row of ``vocab``, in table order (int64), from a TSV
-    frequency file. Lines for tokens not in ``vocab`` are skipped; a row the
-    file lacks counts 1."""
+    frequency file of ``<token>\\t<count>`` lines, each count ASCII digits.
+    Lines for tokens not in ``vocab`` are skipped; a row the file lacks
+    counts 1."""
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n")
@@ -609,18 +626,18 @@ def load_frequencies(path, vocab: Vocabulary) -> np.ndarray:
     counts = np.full(len(vocab), -1, dtype=np.int64)  # -1: not in the file yet
     for i, line in enumerate(lines):
         lineno = i + 1
-        parts = line.split("\t")
+        parts = line.removesuffix("\r").split("\t")
         if len(parts) != 2:
             raise EmbedFormatError(f"{path}:{lineno}: expected 'token<TAB>count'")
         token, raw = parts
-        try:
-            count = int(raw)
-        except ValueError:
-            raise EmbedFormatError(
-                f"{path}:{lineno}: non-integer count {raw!r}"
-            ) from None
-        if count < 0:
-            raise EmbedFormatError(f"{path}:{lineno}: negative count {count}")
+        # a count is ASCII digits; int() would also take a sign, spaces,
+        # underscores and the digits of other scripts
+        digits = raw.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise EmbedFormatError(f"{path}:{lineno}: non-integer count {raw!r}")
+        if digits != raw:
+            raise EmbedFormatError(f"{path}:{lineno}: negative count {raw}")
+        count = int(raw)
         if count > _INT64.max:
             raise EmbedFormatError(f"{path}:{lineno}: count {count} beyond int64")
         if token not in vocab:
@@ -643,7 +660,7 @@ def save_frequencies(vocab: Vocabulary, counts, path) -> None:
 def normalize_rows(table: EmbeddingTable, where: str = "the table") -> EmbeddingTable:
     """Rescale every row to unit Euclidean norm; a zero row is an error
     naming its token and ``where``."""
-    norms = _row_norms(table.matrix, table.vocab.tokens, where)
+    norms = table.row_norms(where)
     return EmbeddingTable(table.vocab, table.matrix / norms[:, None])
 
 

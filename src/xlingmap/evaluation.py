@@ -76,7 +76,7 @@ def knn(queries, tgt: EmbeddingTable, k: int, words=None):
     if not np.all(np.isfinite(q_norms)):  # its unit row would be all zeros
         raise ValueError(f"query row {words[int(np.argmin(np.isfinite(q_norms)))]!r} "
                          "has a norm that is not finite")
-    norms = _row_norms(tgt.matrix)
+    norms = tgt.row_norms()
     unit = q / q_norms[:, None]
     rows = np.empty((q.shape[0], k), dtype=np.intp)
     sims = np.empty((q.shape[0], k))

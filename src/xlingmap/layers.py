@@ -28,13 +28,20 @@ def sigmoid(x):
 def _row_norms(matrix, tokens=None, where: str = "the table"):
     """``np.linalg.norm(matrix, axis=1)``, bitwise, from blocks of rows of at
     most ``NORM_BLOCK`` values (the whole squared matrix is never held); given
-    the rows' ``tokens``, a zero row raises :class:`LayerError` naming it and ``where``."""
+    the rows' ``tokens``, a zero row raises (:func:`_check_nonzero`)."""
     norms, step = np.empty(len(matrix)), max(1, NORM_BLOCK // max(1, matrix.shape[1]))
     for start in range(0, len(matrix), step):
         norms[start:start + step] = np.linalg.norm(matrix[start:start + step], axis=1)
-    if tokens is not None and not norms.all():
-        raise LayerError(f"zero row {tokens[int(np.argmin(norms != 0.0))]!r} in {where}")
+    if tokens is not None:
+        _check_nonzero(norms, tokens, where)
     return norms
+
+
+def _check_nonzero(norms, tokens, where: str) -> None:
+    """Raise :class:`LayerError` if a row of ``norms`` (the norms of the rows
+    of ``tokens``) is zero, naming its token and ``where``."""
+    if not norms.all():
+        raise LayerError(f"zero row {tokens[int(np.argmin(norms != 0.0))]!r} in {where}")
 
 
 def cosine_dissim_loss(a, b):

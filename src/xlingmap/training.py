@@ -33,7 +33,7 @@ import numpy as np
 
 from .embed_io import EmbeddingTable
 from .evaluation import collapse_metric, distribution_match_report, monitor_accuracy
-from .layers import _row_norms, adversarial_loss, bce_loss, cosine_dissim_loss
+from .layers import adversarial_loss, bce_loss, cosine_dissim_loss
 from .models import Discriminator, EncoderDecoder, ModelConfig, build_models
 from .numerics import RNG_ALGORITHM, Rng
 from .optim import Adam, NonFiniteGradient
@@ -206,8 +206,8 @@ class Trainer:
                 f"model dim {cfg.model.dim}"
             )
         if cfg.mode == "aae":  # both cosine losses are undefined on a zero row
-            _row_norms(src.matrix, src.vocab.tokens, "the source table")
-            _row_norms(tgt.matrix, tgt.vocab.tokens, "the target table")
+            src.row_norms("the source table")
+            tgt.row_norms("the target table")
         self.cfg = cfg
         self.src = src
         self.tgt = tgt

@@ -1002,6 +1002,23 @@ def format1_sidecar(path) -> bytes:
             + tokens + table.matrix.astype("<f8").tobytes())
 
 
+def format2_sidecar(path) -> bytes:
+    """The sidecar of ``path`` in the second format: a crc32 per block of
+    rows, but no padding and no row norms."""
+    from xlingmap.cli import _block_rows, _file_key
+
+    table = load_embeddings(path)
+    tokens = "\n".join(table.vocab.tokens).encode()
+    matrix = table.matrix.astype("<f8").tobytes()
+    size = 8 * table.dim * _block_rows(table.dim)
+    crcs = np.array([zlib.crc32(matrix[i:i + size]) for i in range(0, len(matrix), size)],
+                    dtype="<u4").tobytes()
+    header = [*_file_key(path), *table.matrix.shape, len(tokens),
+              zlib.crc32(crcs, zlib.crc32(tokens))]
+    return (b"xlingmap table sidecar 2\n" + " ".join(map(str, header)).encode() + b"\n"
+            + tokens + crcs + matrix)
+
+
 def flip_in_block(sidecar, block, rows=600, dim=40):
     """Flip one bit in the middle of the ``block``-th block of matrix rows."""
     from xlingmap.cli import _block_rows
@@ -1022,13 +1039,15 @@ def test_commands_give_the_same_bytes_with_and_without_sidecars(
     cold = run_command(capsys, argv)
     assert cold[0] == 0 and parses == names
     good = sidecar.read_bytes()
-    assert good.startswith(b"xlingmap table sidecar 2\n")
+    assert good.startswith(b"xlingmap table sidecar 3\n")
     parses.clear()
     assert run_command(capsys, argv) == cold and parses == []
-    # a sidecar of the first format is refused and replaced
-    sidecar.write_bytes(format1_sidecar(tmp_path / "src.vec"))
-    assert run_command(capsys, argv) == cold and parses == ["src.vec"]
-    assert sidecar.read_bytes() == good
+    # a sidecar of an earlier format is refused and replaced
+    for earlier in (format1_sidecar, format2_sidecar):
+        sidecar.write_bytes(earlier(tmp_path / "src.vec"))
+        parses.clear()
+        assert run_command(capsys, argv) == cold and parses == ["src.vec"]
+        assert sidecar.read_bytes() == good
 
 
 def test_damage_is_caught_by_the_first_command_that_reads_its_block(
@@ -1122,3 +1141,62 @@ def test_a_partial_read_checks_every_block_it_reads(tmp_path, monkeypatch):
             assert got.matrix.tobytes() == want.matrix.tobytes(), f"flip in byte {i}"
         else:
             assert got is None, f"flip in byte {i}"
+
+
+def test_the_sidecar_stores_the_row_norms_bitwise(tmp_path):
+    from xlingmap.cli import _file_key, _load_table, _read_sidecar
+    from xlingmap.layers import _row_norms
+
+    sp = tmp_path / "src.vec"
+    save_embeddings(random_table(600, 40, seed=1, prefix="s"), sp)
+    _load_table(sp)
+    sidecar = tmp_path / "src.vec.xlcache"
+    want = _row_norms(load_embeddings(sp).matrix)
+    # the norms lie just before the matrix, at the end of the file
+    data = sidecar.read_bytes()
+    norms_at = len(data) - 8 * 600 * 40 - 8 * 600
+    assert np.frombuffer(data, "<f8", 600, norms_at).tobytes() == want.tobytes()
+    key = _file_key(sp)
+    assert _read_sidecar(sidecar, key).row_norms().tobytes() == want.tobytes()
+    partial = _read_sidecar(sidecar, key, ["s450", "s5"])
+    assert partial.row_norms().tobytes() == want[[450, 5]].tobytes()
+
+
+def test_a_whole_read_maps_the_sidecar_in_place(tmp_path):
+    import mmap
+
+    from xlingmap.cli import _load_table
+
+    sp = tmp_path / "src.vec"
+    save_embeddings(random_table(600, 40, seed=1, prefix="s"), sp)
+    _load_table(sp)
+    table = _load_table(sp)
+    for array in (table.matrix, table.row_norms()):
+        assert not array.flags.writeable and array.flags.c_contiguous
+        assert array.ctypes.data % 64 == 0
+        # the array is a view of the mapped file, not a copy of it
+        base = array
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(getattr(base, "obj", base), mmap.mmap)  # maybe in a memoryview
+
+
+def test_a_mapped_table_outlives_the_replacement_of_its_sidecar(tmp_path, capsys,
+                                                                 sidecar_checkpoint):
+    from xlingmap.cli import _load_table
+
+    sp, _, _, _ = write_tables(tmp_path)
+    age(sp)
+    _load_table(sp)
+    table = _load_table(sp)
+    matrix, norms = table.matrix.copy(), table.row_norms().copy()
+    sidecar = tmp_path / "src.vec.xlcache"
+    before = os.stat(sidecar).st_ino
+    # another command parses the rewritten file and replaces the sidecar
+    save_embeddings(random_table(30, 6, seed=9, prefix="s"), sp)
+    assert main(["map", "--checkpoint", sidecar_checkpoint, "--src", str(sp),
+                 "--out", str(tmp_path / "mapped.vec")]) == 0
+    assert os.stat(sidecar).st_ino != before
+    assert _load_table(sp).matrix.tobytes() != matrix.tobytes()
+    assert table.matrix.tobytes() == matrix.tobytes()
+    assert table.row_norms().tobytes() == norms.tobytes()

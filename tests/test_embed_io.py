@@ -239,6 +239,24 @@ def test_load_frequencies_rejects_bad_counts(tmp_path, content):
         load_frequencies(path, vocab)
 
 
+@pytest.mark.parametrize("raw", ["1_000", " 12", "12 ", "+5", "\u0663", "\uff11\uff12",
+                                 "\u00b2", "", "0x10", "-3", "-0"])
+def test_load_frequencies_reads_a_count_of_ascii_digits_only(tmp_path, raw):
+    # int() takes an underscore, spaces, a sign and the digits of other
+    # scripts; "-N" is a negative count, the other spellings are not integers
+    path = tmp_path / "f.tsv"
+    path.write_text(f"b\t1\na\t{raw}\n", encoding="utf-8")
+    error = f"negative count {raw}" if raw.startswith("-") else f"non-integer count {raw!r}"
+    with pytest.raises(EmbedFormatError, match=f"^{re.escape(f'{path}:2: {error}')}$"):
+        load_frequencies(path, Vocabulary(["a", "b"]))
+
+
+def test_load_frequencies_reads_crlf_lines(tmp_path):
+    path = tmp_path / "f.tsv"
+    path.write_bytes(b"b\t1\r\na\t007\r\n")
+    assert load_frequencies(path, Vocabulary(["a", "b"])).tolist() == [7, 1]
+
+
 def test_load_frequencies_empty_file(tmp_path):
     path = tmp_path / "f.tsv"
     path.write_text("", encoding="utf-8")
