@@ -399,10 +399,10 @@ def _nn_flags(p) -> None:
 @np.errstate(all="ignore")
 def _cmd_nn(args) -> int:
     words = [w for w in args.words.split(",") if w]
-    # only the query words' rows of --src are read
-    encoder, src, tgt = _load_mapping(args, src=words, tgt=None)
     if not words:
         raise UsageError("no query words given")
+    # only the query words' rows of --src are read
+    encoder, src, tgt = _load_mapping(args, src=words, tgt=None)
     present = []
     for word in words:
         if src is not None and word in src.vocab:

@@ -2,9 +2,10 @@
 counts.
 
 Embedding files use the plain-text format with a ``"<vocab_size> <dim>"``
-header line followed by one ``"<token> <v1> ... <vd>"`` line per word,
-single-space separated (one trailing space per row is accepted, as written
-by word2vec and fastText), UTF-8, ``\\n`` line endings. Matrix files
+header line of two ASCII-digit counts, then one ``"<token> <v1> ... <vd>"``
+line per word, single-space separated (one trailing space per row is
+accepted, as written by word2vec and fastText), UTF-8, ``\\n`` line
+endings. Matrix files
 (``save_matrix``) have a ``"<rows> <cols>"`` header and the same rows
 without tokens. A value is an optional sign, then decimal digits with an
 optional point and exponent, or ``inf``/``infinity``/``nan`` in any case
@@ -180,19 +181,23 @@ def _parse_decimals(text: bytes, at, kind, first, last, digits: bytearray):
     return values
 
 
-def _parse(raw: bytes, count: int):
-    """The ``count`` values of the single-space-separated fields of ``raw``,
-    bitwise what ``np.fromstring(raw, sep=" ")`` gives, or ``None`` if it
-    holds anything else; the readers name a failing row with it."""
-    text = b"\n" + raw + b"\n"
-    buf = np.frombuffer(text, np.uint8)
-    at = np.flatnonzero(buf < ord("0"))
-    kind = buf[at]
-    seps = np.flatnonzero((kind == ord(" ")) | (kind == ord("\n")))
-    values = None
-    if seps.size == count + 1:
-        values = _parse_decimals(text, at, kind, seps[:-1], seps[1:], bytearray(text))
-    return _fromstring(raw, count) if values is None else values
+def _read_header(fh, path):
+    """The two counts of the ``<rows> <cols>`` line that opens ``fh``, each
+    ASCII digits and at least 1 (``int()`` would also take a sign,
+    whitespace, underscores and the digits of other scripts); the line may
+    end in CRLF."""
+    line = fh.readline().decode()
+    if not line:
+        raise EmbedFormatError(f"{path}: empty file")
+    fields = line.removesuffix("\n").removesuffix("\r").split(" ")
+    if len(fields) != 2:
+        raise EmbedFormatError(f"{path}:1: header must be '<rows> <cols>'")
+    if not all(f.isascii() and f.isdigit() for f in fields):
+        raise EmbedFormatError(f"{path}:1: non-integer header fields")
+    rows, cols = map(int, fields)
+    if rows < 1 or cols < 1:
+        raise EmbedFormatError(f"{path}:1: header values must be positive")
+    return rows, cols
 
 
 def _read_rows(fh, path, out, tokens, mismatch: str) -> None:
@@ -288,7 +293,7 @@ def _read_rows(fh, path, out, tokens, mismatch: str) -> None:
                 values = _fromstring(bytes(raw), bad * dim) if raw.strip() else None
             if values is None or not np.isfinite(values).all():
                 for j in range(bad):
-                    row = _parse(text[opens[j]:closes[j]], dim)
+                    row = _fromstring(text[opens[j]:closes[j]], dim)
                     if row is None:
                         fail(j, "unparseable value")
                     if not np.isfinite(row).all():
@@ -586,18 +591,7 @@ def load_embeddings(path) -> EmbeddingTable:
     """Parse an embedding file, validating header, dimensions and values."""
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.readline().decode()
-        if not header:
-            raise EmbedFormatError(f"{path}: empty file")
-        header = header.rstrip("\n").split(" ")
-        if len(header) != 2:
-            raise EmbedFormatError(f"{path}:1: header must be '<vocab_size> <dim>'")
-        try:
-            vocab_size, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise EmbedFormatError(f"{path}:1: non-integer header fields") from None
-        if vocab_size < 1 or dim < 1:
-            raise EmbedFormatError(f"{path}:1: header values must be positive")
+        vocab_size, dim = _read_header(fh, path)
         tokens = []
         matrix = np.empty((vocab_size, dim), dtype=np.float64)
         _read_rows(fh, path, matrix, tokens,
@@ -678,15 +672,7 @@ def load_matrix(path) -> np.ndarray:
     row rules (no token)."""
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.readline().decode()
-        if not header:
-            raise EmbedFormatError(f"{path}: empty matrix file")
-        try:
-            nrows, ncols = (int(v) for v in header.rstrip("\n").split(" "))
-        except ValueError:
-            raise EmbedFormatError(f"{path}:1: bad matrix header") from None
-        if nrows < 1 or ncols < 1:
-            raise EmbedFormatError(f"{path}:1: bad matrix header")
+        nrows, ncols = _read_header(fh, path)
         out = np.empty((nrows, ncols), dtype=np.float64)
         _read_rows(fh, path, out, None, f"{path}: expected {nrows} rows, found ")
     return out

@@ -141,7 +141,7 @@ def test_train_writes_artifacts(tmp_path, capsys):
 
 
 def diverged_train(tmp_path, capsys, *extra):
-    """Train on the CI synth tables with ``--lr-gen 1e300``: exit code,
+    """Train on small synth tables with ``--lr-gen 1e300``: exit code,
     stderr, the metrics records and the run directory. Asserts that numpy
     warned nothing."""
     synth = tmp_path / "synth"
@@ -184,6 +184,38 @@ def test_non_finite_eval_record_exits_2(tmp_path, capsys):
     assert err == f"numeric failure: {message}\n"
     assert (out / "checkpoint_diagnostic.xlaae").exists()
     assert not (out / "checkpoint_final.xlaae").exists()
+
+
+def readme_record_keys():
+    """The keys of each record type of the metrics log, as the "Metrics
+    log" bullets of README.md name them: ``type`` and ``step``, and the
+    names that open each bullet under the record type's own."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("- **Metrics log**", 1)[1].split("\n- **", 1)[0]
+    common = re.search(r"Every record has `(\w+)` and `(\w+)`", section).groups()
+    keys = {}
+    for kind, body in re.findall(r'^  - `"type": "(\w+)"`(.*?)(?=^  - |\Z)', section,
+                                 re.M | re.S):
+        opening = re.findall(r"^    - ((?:`\w+`, )*`\w+`):", body, re.M)
+        keys[kind] = {*common, *re.findall(r"\w+", " ".join(opening))}
+    return keys
+
+
+def test_log_records_carry_exactly_the_readme_keys(tmp_path, capsys):
+    keys = readme_record_keys()
+    assert sorted(keys) == ["error", "eval", "step"]
+    sp, tp, _, _ = write_tables(tmp_path)
+    assert main(train_args(sp, tp, tmp_path / "logged", eval_every=2)) == 0
+    records = [json.loads(line) for line in
+               (tmp_path / "logged" / "metrics.jsonl").read_text().splitlines()]
+    assert [r["type"] for r in records] == ["step", "step", "eval"] * 2 + ["step"]
+    # an error record in place of a step record, and of an eval record
+    for run, extra in (("gradient", []), ("eval", ["--max-steps", "1", "--eval-every", "1"])):
+        rc, _, logged, _ = diverged_train(tmp_path / run, capsys, *extra)
+        assert rc == 2 and logged[-1]["type"] == "error"
+        records += logged
+    for record in records:
+        assert set(record) == keys[record["type"]], record["type"]
 
 
 def test_train_rejects_model_settings_before_manifest(tmp_path, capsys):
@@ -353,12 +385,19 @@ def test_synth_eval_oracle_pipeline(tmp_path, capsys):
         assert (synth_dir / name).exists()
     capsys.readouterr()
 
+    written = tmp_path / "report.json"
     rc = main(["eval", "--encoder-matrix", str(synth_dir / "map.txt"),
                "--src", str(synth_dir / "src.vec"),
                "--tgt", str(synth_dir / "tgt.vec"),
-               "--dict", str(synth_dir / "truth.dict"), "--k", "3"])
+               "--dict", str(synth_dir / "truth.dict"), "--k", "3",
+               "--out", str(written)])
     assert rc == 0
-    report = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    # --out writes the bytes eval prints
+    assert written.read_text(encoding="utf-8") == printed
+    report = json.loads(printed)
+    assert set(report) == {"precision", "resolvable", "unresolvable"}
+    assert set(report["precision"]) == {"p@1", "p@2", "p@3"}
     assert report["precision"]["p@1"] == 1.0
     assert report["resolvable"] == 40
 
@@ -503,17 +542,27 @@ def test_eval_and_nn_rank_once(tmp_path, capsys, monkeypatch):
     assert len(report["precision"]) == 10 and values == sorted(values)
     assert (report["resolvable"], report["unresolvable"]) == (30, 0)
 
-    sp, tp, _, _ = write_tables(tmp_path)
+    sp, tp, _, tgt = write_tables(tmp_path)
     out = tmp_path / "run"
     assert main(train_args(sp, tp, out, max_steps=1)) == 0
-    calls.clear()
-    capsys.readouterr()
-    assert main(["nn", "--checkpoint", str(out / "checkpoint_final.xlaae"),
-                 "--src", str(sp), "--tgt", str(tp), "--words", "s0,zzz,s1,s2",
-                 "--k", "100"]) == 0
-    assert calls == [3]
-    # a k above the table size lists the whole table
-    assert len(capsys.readouterr().out.splitlines()) == 3 * 30
+    listings = {}
+    for k in (100, 5):
+        calls.clear()
+        capsys.readouterr()
+        assert main(["nn", "--checkpoint", str(out / "checkpoint_final.xlaae"),
+                     "--src", str(sp), "--tgt", str(tp), "--words", "s0,zzz,s1,s2",
+                     "--k", str(k)]) == 0
+        assert calls == [3]
+        listings[k] = {}
+        for line in capsys.readouterr().out.splitlines():
+            listings[k].setdefault(line.split("\t")[0], []).append(line)
+    # a k above the table size lists every target once, and --k 5 selects
+    # the first 5 of that listing
+    full, top = listings[100], listings[5]
+    assert list(full) == list(top) == ["s0", "s1", "s2"]
+    for word, lines in full.items():
+        assert sorted(line.split("\t")[2] for line in lines) == sorted(tgt.vocab.tokens)
+        assert top[word] == lines[:5]
 
 
 def test_map_then_nn_consistency(tmp_path, capsys):
@@ -560,9 +609,11 @@ def test_preset_flag(tmp_path, shape_flag, block_dim, depth):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     header, _ = read_checkpoint(out / "checkpoint_final.xlaae")
+    # and every field no flag sets keeps the configs' default
+    want = replace(TrainConfig(model=ModelConfig(dim=40, block_dim=block_dim, depth=depth)),
+                   batch_size=8, max_steps=1, eval_every=5, checkpoint_every=5)
     for config in (manifest["config"], header["config"]):
-        assert config["model"]["block_dim"] == block_dim
-        assert config["model"]["depth"] == depth
+        assert config == want.to_dict()
 
 
 def test_eval_maps_only_dictionary_source_rows(tmp_path, capsys, monkeypatch):
@@ -778,6 +829,31 @@ def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr() == want
 
 
+def crlf_copy(path, out):
+    """Write ``path`` to ``out`` with every line ending in CRLF, and every
+    second row with its one trailing space between the CR and the LF (a
+    space before the CR would leave " \\r" as one more field, which the
+    format rejects)."""
+    lines = path.read_bytes().split(b"\n")[:-1]
+    rows = [row + (b"\r" if i % 2 else b"\r ") for i, row in enumerate(lines[1:])]
+    out.write_bytes(b"\n".join([lines[0] + b"\r", *rows]) + b"\n")
+    return out
+
+
+def test_nn_without_query_words_exits_1_before_reading_anything(
+        tmp_path, capsys, parses, sidecar_checkpoint):
+    sp, tp, _, _ = write_tables(tmp_path)
+    argv = table_commands(sidecar_checkpoint, sp, tp, tmp_path)["nn"]
+    for words in (",", "", ",,"):
+        # with the checkpoint, and with a checkpoint file that is missing
+        for checkpoint in (sidecar_checkpoint, str(tmp_path / "missing.xlaae")):
+            argv[argv.index("--words") + 1] = words
+            argv[argv.index("--checkpoint") + 1] = checkpoint
+            assert run_command(capsys, argv) == (1, "", "error: no query words given\n",
+                                                 None)
+    assert parses == [] and list(tmp_path.glob("*.xlcache*")) == []
+
+
 def age(path):
     """Set ``path``'s mtime an hour back, so that its next write gets another
     timestamp even where the filesystem clock is coarse: the sidecar relies
@@ -799,6 +875,11 @@ def test_warm_command_reads_the_sidecars_and_gives_the_same_bytes(
     parses.clear()
     assert run_command(capsys, argv) == cold
     assert parses == []
+    # CRLF copies of the tables give the same bytes
+    cs, ct = crlf_copy(sp, tmp_path / "crlf-src.vec"), crlf_copy(tp, tmp_path / "crlf-tgt.vec")
+    assert cs.read_bytes().count(b"\r \n") == 15
+    crlf = table_commands(sidecar_checkpoint, cs, ct, tmp_path)[command]
+    assert run_command(capsys, crlf) == cold
 
 
 def test_sidecar_table_is_the_parsed_table(tmp_path, parses):

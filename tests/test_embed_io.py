@@ -63,6 +63,10 @@ def test_load_dimension_mismatch_reports_line(tmp_path):
     ("1 2\na 1 inf\n", "non-finite"),
     ("1 2\na 1 x\n", "unparseable"),
     ("x 2\na 1 0\n", "non-integer"),
+    # a header count is ASCII digits, though int() takes these
+    ("+2 2\na 1 0\nb 0 1\n", "non-integer"),
+    ("0_2 2\na 1 0\nb 0 1\n", "non-integer"),
+    ("\u0662 2\na 1 0\nb 0 1\n", "non-integer"),
     ("0 2\n", "positive"),
     ("1 2\na 1 0  \n", "found 4"),
     ("1 2\na 1 0\t\n", "tab"),
@@ -342,8 +346,13 @@ def test_matrix_text_round_trip(tmp_path):
     ("2 2\n1 0\n0 inf\n", "3: non-finite value"),
     ("2 2\n1 0 1\n0 1\n", "2: expected 2 values, found 3"),
     ("2 2\n1\t0\n0 1\n", "2: tab in row"),
-    ("2 2 \n1 0\n0 1\n", "1: bad matrix header"),
-    ("0 2\n", "1: bad matrix header"),
+    ("2 2 \n1 0\n0 1\n", "1: header must be '<rows> <cols>'"),
+    ("0 2\n", "1: header values must be positive"),
+    ("x 2\n", "1: non-integer header fields"),
+    # a header count is ASCII digits, though int() takes these
+    ("+2 2\n1 0\n0 1\n", "1: non-integer header fields"),
+    ("0_2 2\n1 0\n0 1\n", "1: non-integer header fields"),
+    ("\u0662 2\n1 0\n0 1\n", "1: non-integer header fields"),
 ])
 def test_load_matrix_rejects_malformed(tmp_path, content, message):
     path = tmp_path / "m.txt"
@@ -412,8 +421,13 @@ def test_writer_matches_per_value_format(tmp_path, seed):
     save_embeddings(t, path)
     assert path.read_bytes() == reference_text(
         header, t.matrix, t.vocab.tokens).encode("utf-8")
+    # the reader gives float() of each field written, on the numpy running
+    rows = [line.split(" ") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    want = bits([[float(v) for v in row[1:]] for row in rows]).tolist()
+    assert bits(load_embeddings(path).matrix).tolist() == want
     save_matrix(m, path)
     assert path.read_bytes() == reference_text(header, m).encode("utf-8")
+    assert bits(load_matrix(path)).tolist() == want
 
 
 def test_writer_special_values(tmp_path):
@@ -460,13 +474,29 @@ def float_parse(text, count):
     return values if values.size == count else None
 
 
+def block_parse(raw, count):
+    """The ``count`` values of the single-space-separated fields of ``raw``
+    as the reader's block parse gives them: ``_parse_decimals``, or where
+    it gives ``None``, the float parse; ``None`` if neither gives them."""
+    text = b"\n" + raw + b"\n"
+    buf = np.frombuffer(text, np.uint8)
+    at = np.flatnonzero(buf < ord("0"))
+    kind = buf[at]
+    seps = np.flatnonzero((kind == ord(" ")) | (kind == ord("\n")))
+    values = None
+    if seps.size == count + 1:
+        values = embed_io._parse_decimals(text, at, kind, seps[:-1], seps[1:],
+                                          bytearray(text))
+    return embed_io._fromstring(raw, count) if values is None else values
+
+
 def assert_parses_as_float_parse(fields, block=1000):
-    """``_parse`` accepts each block of ``fields`` exactly when numpy's float
-    parse does, and then gives the same doubles, bit for bit."""
+    """``block_parse`` accepts each block of ``fields`` exactly when numpy's
+    float parse does, and then gives the same doubles, bit for bit."""
     for start in range(0, len(fields), block):
         part = fields[start:start + block]
         text = " ".join(part)
-        got = embed_io._parse(text.encode(), len(part))
+        got = block_parse(text.encode(), len(part))
         want = float_parse(text, len(part))
         assert (got is None) == (want is None), text[:300]
         if want is not None:
@@ -721,7 +751,7 @@ def test_row_count_error_comes_before_row_errors(tmp_path, monkeypatch, block_ro
     path.write_text("", encoding="utf-8")
     with pytest.raises(EmbedFormatError, match=r": empty file$"):
         load_embeddings(path)
-    with pytest.raises(EmbedFormatError, match=r": empty matrix file$"):
+    with pytest.raises(EmbedFormatError, match=r": empty file$"):
         load_matrix(path)
 
 
