@@ -4,7 +4,8 @@ Subcommands: ``train`` and ``resume`` drive the training loop, ``map``
 transforms a whole embedding table through a trained mapping, ``nn`` prints
 k-best target neighbors for query words, ``eval`` computes dictionary
 precision@k, and ``synth`` generates a synthetic benchmark with known ground
-truth.
+truth. ``map``, ``nn`` and ``eval`` read the mapping from ``--checkpoint``: a
+checkpoint if the file opens with its magic bytes, else a text matrix.
 Flags named like config fields have no defaults or choices of their own: the
 configs supply them, and ``--preset`` fills only a ``--k``/``--T`` left out.
 Each command is one entry of ``_COMMANDS`` (help line, flag builder,
@@ -69,6 +70,7 @@ from .models import EncoderDecoder, ModelConfig, PRESETS
 from .optim import NonFiniteGradient
 from .sampling import SUBSAMPLE_FORMULAS, SamplerConfig
 from .training import (
+    CHECKPOINT_MAGIC,
     TRAIN_MODES,
     NonFiniteMetric,
     TrainConfig,
@@ -236,32 +238,30 @@ def _load_table(path, words=None):
     return table or None
 
 
-def _load_mapping(args, **tables):
-    """The mapping of ``--checkpoint`` (or ``--encoder-matrix``), then the
-    table of each flag in ``tables`` (``_load_table`` of its path and the
-    words given), each checked against its dimension."""
-    if args.checkpoint:
-        encoder = encoder_from_checkpoint(args.checkpoint)
-    else:
-        encoder = EncoderDecoder(load_matrix(args.encoder_matrix))
-    loaded = [_load_table(getattr(args, name), words) for name, words in tables.items()]
-    for name, table in zip(tables, loaded):
-        if table is not None and table.dim != encoder.dim:
+def _load_inputs(args, mapping=False, **tables):
+    """The mapping of ``--checkpoint`` if ``mapping`` (a checkpoint if the file
+    opens with its magic bytes, else a text matrix), then the table of each
+    flag in ``tables`` (``_load_table`` of its path and the words given), each
+    of the mapping's dimension, or without a mapping, of the first table's."""
+    loaded = []
+    if mapping:
+        with open(args.checkpoint, "rb") as fh:
+            magic = fh.read(len(CHECKPOINT_MAGIC))
+        loaded.append(encoder_from_checkpoint(args.checkpoint) if magic == CHECKPOINT_MAGIC
+                      else EncoderDecoder(load_matrix(args.checkpoint)))
+    loaded += [_load_table(getattr(args, name), words) for name, words in tables.items()]
+    for name, table in zip(tables, loaded[-len(tables):]):
+        if table is not None and table.dim != loaded[0].dim:
+            against = "the mapping" if mapping else f"--{next(iter(tables))}"
             raise UsageError(f"dimension mismatch: --{name} has d={table.dim}, "
-                             f"the mapping d={encoder.dim}")
-    return (encoder, *loaded)
+                             f"{against} d={loaded[0].dim}")
+    return loaded
 
 
 def _load_pair(args):
-    src = _load_table(args.src)
-    tgt = _load_table(args.tgt)
-    if src.dim != tgt.dim:
-        raise UsageError(
-            f"dimension mismatch: src has d={src.dim}, tgt has d={tgt.dim}"
-        )
-    src_freq = load_frequencies(args.src_freq, src.vocab) if args.src_freq else None
-    tgt_freq = load_frequencies(args.tgt_freq, tgt.vocab) if args.tgt_freq else None
-    return src, tgt, src_freq, tgt_freq
+    src, tgt = _load_inputs(args, src=None, tgt=None)
+    return src, tgt, *(load_frequencies(path, table.vocab) if path else None
+                       for path, table in ((args.src_freq, src), (args.tgt_freq, tgt)))
 
 
 def _print_progress(record: dict) -> None:
@@ -369,9 +369,15 @@ def _cmd_resume(args) -> int:
     return _run(trainer, args, "resume")
 
 
+def _mapping_flags(p, *tables) -> None:
+    p.add_argument("--checkpoint", required=True,
+                   help="checkpoint, or text matrix file of the mapping weight")
+    for name in tables:
+        p.add_argument(f"--{name}", required=True)
+
+
 def _map_flags(p) -> None:
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--src", required=True)
+    _mapping_flags(p, "src")
     p.add_argument("--out", required=True, help="output embedding file")
 
 
@@ -380,7 +386,7 @@ def _map_flags(p) -> None:
 # so that stderr holds only the error line
 @np.errstate(all="ignore")
 def _cmd_map(args) -> int:
-    encoder, src = _load_mapping(args, src=None)
+    encoder, src = _load_inputs(args, mapping=True, src=None)
     mapped = EmbeddingTable(src.vocab, encoder.map_rows(src.matrix))
     save_embeddings(mapped, args.out)
     print(f"mapped {len(src.vocab)} embeddings -> {args.out}")
@@ -388,9 +394,7 @@ def _cmd_map(args) -> int:
 
 
 def _nn_flags(p) -> None:
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
+    _mapping_flags(p, "src", "tgt")
     p.add_argument("--words", required=True,
                    help="comma-separated source query words")
     p.add_argument("--k", type=int, default=10)
@@ -402,7 +406,7 @@ def _cmd_nn(args) -> int:
     if not words:
         raise UsageError("no query words given")
     # only the query words' rows of --src are read
-    encoder, src, tgt = _load_mapping(args, src=words, tgt=None)
+    encoder, src, tgt = _load_inputs(args, mapping=True, src=words, tgt=None)
     present = []
     for word in words:
         if src is not None and word in src.vocab:
@@ -420,12 +424,7 @@ def _cmd_nn(args) -> int:
 
 
 def _eval_flags(p) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--checkpoint")
-    group.add_argument("--encoder-matrix",
-                       help="text matrix file to use as the mapping weight")
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
+    _mapping_flags(p, "src", "tgt")
     p.add_argument("--dict", required=True, dest="dictionary")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", help="write the JSON report here as well")
@@ -436,7 +435,7 @@ def _cmd_eval(args) -> int:
     # only the dictionary's source words are ranked, so only their rows of
     # --src are read and mapped
     dictionary = BilingualDictionary.load(args.dictionary)
-    encoder, src, tgt = _load_mapping(args, src=dictionary.entries, tgt=None)
+    encoder, src, tgt = _load_inputs(args, mapping=True, src=dictionary.entries, tgt=None)
     if src is None:
         raise ValueError("no resolvable dictionary entries")
     text = json.dumps(precision_at_k(encoder, src, tgt, dictionary, args.k), indent=2,

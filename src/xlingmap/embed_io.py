@@ -37,6 +37,8 @@ digits, read as one count per table row.
 from __future__ import annotations
 
 import functools
+import os
+import stat
 import warnings
 from pathlib import Path
 
@@ -183,16 +185,16 @@ def _parse_decimals(text: bytes, at, kind, first, last, digits: bytearray):
 
 def _read_header(fh, path):
     """The two counts of the ``<rows> <cols>`` line that opens ``fh``, each
-    ASCII digits and at least 1 (``int()`` would also take a sign,
-    whitespace, underscores and the digits of other scripts); the line may
-    end in CRLF."""
-    line = fh.readline().decode()
+    ASCII digits (``bytes.isdigit``; ``int()`` would also take a sign,
+    whitespace, underscores and the digits of other scripts) and at least 1;
+    the line may end in CRLF."""
+    line = fh.readline()
     if not line:
         raise EmbedFormatError(f"{path}: empty file")
-    fields = line.removesuffix("\n").removesuffix("\r").split(" ")
+    fields = line.removesuffix(b"\n").removesuffix(b"\r").split(b" ")
     if len(fields) != 2:
         raise EmbedFormatError(f"{path}:1: header must be '<rows> <cols>'")
-    if not all(f.isascii() and f.isdigit() for f in fields):
+    if not all(f.isdigit() for f in fields):
         raise EmbedFormatError(f"{path}:1: non-integer header fields")
     rows, cols = map(int, fields)
     if rows < 1 or cols < 1:
@@ -200,19 +202,20 @@ def _read_header(fh, path):
     return rows, cols
 
 
-def _read_rows(fh, path, out, tokens, mismatch: str) -> None:
-    """Fill ``out`` from ``fh``, open past the header. A row is
+def _read_rows(fh, path, shape, tokens, mismatch: str):
+    """The ``shape`` matrix read from ``fh``, open past the header, allocated
+    once the file is seen to hold its values (two bytes each at least). A row is
     ``[<token> ]<v1> ... <vd>``, single-space separated, with one optional
     trailing space; ``tokens``, if not ``None``, receives the tokens. The
     bytes are read ``READ_BYTES`` at a time, cut after the last newline, and
     one scan of a piece serves its rows' checks and ``_parse_decimals``;
     only a piece whose values fail is parsed again row by row, to name the
     line. Errors come in line order, as if read row by row, but a file with
-    other than ``len(out)`` rows raises ``mismatch`` followed by the rows
+    other than ``shape[0]`` rows raises ``mismatch`` followed by the rows
     found, ahead of any row error; the lines are counted only after a row
     error, a short read or text after the last row: each ``\\n`` ends one,
     and a last line without it counts too."""
-    rows, dim = out.shape
+    rows, dim = shape
     lead = tokens is not None
     seen = set()
     done, extra = 0, False
@@ -309,6 +312,11 @@ def _read_rows(fh, path, out, tokens, mismatch: str) -> None:
 
     piece = [b"\n"]  # the text from the last newline read on
     try:
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and rows * dim > st.st_size // 2:
+            raise EmbedFormatError(f"{path}: header declares {rows} x {dim} values, "
+                                   f"more than its {st.st_size} bytes hold")
+        out = np.empty(shape)
         while done < rows and not extra:
             chunk = fh.read(READ_BYTES)
             if not chunk:
@@ -322,7 +330,7 @@ def _read_rows(fh, path, out, tokens, mismatch: str) -> None:
             else:
                 piece.append(chunk)
         if done == rows and not extra and piece == [b"\n"] and not fh.read(1):
-            return
+            return out
         error = EmbedFormatError(f"{path}: file changed while it was read")
     except (EmbedFormatError, UnicodeDecodeError) as err:
         error = err
@@ -334,7 +342,7 @@ def _read_rows(fh, path, out, tokens, mismatch: str) -> None:
     for chunk in iter(lambda: fh.read(1 << 16), b""):
         found, tail = found + chunk.count(b"\n"), chunk[-1:]
     found += tail != b"\n"
-    if found != len(out):
+    if found != rows:
         raise EmbedFormatError(f"{mismatch}{found}") from None
     raise error
 
@@ -593,9 +601,8 @@ def load_embeddings(path) -> EmbeddingTable:
     with open(path, "rb") as fh:
         vocab_size, dim = _read_header(fh, path)
         tokens = []
-        matrix = np.empty((vocab_size, dim), dtype=np.float64)
-        _read_rows(fh, path, matrix, tokens,
-                   f"{path}: header declares {vocab_size} rows, found ")
+        matrix = _read_rows(fh, path, (vocab_size, dim), tokens,
+                            f"{path}: header declares {vocab_size} rows, found ")
     return EmbeddingTable(Vocabulary(tokens), matrix)
 
 
@@ -673,6 +680,5 @@ def load_matrix(path) -> np.ndarray:
     path = Path(path)
     with open(path, "rb") as fh:
         nrows, ncols = _read_header(fh, path)
-        out = np.empty((nrows, ncols), dtype=np.float64)
-        _read_rows(fh, path, out, None, f"{path}: expected {nrows} rows, found ")
-    return out
+        return _read_rows(fh, path, (nrows, ncols), None,
+                          f"{path}: expected {nrows} rows, found ")

@@ -68,8 +68,7 @@ FLAGS = {
                "--checkpoint", "--max-steps"],
     "map": ["--checkpoint", "--src", "--out"],
     "nn": ["--checkpoint", "--src", "--tgt", "--words", "--k"],
-    "eval": ["--checkpoint", "--encoder-matrix", "--src", "--tgt", "--dict",
-             "--k", "--out"],
+    "eval": ["--checkpoint", "--src", "--tgt", "--dict", "--k", "--out"],
     "synth": ["--out", "--dim", "--source-size", "--target-size", "--components",
               "--means-scale", "--cov-scale", "--noise", "--zipf", "--seed"],
 }
@@ -103,7 +102,7 @@ def test_missing_required_flag_exits_1(capsys):
         "resume": "--src, --tgt, --out, --checkpoint",
         "map": "--checkpoint, --src, --out",
         "nn": "--checkpoint, --src, --tgt, --words",
-        "eval": "--src, --tgt, --dict",
+        "eval": "--checkpoint, --src, --tgt, --dict",
         "synth": "--out",
     }
     for command, flags in required.items():
@@ -112,10 +111,11 @@ def test_missing_required_flag_exits_1(capsys):
             assert main(argv) == 1
             assert capsys.readouterr().err == (
                 f"error: the following arguments are required: {flags}\n")
-    given = ["--src", "s", "--tgt", "t", "--dict", "d"]
-    assert main(["eval", *given]) == 1
+    # --checkpoint takes a text matrix too: there is no second mapping flag
+    given = ["--checkpoint", "c", "--src", "s", "--tgt", "t", "--dict", "d"]
+    assert main(["eval", "--encoder-matrix", "m.txt", *given]) == 1
     assert capsys.readouterr().err == (
-        "error: one of the arguments --checkpoint --encoder-matrix is required\n")
+        "error: unrecognized arguments: --encoder-matrix m.txt\n")
 
 
 def test_unknown_command_exits_1(capsys):
@@ -293,12 +293,19 @@ def test_train_reads_one_count_per_table_row(tmp_path):
 
 
 def test_train_dim_mismatch_exits_1(tmp_path, capsys):
-    sp, _, _, _ = write_tables(tmp_path)
+    sp, tp, _, _ = write_tables(tmp_path)
     other = random_table(10, 4, seed=3, prefix="t")
-    tp = tmp_path / "bad.vec"
-    save_embeddings(other, tp)
-    assert main(train_args(sp, tp, tmp_path / "out")) == 1
-    assert "dimension mismatch" in capsys.readouterr().err
+    bad = tmp_path / "bad.vec"
+    save_embeddings(other, bad)
+    assert main(train_args(sp, tp, tmp_path / "run", max_steps=1)) == 0
+    ckpt = str(tmp_path / "run" / "checkpoint_final.xlaae")
+    resume = ["resume", "--src", str(sp), "--tgt", str(bad), "--out",
+              str(tmp_path / "resumed"), "--checkpoint", ckpt]
+    for argv in (train_args(sp, bad, tmp_path / "out"), resume):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: dimension mismatch: --tgt has d=4, --src d=6\n")
 
 
 def test_resume_continues(tmp_path, parses):
@@ -386,7 +393,7 @@ def test_synth_eval_oracle_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
     written = tmp_path / "report.json"
-    rc = main(["eval", "--encoder-matrix", str(synth_dir / "map.txt"),
+    rc = main(["eval", "--checkpoint", str(synth_dir / "map.txt"),
                "--src", str(synth_dir / "src.vec"),
                "--tgt", str(synth_dir / "tgt.vec"),
                "--dict", str(synth_dir / "truth.dict"), "--k", "3",
@@ -430,7 +437,7 @@ def synth_eval_args(tmp_path, k):
         assert main(["synth", "--out", str(synth_dir), "--dim", "6",
                      "--source-size", "40", "--target-size", "30",
                      "--noise", "0", "--seed", "9"]) == 0
-    return ["eval", "--encoder-matrix", str(synth_dir / "map.txt"),
+    return ["eval", "--checkpoint", str(synth_dir / "map.txt"),
             "--src", str(synth_dir / "src.vec"), "--tgt", str(synth_dir / "tgt.vec"),
             "--dict", str(synth_dir / "truth.dict"), "--k", str(k)]
 
@@ -460,9 +467,9 @@ def test_overflowing_mapping_exits_1(tmp_path, capsys):
     header, arrays = read_checkpoint(tmp_path / "run" / "checkpoint_final.xlaae")
     arrays["encoder.weight"] = load_matrix(scaled)
     write_checkpoint(ckpt, header, arrays)
-    at = args.index("--encoder-matrix")
+    at = args.index("--checkpoint")
     for argv in (args[:at + 1] + [str(scaled)] + args[at + 2:],
-                 args[:at] + ["--checkpoint", str(ckpt)] + args[at + 2:],
+                 args[:at + 1] + [str(ckpt)] + args[at + 2:],
                  ["nn", "--checkpoint", str(ckpt), "--src", str(synth / "src.vec"),
                   "--tgt", str(synth / "tgt.vec"), "--words", "s0001", "--k", "3"]):
         capsys.readouterr()
@@ -636,7 +643,7 @@ def test_eval_maps_only_dictionary_source_rows(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "precision_at_k", recording)
     capsys.readouterr()
-    assert main(["eval", "--encoder-matrix", str(matrix_path), "--src", str(sp),
+    assert main(["eval", "--checkpoint", str(matrix_path), "--src", str(sp),
                  "--tgt", str(tp), "--dict", str(dict_path), "--k", "5"]) == 0
     report = json.loads(capsys.readouterr().out)
     ((encoder, held),) = seen
@@ -726,8 +733,9 @@ def test_every_synth_spec_field_has_a_flag(tmp_path, case):
 
 @pytest.fixture(scope="module")
 def mismatch_inputs(tmp_path_factory):
-    """A d = 6 checkpoint and encoder matrix, d = 6 tables, d = 4 tables with
-    the same words and a dictionary between the tables."""
+    """A d = 6 checkpoint and encoder matrix (a text matrix file), d = 6
+    tables, d = 4 tables with the same words and a dictionary between the
+    tables."""
     tmp_path = tmp_path_factory.mktemp("mismatch")
     sp, tp, _, _ = write_tables(tmp_path)
     assert main(train_args(sp, tp, tmp_path / "run", max_steps=1)) == 0
@@ -744,13 +752,10 @@ def mismatch_inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, mapping, bad", [
-    ("map", "checkpoint", "src"),
-    ("nn", "checkpoint", "src"),
-    ("nn", "checkpoint", "tgt"),
-    ("eval", "checkpoint", "src"),
-    ("eval", "checkpoint", "tgt"),
-    ("eval", "encoder-matrix", "src"),
-    ("eval", "encoder-matrix", "tgt"),
+    (command, mapping, bad)
+    for mapping in ("checkpoint", "encoder-matrix")
+    for command, bad in (("map", "src"), ("nn", "src"), ("nn", "tgt"),
+                         ("eval", "src"), ("eval", "tgt"))
 ])
 def test_table_of_another_dimension_than_the_mapping_exits_1(
         mismatch_inputs, capsys, command, mapping, bad):
@@ -760,7 +765,8 @@ def test_table_of_another_dimension_than_the_mapping_exits_1(
              "eval": ["--src", paths["src"], "--tgt", paths["tgt"],
                       "--dict", paths["dict"], "--k", "2"]}[command]
     capsys.readouterr()
-    assert main([command, f"--{mapping}", paths[mapping], *extra]) == 1
+    # either kind of mapping file is given as --checkpoint
+    assert main([command, "--checkpoint", paths[mapping], *extra]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: dimension mismatch: --{bad} has d=4, the mapping d=6\n"
     assert captured.out == ""
@@ -814,6 +820,47 @@ def run_command(capsys, argv):
     out, err = capsys.readouterr()
     written = Path(argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else None
     return rc, out, err, written
+
+
+@pytest.mark.parametrize("command", ["map", "nn", "eval"])
+def test_checkpoint_and_its_weight_as_a_text_matrix_give_the_same_bytes(
+        tmp_path, capsys, sidecar_checkpoint, command):
+    # --checkpoint tells the two kinds of file apart by the checkpoint's
+    # magic bytes
+    sp, tp, _, _ = write_tables(tmp_path)
+    matrix = tmp_path / "w.txt"
+    save_matrix(read_checkpoint(sidecar_checkpoint)[1]["encoder.weight"], matrix)
+    argv = table_commands(sidecar_checkpoint, sp, tp, tmp_path)[command]
+    want = run_command(capsys, argv)
+    assert want[0] == 0 and want[2] == ""
+    at = argv.index("--checkpoint") + 1
+    assert run_command(capsys, [*argv[:at], str(matrix), *argv[at + 1:]]) == want
+
+
+def test_unreadable_mapping_or_table_exits_1_naming_its_file(tmp_path, capsys,
+                                                           sidecar_checkpoint):
+    # a header is not trusted for the allocation: a file of S bytes holds at
+    # most S // 2 values; and a checkpoint with damaged magic bytes is read
+    # as a text matrix, whose header is not UTF-8
+    sp, _, _, _ = write_tables(tmp_path)
+    tall = tmp_path / "tall.vec"
+    tall.write_text("1000000000000 6\ns0 1 0 0 0 0 0\n", encoding="utf-8")
+    wide = tmp_path / "wide.txt"
+    wide.write_text("1 1000000000000\n1 0\n", encoding="utf-8")
+    damaged = tmp_path / "damaged.xlaae"
+    damaged.write_bytes(b"1\xff 2\n" + Path(sidecar_checkpoint).read_bytes()[8:])
+    out = tmp_path / "mapped.vec"
+    for mapping, src, message in [
+        (sidecar_checkpoint, tall, f"{tall}: header declares 1000000000000 rows, found 1"),
+        (wide, sp, f"{wide}: header declares 1 x 1000000000000 values, "
+                   "more than its 20 bytes hold"),
+        (damaged, sp, f"{damaged}:1: non-integer header fields"),
+    ]:
+        capsys.readouterr()
+        assert main(["map", "--checkpoint", str(mapping), "--src", str(src),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
 
 def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch,

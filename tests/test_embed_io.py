@@ -67,6 +67,7 @@ def test_load_dimension_mismatch_reports_line(tmp_path):
     ("+2 2\na 1 0\nb 0 1\n", "non-integer"),
     ("0_2 2\na 1 0\nb 0 1\n", "non-integer"),
     ("\u0662 2\na 1 0\nb 0 1\n", "non-integer"),
+    (b"1\xff 2\na 1 0\n", "non-integer"),  # not UTF-8
     ("0 2\n", "positive"),
     ("1 2\na 1 0  \n", "found 4"),
     ("1 2\na 1 0\t\n", "tab"),
@@ -75,7 +76,7 @@ def test_load_dimension_mismatch_reports_line(tmp_path):
 ])
 def test_load_rejects_malformed(tmp_path, content, fragment):
     path = tmp_path / "e.vec"
-    path.write_text(content, encoding="utf-8")
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     with pytest.raises(EmbedFormatError, match=fragment):
         load_embeddings(path)
 
@@ -353,10 +354,11 @@ def test_matrix_text_round_trip(tmp_path):
     ("+2 2\n1 0\n0 1\n", "1: non-integer header fields"),
     ("0_2 2\n1 0\n0 1\n", "1: non-integer header fields"),
     ("\u0662 2\n1 0\n0 1\n", "1: non-integer header fields"),
+    (b"1\xff 2\n1 0\n", "1: non-integer header fields"),  # not UTF-8
 ])
 def test_load_matrix_rejects_malformed(tmp_path, content, message):
     path = tmp_path / "m.txt"
-    path.write_text(content, encoding="utf-8")
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     with pytest.raises(EmbedFormatError) as err:
         load_matrix(path)
     assert str(err.value) == f"{path}:{message}"
@@ -753,6 +755,31 @@ def test_row_count_error_comes_before_row_errors(tmp_path, monkeypatch, block_ro
         load_embeddings(path)
     with pytest.raises(EmbedFormatError, match=r": empty file$"):
         load_matrix(path)
+
+
+def test_header_beyond_the_file_allocates_nothing(tmp_path):
+    # a file of S bytes holds at most S // 2 values, each a digit and a
+    # separator: a larger header is refused by its row count, or failing
+    # that, by its size, before any allocation
+    path = tmp_path / "e.vec"
+    path.write_text("1000000000000 2\na 1 0\n", encoding="utf-8")
+    with pytest.raises(EmbedFormatError) as err:
+        load_embeddings(path)
+    assert str(err.value) == f"{path}: header declares 1000000000000 rows, found 1"
+    path.write_text("1000000000000 2\n1 0\n", encoding="utf-8")
+    with pytest.raises(EmbedFormatError) as err:
+        load_matrix(path)
+    assert str(err.value) == f"{path}: expected 1000000000000 rows, found 1"
+    for load, text in ((load_embeddings, "1 1000000000000\na 1 0\n"),
+                       (load_matrix, "1 1000000000000\n1 0\n")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EmbedFormatError) as err:
+            load(path)
+        assert str(err.value) == (f"{path}: header declares 1 x 1000000000000 values, "
+                                  f"more than its {len(text)} bytes hold")
+    # a file of exactly two bytes a value, its last line without a newline
+    path.write_text("2 2\n1 0\n0 1", encoding="utf-8")
+    assert np.array_equal(load_matrix(path), np.eye(2))
 
 
 @pytest.mark.parametrize("block_rows", [2, 256])
