@@ -407,18 +407,17 @@ def _cmd_nn(args) -> int:
         raise UsageError("no query words given")
     # only the query words' rows of --src are read
     encoder, src, tgt = _load_inputs(args, mapping=True, src=words, tgt=None)
-    present = []
     for word in words:
-        if src is not None and word in src.vocab:
-            present.append(word)
-        else:
+        if src is None or word not in src.vocab:
             print(f"warning: {word!r} not in source vocabulary", file=sys.stderr)
-    if not present:
+    if src is None:
         return 1
-    queries = encoder.map_rows(src.matrix[[src.vocab.index(w) for w in present]])
-    rows, sims = knn(queries, tgt, min(args.k, len(tgt.vocab)), present)
-    for word, top, top_sims in zip(present, rows, sims):
-        for rank, (row, sim) in enumerate(zip(top, top_sims), start=1):
+    # src holds each present word once, so each is mapped and ranked once
+    rows, sims = knn(EmbeddingTable(src.vocab, encoder.map_rows(src.matrix)), tgt,
+                     min(args.k, len(tgt.vocab)))
+    for word in (w for w in words if w in src.vocab):
+        i = src.vocab.index(word)
+        for rank, (row, sim) in enumerate(zip(rows[i], sims[i]), start=1):
             print(f"{word}\t{rank}\t{tgt.vocab.tokens[row]}\t{sim:.6f}")
     return 0
 

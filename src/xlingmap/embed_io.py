@@ -202,17 +202,18 @@ def _read_header(fh, path):
     return rows, cols
 
 
-def _read_rows(fh, path, shape, tokens, mismatch: str):
+def _read_rows(fh, path, shape, tokens):
     """The ``shape`` matrix read from ``fh``, open past the header, allocated
-    once the file is seen to hold its values (two bytes each at least). A row is
+    once the file is seen to hold its values (two bytes each at least); a
+    shape that memory cannot hold is an error naming it. A row is
     ``[<token> ]<v1> ... <vd>``, single-space separated, with one optional
     trailing space; ``tokens``, if not ``None``, receives the tokens. The
     bytes are read ``READ_BYTES`` at a time, cut after the last newline, and
     one scan of a piece serves its rows' checks and ``_parse_decimals``;
     only a piece whose values fail is parsed again row by row, to name the
     line. Errors come in line order, as if read row by row, but a file with
-    other than ``shape[0]`` rows raises ``mismatch`` followed by the rows
-    found, ahead of any row error; the lines are counted only after a row
+    other than ``shape[0]`` rows raises ``path: header declares N rows,
+    found M``, ahead of any row error; the lines are counted only after a row
     error, a short read or text after the last row: each ``\\n`` ends one,
     and a last line without it counts too."""
     rows, dim = shape
@@ -334,6 +335,9 @@ def _read_rows(fh, path, shape, tokens, mismatch: str):
         error = EmbedFormatError(f"{path}: file changed while it was read")
     except (EmbedFormatError, UnicodeDecodeError) as err:
         error = err
+    except MemoryError:  # a header that no file size bounds, as a pipe's
+        raise EmbedFormatError(f"{path}: header declares {rows} x {dim} values, "
+                               "more than memory holds") from None
     fh.seek(0)
     found, tail = -1, b"\n"  # the header is no row
     # 64 KB stays below glibc's mmap threshold: freeing a larger buffer
@@ -343,7 +347,8 @@ def _read_rows(fh, path, shape, tokens, mismatch: str):
         found, tail = found + chunk.count(b"\n"), chunk[-1:]
     found += tail != b"\n"
     if found != rows:
-        raise EmbedFormatError(f"{mismatch}{found}") from None
+        raise EmbedFormatError(f"{path}: header declares {rows} rows, "
+                               f"found {found}") from None
     raise error
 
 
@@ -599,10 +604,8 @@ def load_embeddings(path) -> EmbeddingTable:
     """Parse an embedding file, validating header, dimensions and values."""
     path = Path(path)
     with open(path, "rb") as fh:
-        vocab_size, dim = _read_header(fh, path)
         tokens = []
-        matrix = _read_rows(fh, path, (vocab_size, dim), tokens,
-                            f"{path}: header declares {vocab_size} rows, found ")
+        matrix = _read_rows(fh, path, _read_header(fh, path), tokens)
     return EmbeddingTable(Vocabulary(tokens), matrix)
 
 
@@ -679,6 +682,4 @@ def load_matrix(path) -> np.ndarray:
     row rules (no token)."""
     path = Path(path)
     with open(path, "rb") as fh:
-        nrows, ncols = _read_header(fh, path)
-        return _read_rows(fh, path, (nrows, ncols), None,
-                          f"{path}: expected {nrows} rows, found ")
+        return _read_rows(fh, path, _read_header(fh, path), None)

@@ -47,6 +47,8 @@ class BilingualDictionary:
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: expected 'src<TAB>tgt'")
                 entries.setdefault(parts[0], set()).add(parts[1])
+        if not entries:
+            raise ValueError(f"{path}: empty dictionary")
         return cls(entries)
 
     def save(self, path) -> None:
@@ -56,32 +58,29 @@ class BilingualDictionary:
                     fh.write(f"{src}\t{tgt}\n")
 
 
-def knn(queries, tgt: EmbeddingTable, k: int, words=None):
-    """Exact top-k target rows by cosine similarity for each row of the
-    (m x d) ``queries``: ``(rows, sims)``, both (m x k), similarities
-    non-increasing along each row. Ties break by ascending target row
-    index, so results are deterministic. A query row that is zero or whose
-    norm is not finite is an error naming its word of ``words`` (its row
-    index if ``words`` is not given). A target row that is zero, or whose
-    norm overflows, scores NaN and ranks last."""
-    q = np.asarray(queries, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] == 0 or q.shape[1] != tgt.dim:
-        raise ValueError(f"queries must be an m x {tgt.dim} matrix with m >= 1, "
-                         f"got shape {q.shape}")
+def knn(queries: EmbeddingTable, tgt: EmbeddingTable, k: int):
+    """Exact top-k rows of the table ``tgt`` by cosine similarity for each row
+    of the table ``queries``: ``(rows, sims)``, both (m x k), similarities
+    non-increasing along each row. Ties break by ascending target row index,
+    so results are deterministic. Each table's norms are its ``row_norms()``.
+    A query row that is zero or whose norm is not finite is an error naming
+    its token. A target row that is zero, or whose norm overflows, scores NaN
+    and ranks last."""
+    if queries.dim != tgt.dim:
+        raise ValueError(f"queries have d={queries.dim}, the targets d={tgt.dim}")
     size = len(tgt.vocab)
     if not 1 <= k <= size:
         raise ValueError(f"k={k} outside [1, {size}]")
-    words = range(len(q)) if words is None else words
-    q_norms = _row_norms(q, words, "the queries")
+    q_norms = queries.row_norms("the queries")
     if not np.all(np.isfinite(q_norms)):  # its unit row would be all zeros
-        raise ValueError(f"query row {words[int(np.argmin(np.isfinite(q_norms)))]!r} "
-                         "has a norm that is not finite")
+        word = queries.vocab.tokens[int(np.argmin(np.isfinite(q_norms)))]
+        raise ValueError(f"query row {word!r} has a norm that is not finite")
     norms = tgt.row_norms()
-    unit = q / q_norms[:, None]
-    rows = np.empty((q.shape[0], k), dtype=np.intp)
-    sims = np.empty((q.shape[0], k))
+    unit = queries.matrix / q_norms[:, None]
+    rows = np.empty((len(unit), k), dtype=np.intp)
+    sims = np.empty((len(unit), k))
     step = max(1, KNN_BLOCK // size)
-    for start in range(0, q.shape[0], step):
+    for start in range(0, len(unit), step):
         block = slice(start, start + step)
         scores = unit[block] @ tgt.matrix.T
         with np.errstate(invalid="ignore"):  # 0 / 0 on a zero target row
@@ -132,7 +131,8 @@ def precision_at_k(encoder: EncoderDecoder, src: EmbeddingTable, tgt: EmbeddingT
             words.append(src_tok)
     if not words:
         raise ValueError("no resolvable dictionary entries")
-    ranked, _ = knn(mapped[[src.vocab.index(w) for w in words]], tgt, k, words)
+    queries = EmbeddingTable(Vocabulary(words), mapped[[src.vocab.index(w) for w in words]])
+    ranked, _ = knn(queries, tgt, k)
     # both sides hold each value once (a ranking repeats no row), which
     # spares np.isin its np.unique passes
     hit = np.isin(ranked + np.arange(0, len(words) * size, size)[:, None], accepted,

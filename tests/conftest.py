@@ -76,6 +76,13 @@ def random_table(n_words, dim, seed=0, prefix="w"):
     return EmbeddingTable(vocab, rng.normal(size=(n_words, dim)))
 
 
+def as_table(matrix):
+    """A copy of the rows of ``matrix`` as a table of the tokens ``q0``,
+    ``q1``, ...: the form ``knn`` takes its queries in."""
+    matrix = np.array(matrix, dtype=np.float64)
+    return EmbeddingTable(Vocabulary([f"q{i}" for i in range(len(matrix))]), matrix)
+
+
 def probe(k, depth=1, **cfg):
     """A k-wide discriminator whose input projection is the identity, so the
     first block sees the input rows themselves."""

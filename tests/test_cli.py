@@ -1,8 +1,11 @@
+import contextlib
 import errno
+import hashlib
 import json
 import os
 import re
 import sys
+import threading
 import warnings
 import zlib
 from dataclasses import fields, is_dataclass, replace
@@ -24,13 +27,14 @@ from xlingmap.evaluation import SyntheticSpec, synth_generate
 from xlingmap.models import EncoderDecoder, ModelConfig
 from xlingmap.sampling import SamplerConfig
 from xlingmap.training import (
+    CHECKPOINT_MAGIC,
     TrainConfig,
     encoder_from_checkpoint,
     read_checkpoint,
     write_checkpoint,
 )
 
-from conftest import random_table
+from conftest import as_table, random_table
 
 
 def write_tables(tmp_path, n=30, d=6):
@@ -308,7 +312,7 @@ def test_train_dim_mismatch_exits_1(tmp_path, capsys):
             "error: dimension mismatch: --tgt has d=4, --src d=6\n")
 
 
-def test_resume_continues(tmp_path, parses):
+def test_resume_continues(tmp_path, capsys, parses):
     sp, tp, _, _ = write_tables(tmp_path)
     out1 = tmp_path / "r1"
     assert main(train_args(sp, tp, out1)) == 0
@@ -330,6 +334,14 @@ def test_resume_continues(tmp_path, parses):
     assert resumed == straight
     # resume and the second train read the tables from their sidecars
     assert parses == ["src.vec", "tgt.vec"]
+    # a step budget not beyond the checkpoint's step is refused
+    capsys.readouterr()
+    assert main(["resume", "--checkpoint", str(out2 / "checkpoint_final.xlaae"),
+                 "--src", str(sp), "--tgt", str(tp), "--out", str(tmp_path / "r4"),
+                 "--max-steps", "10"]) == 1
+    assert capsys.readouterr() == ("", "error: --max-steps 10 not beyond checkpoint "
+                                       "step 10\n")
+    assert not (tmp_path / "r4").exists()
 
 
 def test_map_identity_checkpoint_round_trips(tmp_path):
@@ -424,11 +436,17 @@ def test_eval_unresolvable_dictionary_exits_1(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(train_args(sp, tp, out, max_steps=1)) == 0
     dict_path = tmp_path / "bad.dict"
-    dict_path.write_text("nosuch\tword\n", encoding="utf-8")
-    rc = main(["eval", "--checkpoint", str(out / "checkpoint_final.xlaae"),
-               "--src", str(sp), "--tgt", str(tp),
-               "--dict", str(dict_path), "--k", "2"])
-    assert rc == 1
+    # no resolvable entry, no entry at all, and a line without its tab
+    for text, message in (("nosuch\tword\n", "no resolvable dictionary entries"),
+                          ("", f"{dict_path}: empty dictionary"),
+                          ("s0 t0\n", f"{dict_path}:1: expected 'src<TAB>tgt'")):
+        dict_path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(out / "checkpoint_final.xlaae"),
+                   "--src", str(sp), "--tgt", str(tp),
+                   "--dict", str(dict_path), "--k", "2"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def synth_eval_args(tmp_path, k):
@@ -479,6 +497,26 @@ def test_overflowing_mapping_exits_1(tmp_path, capsys):
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr() == ("", "error: query row 's0001' has a norm that "
                                            "is not finite\n")
+
+
+def test_mapping_that_overflows_a_value_exits_1(tmp_path, capsys):
+    # mapped rows are a table, which holds finite values only: a value that
+    # the mapping takes beyond the float range fails nn and eval as it fails map
+    sp, tp, src, _ = write_tables(tmp_path)
+    row = int(np.argmax(np.abs(src.matrix).max(axis=1)))
+    assert np.abs(src.matrix[row]).max() > 2.0  # mapped beyond 2e308
+    scaled = tmp_path / "scaled.txt"
+    save_matrix(1e308 * np.eye(6), scaled)
+    dict_path = tmp_path / "d.dict"
+    dict_path.write_text(f"{src.vocab.tokens[row]}\tt0\n", encoding="utf-8")
+    common = ["--checkpoint", str(scaled), "--src", str(sp)]
+    for argv in (["map", *common, "--out", str(tmp_path / "mapped.vec")],
+                 ["nn", *common, "--tgt", str(tp), "--words", src.vocab.tokens[row]],
+                 ["eval", *common, "--tgt", str(tp), "--dict", str(dict_path), "--k", "1"]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: embedding matrix contains non-finite "
+                                           "values\n")
 
 
 def test_zero_source_row_names_its_word(tmp_path, capsys):
@@ -534,7 +572,7 @@ def test_eval_and_nn_rank_once(tmp_path, capsys, monkeypatch):
     calls = []
 
     def counting(queries, *args):
-        calls.append(len(queries))
+        calls.append(len(queries.vocab))
         return real(queries, *args)
 
     real = evaluation.knn
@@ -592,7 +630,7 @@ def test_map_then_nn_consistency(tmp_path, capsys):
 
     mapped = load_embeddings(mapped_path)
     tgt_table = load_embeddings(tp)
-    rows, sims = knn(mapped.matrix[[mapped.vocab.index("s3")]], tgt_table, 1)
+    rows, sims = knn(as_table(mapped.matrix[[mapped.vocab.index("s3")]]), tgt_table, 1)
     assert tgt_table.vocab.tokens[rows[0, 0]] == nn_token
     assert abs(sims[0, 0] - float(nn_sim)) < 1e-6
 
@@ -840,9 +878,29 @@ def test_checkpoint_and_its_weight_as_a_text_matrix_give_the_same_bytes(
 def test_unreadable_mapping_or_table_exits_1_naming_its_file(tmp_path, capsys,
                                                            sidecar_checkpoint):
     # a header is not trusted for the allocation: a file of S bytes holds at
-    # most S // 2 values; and a checkpoint with damaged magic bytes is read
-    # as a text matrix, whose header is not UTF-8
+    # most S // 2 values; a checkpoint with damaged magic bytes is read as a
+    # text matrix, whose header is not UTF-8; and a whole checkpoint must
+    # hold a JSON header and the encoder's weight, and no encoder bias
     sp, _, _, _ = write_tables(tmp_path)
+    # a pipe has no size to bound the allocation by: a shape that cannot be
+    # allocated (43.7 TiB) is refused
+    pipe = tmp_path / "src.pipe"
+    os.mkfifo(pipe)
+
+    def feed():  # its open waits for the case that reads the pipe
+        with contextlib.suppress(BrokenPipeError), open(pipe, "wb") as fh:
+            fh.write(b"1000000000000 6\ns0 1 0 0 0 0 0\n")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    not_json, unweighted, biased = (tmp_path / f"{name}.xlaae"
+                                    for name in ("not_json", "unweighted", "biased"))
+    payload = CHECKPOINT_MAGIC + (8).to_bytes(8, "little") + b"not json"
+    not_json.write_bytes(payload + hashlib.sha256(payload).digest())
+    header, arrays = read_checkpoint(sidecar_checkpoint)
+    write_checkpoint(unweighted, header,
+                     {k: v for k, v in arrays.items() if k != "encoder.weight"})
+    write_checkpoint(biased, header, {**arrays, "encoder.enc_bias": np.zeros(6)})
     tall = tmp_path / "tall.vec"
     tall.write_text("1000000000000 6\ns0 1 0 0 0 0 0\n", encoding="utf-8")
     wide = tmp_path / "wide.txt"
@@ -855,12 +913,20 @@ def test_unreadable_mapping_or_table_exits_1_naming_its_file(tmp_path, capsys,
         (wide, sp, f"{wide}: header declares 1 x 1000000000000 values, "
                    "more than its 20 bytes hold"),
         (damaged, sp, f"{damaged}:1: non-integer header fields"),
+        (not_json, sp, f"{not_json}: unreadable header: Expecting value: line 1 column 1 "
+                       "(char 0)"),
+        (unweighted, sp, f"{unweighted}: checkpoint has no encoder weight"),
+        (biased, sp, f"{biased}: encoder bias is not supported"),
+        (sidecar_checkpoint, pipe, f"{pipe}: header declares 1000000000000 x 6 values, "
+                                   "more than memory holds"),
     ]:
         capsys.readouterr()
         assert main(["map", "--checkpoint", str(mapping), "--src", str(src),
                      "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch,
@@ -1201,7 +1267,8 @@ def test_damage_is_caught_by_the_first_command_that_reads_its_block(
     assert parses == ["src.vec"] and sidecar.read_bytes() == good
 
 
-def test_nn_duplicate_and_missing_words(tmp_path, capsys, blocks_inputs):
+def test_nn_duplicate_and_missing_words(tmp_path, capsys, monkeypatch, blocks_inputs):
+    from xlingmap import cli
     from xlingmap.evaluation import knn
 
     argv = blocks_commands(blocks_inputs, tmp_path)["nn"]
@@ -1209,21 +1276,33 @@ def test_nn_duplicate_and_missing_words(tmp_path, capsys, blocks_inputs):
     encoder = encoder_from_checkpoint(argv[argv.index("--checkpoint") + 1])
     src, tgt = load_embeddings(tmp_path / "src.vec"), load_embeddings(tmp_path / "tgt.vec")
     asked = ["s450", "zz", "s5", "s450", "yy", "s5"]
-    present = ["s450", "s5", "s450", "s5"]
-    rows, sims = knn(encoder.map_rows(src.matrix[[src.vocab.index(w) for w in present]]),
-                     tgt, 4)
-    want = (0, "".join(f"{w}\t{rank}\t{tgt.vocab.tokens[r]}\t{s:.6f}\n"
-                       for w, top, top_sims in zip(present, rows, sims)
-                       for rank, (r, s) in enumerate(zip(top, top_sims), start=1)),
+    distinct = ["s450", "s5"]
+    rows, sims = knn(as_table(encoder.map_rows(src.matrix[[src.vocab.index(w)
+                                                           for w in distinct]])), tgt, 4)
+    lines = {w: "".join(f"{w}\t{rank}\t{tgt.vocab.tokens[r]}\t{s:.6f}\n"
+                        for rank, (r, s) in enumerate(zip(top, top_sims), start=1))
+             for w, top, top_sims in zip(distinct, rows, sims)}
+    # a repeated word prints its lines again, from the one ranking of each word
+    want = (0, "".join(lines[w] for w in ["s450", "s5", "s450", "s5"]),
             "warning: 'zz' not in source vocabulary\n"
             "warning: 'yy' not in source vocabulary\n", None)
     none = (1, "", "warning: 'zz' not in source vocabulary\n"
                    "warning: 'yy' not in source vocabulary\n", None)
-    for words, expected in ((asked, want), (["zz", "yy"], none)):
+    ranked = []
+
+    def recording(queries, *rest):
+        ranked.append(queries.vocab.tokens)
+        return knn(queries, *rest)
+
+    monkeypatch.setattr(cli, "knn", recording)
+    for words, expected, queries in ((asked, want, [tuple(distinct)]),
+                                     (["zz", "yy"], none, [])):
         argv[at] = ",".join(words)
         for _ in ("cold", "warm"):
             (tmp_path / "src.vec.xlcache").unlink(missing_ok=True)
+            ranked.clear()
             assert run_command(capsys, argv) == expected
+            assert ranked == queries
 
 
 def test_whole_read_equals_the_read_of_every_row(tmp_path, parses):

@@ -342,7 +342,7 @@ def test_matrix_text_round_trip(tmp_path):
 @pytest.mark.parametrize("content,message", [
     # lines are numbered as they appear in the file: a blank line is a row
     ("3 2\n1 0\n\n0 1\n", "3: expected 2 values, found 1"),
-    ("2 2\n1 0\n\n0 1\n", " expected 2 rows, found 3"),
+    ("2 2\n1 0\n\n0 1\n", " header declares 2 rows, found 3"),
     ("2 2\n1 0\n0 x\n", "3: unparseable value"),
     ("2 2\n1 0\n0 inf\n", "3: non-finite value"),
     ("2 2\n1 0 1\n0 1\n", "2: expected 2 values, found 3"),
@@ -736,7 +736,7 @@ def test_row_count_error_comes_before_row_errors(tmp_path, monkeypatch, block_ro
         path.write_text("3 2\n" + "".join(f"{row}\n" for row in rows), encoding="utf-8")
         with pytest.raises(EmbedFormatError) as err:
             load_matrix(path)
-        assert str(err.value) == f"{path}: expected 3 rows, found {len(rows)}"
+        assert str(err.value) == f"{path}: header declares 3 rows, found {len(rows)}"
     # text after the declared rows, even one empty line, is a row too
     path.write_text("2 2\na 1 0\nb 0 1\n\n", encoding="utf-8")
     with pytest.raises(EmbedFormatError, match=r"declares 2 rows, found 3$"):
@@ -769,7 +769,7 @@ def test_header_beyond_the_file_allocates_nothing(tmp_path):
     path.write_text("1000000000000 2\n1 0\n", encoding="utf-8")
     with pytest.raises(EmbedFormatError) as err:
         load_matrix(path)
-    assert str(err.value) == f"{path}: expected 1000000000000 rows, found 1"
+    assert str(err.value) == f"{path}: header declares 1000000000000 rows, found 1"
     for load, text in ((load_embeddings, "1 1000000000000\na 1 0\n"),
                        (load_matrix, "1 1000000000000\n1 0\n")):
         path.write_text(text, encoding="utf-8")
@@ -834,7 +834,7 @@ def test_reader_at_read_edges(tmp_path, monkeypatch, size):
                 assert bits(got).tolist() == want, (ending, text[-3:])
     # lines are numbered as they appear in the file: a blank line is a row
     for text, message in (("3 2\n1 0\n\n0 1\n", ":3: expected 2 values, found 1"),
-                          ("2 2\n1 0\n0 1\n\n", ": expected 2 rows, found 3")):
+                          ("2 2\n1 0\n0 1\n\n", ": header declares 2 rows, found 3")):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(EmbedFormatError, match=f"{message}$"):
             load_matrix(path)

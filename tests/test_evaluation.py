@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from xlingmap import evaluation, layers
+from xlingmap import embed_io, evaluation, layers
 from xlingmap.embed_io import EmbeddingTable, Vocabulary
 from xlingmap.evaluation import (
     BilingualDictionary,
@@ -18,7 +18,7 @@ from xlingmap.evaluation import (
 from xlingmap.models import Discriminator, EncoderDecoder, ModelConfig
 from xlingmap.numerics import Rng
 
-from conftest import cosine, random_table
+from conftest import as_table, cosine, random_table
 
 
 def brute_force_knn(query, table, k):
@@ -29,8 +29,8 @@ def brute_force_knn(query, table, k):
 
 def assert_matches_brute_force(queries, table, k):
     rows, sims = knn(queries, table, k)
-    assert rows.shape == sims.shape == (len(queries), k)
-    for q, got_rows, got_sims in zip(queries, rows, sims):
+    assert rows.shape == sims.shape == (len(queries.vocab), k)
+    for q, got_rows, got_sims in zip(queries.matrix, rows, sims):
         want = brute_force_knn(q, table, k)
         assert list(got_rows) == [i for i, _ in want]
         assert np.max(np.abs(got_sims - [s for _, s in want])) < 1e-12
@@ -43,33 +43,60 @@ def assert_matches_brute_force(queries, table, k):
 
 def test_knn_exact_row_ranks_first():
     t = random_table(20, 5, seed=0)
-    rows, sims = knn(t.matrix[[7]], t, 3)
+    rows, sims = knn(as_table(t.matrix[[7]]), t, 3)
     assert rows[0, 0] == 7
     assert sims[0, 0] == pytest.approx(1.0)
 
 
 def test_knn_full_ranking_is_permutation():
     t = random_table(12, 4, seed=1)
-    rows, sims = knn(np.ones((1, 4)), t, 12)
+    rows, sims = knn(as_table(np.ones((1, 4))), t, 12)
     assert sorted(rows[0]) == list(range(12))
     assert list(sims[0]) == sorted(sims[0], reverse=True)
 
 
-def test_knn_matches_brute_force_oracle():
+def test_knn_matches_brute_force_oracle(monkeypatch):
     rng = np.random.default_rng(3)
     t = random_table(20, 6, seed=2)
-    assert_matches_brute_force(rng.normal(size=(5, 6)), t, 8)
+    assert_matches_brute_force(as_table(rng.normal(size=(5, 6))), t, 8)
     # duplicate target rows tie exactly: the lower row wins, as in the oracle
     dup = EmbeddingTable(t.vocab, t.matrix[[0, 1, 2, 3, 0, 1, 4, 0, 5, 6] * 2])
-    assert_matches_brute_force(np.vstack([dup.matrix[:3], rng.normal(size=(4, 6))]),
-                               dup, 20)
+    assert_matches_brute_force(as_table(np.vstack([dup.matrix[:3],
+                                                   rng.normal(size=(4, 6))])), dup, 20)
+    # a table ranked against another in both directions, and against itself
+    src = random_table(12, 6, seed=4, prefix="s")
+    for queries, targets in ((src, t), (t, src), (src, src), (dup, dup)):
+        for k in (1, 5, len(targets.vocab)):
+            assert_matches_brute_force(queries, targets, k)
+    # against itself, each row ranks first the first row equal to it: itself
+    # when its row is distinct
+    rows, sims = knn(dup, dup, 1)
+    first = [next(j for j in range(i + 1) if np.array_equal(row, dup.matrix[j]))
+             for i, row in enumerate(dup.matrix)]
+    assert rows[:, 0].tolist() == first and np.max(np.abs(sims - 1.0)) < 1e-12
+    assert knn(src, src, 1)[0][:, 0].tolist() == list(range(12))
+    # each table's norms are computed once, by the first ranking that uses
+    # them, and the same array serves both directions
+    computed = []
+
+    def counting(matrix):
+        computed.append(len(matrix))
+        return layers._row_norms(matrix)
+
+    monkeypatch.setattr(embed_io, "_row_norms", counting)
+    a, b = random_table(7, 6, seed=5, prefix="a"), random_table(9, 6, seed=6, prefix="b")
+    knn(a, b, 3)
+    norms = a.row_norms(), b.row_norms()
+    knn(b, a, 3)
+    assert computed == [7, 9]
+    assert a.row_norms() is norms[0] and b.row_norms() is norms[1]
 
 
 def test_knn_blocks_match_brute_force(monkeypatch):
     # three query rows per block: 8 queries span two full blocks and a partial one
     monkeypatch.setattr(evaluation, "KNN_BLOCK", 3 * 25 + 2)
     t = random_table(25, 4, seed=21)
-    queries = np.random.default_rng(22).normal(size=(8, 4))
+    queries = as_table(np.random.default_rng(22).normal(size=(8, 4)))
     for k in (1, 6, 24, 25):
         assert_matches_brute_force(queries, t, k)
 
@@ -80,7 +107,7 @@ def test_knn_blocks_match_brute_force(monkeypatch):
     lattice[~lattice.any(axis=1), 0] = 1.0
     t = EmbeddingTable(Vocabulary([f"w{i}" for i in range(40)]), lattice)
     monkeypatch.setattr(evaluation, "KNN_BLOCK", 3 * 40)
-    axes = np.vstack([np.eye(3), -np.eye(3), 4.0 * np.eye(3)])
+    axes = as_table(np.vstack([np.eye(3), -np.eye(3), 4.0 * np.eye(3)]))
     _, sims = knn(axes, t, 40)
     assert all(np.any(sims[:, k - 1] == sims[:, k]) for k in (1, 5, 6, 7, 39))
     for k in (1, 5, 6, 7, 39, 40):
@@ -91,7 +118,7 @@ def test_knn_blocks_match_brute_force(monkeypatch):
     dup = EmbeddingTable(Vocabulary([f"w{i}" for i in range(30)]),
                          base.matrix[rng.integers(0, 10, size=30)])
     monkeypatch.setattr(evaluation, "KNN_BLOCK", 3 * 30)
-    queries = np.vstack([dup.matrix[[0, 5, 29]], rng.normal(size=(5, 4))])
+    queries = as_table(np.vstack([dup.matrix[[0, 5, 29]], rng.normal(size=(5, 4))]))
     for k in (1, 2, 3, 4, 29, 30):
         assert_matches_brute_force(queries, dup, k)
 
@@ -104,7 +131,7 @@ def test_knn_blocks_match_brute_force(monkeypatch):
     clipped[parallel] = np.multiply.outer(scales, v)
     t = EmbeddingTable(Vocabulary([f"w{i}" for i in range(20)]), clipped)
     monkeypatch.setattr(evaluation, "KNN_BLOCK", 20)
-    queries = np.vstack([v, 4.0 * v, -v])
+    queries = as_table(np.vstack([v, 4.0 * v, -v]))
     rows, sims = knn(queries, t, 12)
     assert np.array_equal(rows[:2], [parallel] * 2) and np.all(sims[:2] == 1.0)
     for k in (1, 5, 12, 13, 19, 20):
@@ -115,7 +142,7 @@ def test_knn_blocks_match_brute_force(monkeypatch):
     huge = EmbeddingTable(Vocabulary([f"w{i}" for i in range(10)]),
                           np.vstack([rng.normal(size=(4, 8)), np.full(8, 1e308),
                                      rng.normal(size=(5, 8))]))
-    queries = np.abs(rng.normal(size=(3, 8)))
+    queries = as_table(np.abs(rng.normal(size=(3, 8))))
     monkeypatch.setattr(evaluation, "KNN_BLOCK", 20)
     with np.errstate(over="ignore", invalid="ignore"):
         full_rows, full_sims = knn(queries, huge, 10)
@@ -152,17 +179,21 @@ def test_knn_target_norms_by_blocks(monkeypatch):
     # ranks and scores as with norms taken of the whole table at once
     rng = np.random.default_rng(31)
     m = rng.normal(size=(500, 37)) * 10.0 ** rng.integers(-150, 150, size=(500, 1))
-    t = EmbeddingTable(Vocabulary([f"w{i}" for i in range(500)]), m)
     queries = rng.normal(size=(30, 37))
     whole = np.linalg.norm(m, axis=1)
+
+    def tables():  # new ones each time: a table keeps the norms it computed
+        return (as_table(queries),
+                EmbeddingTable(Vocabulary([f"w{i}" for i in range(500)]), m))
+
     for block in (37, 37 * 7 + 3, 1000):
         monkeypatch.setattr(layers, "NORM_BLOCK", block)
         norms = layers._row_norms(m)
         assert np.array_equal(norms.view(np.uint64), whole.view(np.uint64))
-        rows, sims = knn(queries, t, 10)
+        rows, sims = knn(*tables(), 10)
         with monkeypatch.context() as patch:
-            patch.setattr(evaluation, "_row_norms", lambda a, *_: np.linalg.norm(a, axis=1))
-            want_rows, want_sims = knn(queries, t, 10)
+            patch.setattr(embed_io, "_row_norms", lambda a: np.linalg.norm(a, axis=1))
+            want_rows, want_sims = knn(*tables(), 10)
         assert np.array_equal(rows, want_rows)
         assert np.array_equal(sims.view(np.uint64), want_sims.view(np.uint64))
 
@@ -170,7 +201,7 @@ def test_knn_target_norms_by_blocks(monkeypatch):
 def test_knn_scale_invariant_query():
     t = random_table(15, 4, seed=4)
     q = np.random.default_rng(5).normal(size=4)
-    rows, sims = knn(np.vstack([q, 37.5 * q]), t, 5)
+    rows, sims = knn(as_table(np.vstack([q, 37.5 * q])), t, 5)
     assert np.array_equal(rows[0], rows[1])
     assert np.max(np.abs(sims[0] - sims[1])) < 1e-12
 
@@ -179,25 +210,23 @@ def test_knn_deterministic_tie_break():
     vocab = Vocabulary(["a", "b", "c"])
     # two identical rows tie exactly; lower row index wins
     t = EmbeddingTable(vocab, [[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
-    rows, _ = knn(np.array([[1.0, 0.0], [2.0, 0.0]]), t, 3)
+    rows, _ = knn(as_table([[1.0, 0.0], [2.0, 0.0]]), t, 3)
     assert [[vocab.tokens[i] for i in r] for r in rows] == [["a", "c", "b"]] * 2
 
 
 def test_knn_rejects_bad_input():
     t = random_table(5, 3, seed=6)
-    for queries, k, fragment in ((np.ones((2, 3)), 0, r"k=0 outside \[1, 5\]"),
-                                 (np.ones((2, 3)), 6, r"k=6 outside \[1, 5\]"),
-                                 (np.zeros((0, 3)), 2, "m >= 1"),
-                                 (np.ones(3), 2, "m >= 1"),
-                                 (np.ones((2, 4)), 2, "m x 3"),
-                                 (np.array([[1.0, 0, 0], [0, 0, 0]]), 2,
-                                  "zero row 1 in the queries"),
-                                 # a norm that overflows, or of a row not finite
-                                 (np.array([[1.0, 0, 0], [1e300, 0, 1e300]]), 2,
-                                  "query row 1 has a norm that is not finite"),
-                                 (np.array([[np.inf, 0, 0]]), 2, "query row 0 has a norm"),
-                                 (np.array([[1.0, 0, 0], [np.nan, 1, 0]]), 2,
-                                  "query row 1 has a norm")):
+    ones = as_table(np.ones((2, 3)))
+    # the query rows' tokens name their errors
+    for queries, k, fragment in ((ones, 0, r"k=0 outside \[1, 5\]"),
+                                 (ones, 6, r"k=6 outside \[1, 5\]"),
+                                 (as_table(np.ones((2, 4))), 2,
+                                  "queries have d=4, the targets d=3"),
+                                 (as_table([[1.0, 0, 0], [0, 0, 0]]), 2,
+                                  "zero row 'q1' in the queries"),
+                                 # finite values whose norm overflows
+                                 (as_table([[1.0, 0, 0], [1e300, 0, 1e300]]), 2,
+                                  "query row 'q1' has a norm that is not finite")):
         with pytest.raises(ValueError, match=fragment), np.errstate(all="ignore"):
             knn(queries, t, k)
     # a zero target row scores NaN and ranks last, without a numpy warning
@@ -205,16 +234,10 @@ def test_knn_rejects_bad_input():
                                                t.matrix[2:]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows, sims = knn(np.ones((2, 3)), holed, 5)
+        rows, sims = knn(ones, holed, 5)
         assert np.all(rows[:, -1] == 1) and np.isnan(sims[:, -1]).all()
         assert not np.isnan(sims[:, :-1]).any()
-        assert np.array_equal(knn(np.ones((2, 3)), holed, 2)[0], rows[:, :2])
-    # given the query rows' words, the errors name the word
-    for queries, fragment in (([[1.0, 0, 0], [0, 0, 0]], "zero row 'b' in the queries"),
-                              ([[1.0, 0, 0], [1e300, 0, 1e300]],
-                               "query row 'b' has a norm that is not finite")):
-        with pytest.raises(ValueError, match=fragment), np.errstate(all="ignore"):
-            knn(np.array(queries), t, 2, ["a", "b"])
+        assert np.array_equal(knn(ones, holed, 2)[0], rows[:, :2])
 
 
 def identity(dim):
