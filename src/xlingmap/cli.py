@@ -9,8 +9,9 @@ checkpoint if the file opens with its magic bytes, else a text matrix.
 Flags named like config fields have no defaults or choices of their own: the
 configs supply them, and ``--preset`` fills only a ``--k``/``--T`` left out.
 Each command is one entry of ``_COMMANDS`` (help line, flag builder,
-handler), and the parser is built for the invoked command only: every
-command's name and help line, but only that command's flags. Every command
+handler), and the parser is built for the invoked command only: its name,
+help line and flags (every command's name and help line when an option
+comes first, as in top-level help, or the command is unknown). Every command
 reads its embedding tables through ``_load_table``: a table file parsed once
 is read again from its binary sidecar ``<file>.xlcache``, mapped read-only,
 for as long as the file is unchanged. The sidecar carries a checksum per
@@ -483,24 +484,26 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command) -> _Parser:
-    """The parser of every command's name and help line, and of the flags
-    of ``command`` alone (of none if ``command`` names no command)."""
+def _build_parser(argv) -> _Parser:
+    """The parser of ``argv``'s command alone when it comes first, and of
+    every command's name and help line otherwise (top-level help and errors
+    list them all), with the flags of its command alone. No top-level option
+    takes a value, so the command is the first argument not an option."""
+    command = next((a for a in argv if not a.startswith("-")), None)
     parser = _Parser(prog="xlingmap", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_flags, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
+    alone = argv[:1] == [command] and command in _COMMANDS
+    for name in [command] if alone else _COMMANDS:
+        p = sub.add_parser(name, help=_COMMANDS[name][0])
         if name == command:
-            add_flags(p)
+            _COMMANDS[name][1](p)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # no top-level option takes a value, so the command is the first
-    # argument that is not an option
-    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command][2](args)

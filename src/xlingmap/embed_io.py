@@ -26,10 +26,11 @@ values (exponent notation, integers, zeros, mantissas beyond int64) take
 the float parse, a few at once, or the whole piece when they are more
 than a quarter of it. The writer formats the
 whole rows of about ``WRITE_BLOCK_VALUES`` values at a time with numpy
-arithmetic and writes the same bytes as ``'%.17g'`` on each value: for a
-value in fixed notation it rounds |x| * 10**(16 - E) exactly to 17 digits
-and lays them out with table lookups. Zeros and values that ``'%.17g'``
-writes with an exponent are formatted one by one.
+arithmetic and writes the same bytes as ``'%.17g'`` on each value: a value
+in fixed notation is rounded exactly to 17 digits and laid out by table
+lookups in 40 NUL-padded bytes, behind its row's token, and one
+``bytes.translate`` per block deletes the NULs (a NUL in a token travels as
+0xFF). Zeros and values written with an exponent are formatted one by one.
 
 Frequency files are TSV: ``"<token>\\t<count>"`` per line, the count ASCII
 digits, read as one count per table row.
@@ -55,7 +56,7 @@ class EmbedFormatError(ValueError):
 # values of 17 digits, checked and parsed at once in about 3 MB of arrays.
 READ_BYTES = 1 << 18
 # Values per numpy pass in the writer, rounded down to whole rows (at least
-# one): its working arrays peak at about 290 bytes per value, 2.4 MB a block.
+# one): its working arrays peak at about 260 bytes per value, 2.1 MB a block.
 WRITE_BLOCK_VALUES = 1 << 13
 
 # The most digits after the point that a field on the integer route may
@@ -312,6 +313,7 @@ def _read_rows(fh, path, shape, tokens):
         done += n
 
     piece = [b"\n"]  # the text from the last newline read on
+    text, before, chunk = b"\n", 0, b""  # the last text taken, ``done`` before it
     try:
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode) and rows * dim > st.st_size // 2:
@@ -326,11 +328,12 @@ def _read_rows(fh, path, shape, tokens):
                 chunk = b"\n"  # ends the last line
             cut = chunk.rfind(b"\n") + 1
             if cut:
-                take(b"".join([*piece, memoryview(chunk)[:cut]]))
+                text, before = b"".join([*piece, memoryview(chunk)[:cut]]), done
+                take(text)
                 piece = [chunk[cut - 1:]]
             else:
                 piece.append(chunk)
-        if done == rows and not extra and piece == [b"\n"] and not fh.read(1):
+        if done == rows and not extra and piece == [b"\n"] and not fh.peek(1):
             return out
         error = EmbedFormatError(f"{path}: file changed while it was read")
     except (EmbedFormatError, UnicodeDecodeError) as err:
@@ -338,11 +341,10 @@ def _read_rows(fh, path, shape, tokens):
     except MemoryError:  # a header that no file size bounds, as a pipe's
         raise EmbedFormatError(f"{path}: header declares {rows} x {dim} values, "
                                "more than memory holds") from None
-    fh.seek(0)
-    found, tail = -1, b"\n"  # the header is no row
-    # 64 KB stays below glibc's mmap threshold: freeing a larger buffer
-    # raises the threshold, so later block-sized allocations land on the
-    # heap, which keeps the memory after they are freed
+    # counted on where the reads stopped (a pipe cannot seek) in 64 KB reads,
+    # below glibc's mmap threshold: freeing a larger buffer raises it, and
+    # later block-sized allocations land on the heap, which keeps the memory
+    found, tail = before + text.count(b"\n") - 1, chunk[-1:] or b"\n"
     for chunk in iter(lambda: fh.read(1 << 16), b""):
         found, tail = found + chunk.count(b"\n"), chunk[-1:]
     found += tail != b"\n"
@@ -363,6 +365,7 @@ def _read_rows(fh, path, shape, tokens):
 # words 1-4 one 4-digit group each.
 _WIDTH = 40
 _SPLITTER = 134217729.0  # 2**27 + 1
+_CARRIED_NUL = bytes(range(255)) + b"\0"  # the translate table: 0xFF to NUL
 
 
 def _split(v):
@@ -390,15 +393,12 @@ class _Tables:
         self.scale = np.array([float(f"1e{16 - e}") for e in range(-4, 17)])
         self.scale_high, self.scale_low = _split(self.scale)
 
-        # canvas words by value: of a 4-digit group (words 1-4), of the lead
-        # digit (word 0)
+        # By value, the canvas word of a 4-digit group (words 1-4); word 0
+        # keeps only byte 6, where the lead digit d is, as the last of 000d
         quads = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
         group = np.zeros((10000, 8), np.uint8)
         group[:, ::2] = quads + np.uint8(ord("0"))
         self.group = group.view(np.uint64).ravel()
-        lead = np.zeros((10, 8), np.uint8)
-        lead[:, 6] = np.arange(ord("0"), ord("9") + 1)
-        self.lead = lead.view(np.uint64).ravel()
         # By group i (digits 4i + 1 .. 4i + 4), then its value: the index of
         # its last nonzero digit, 0 if it has none (the lead digit is never 0)
         zeros = np.logical_and.accumulate(quads[:, ::-1] == 0, axis=1).sum(axis=1)
@@ -432,69 +432,68 @@ def _tables() -> _Tables:
     return _Tables()
 
 
-def _format_values(x, dim: int) -> bytes:
-    """The text of the values of ``x``, whole rows of ``dim`` values: each
-    as ``'%.17g'`` writes it, then a space, or a newline after a row's last.
+def _format_values(x, dim: int) -> np.ndarray:
+    """The canvas of the values of ``x``, one uint8 row of ``dim`` values
+    each: every value as ``'%.17g'`` writes it, NUL-padded to ``_WIDTH``
+    bytes, then a space, or a newline after a row's last.
 
     A value in fixed notation is rounded to 17 digits in numpy: |x| times
     10**(16 - E) is exact as the double-double ``p + err`` (Dekker's
     product of Veltkamp splits), and ``p`` is an even integer as it is at
     least 2**53, so ``p`` plus ``err`` rounded half-even is the product
-    rounded half-even, as ``'%.17g'`` rounds. Integer steps stay in uint64:
-    mixed with int64, numpy promotes to float64. Zeros and values written
-    with an exponent take ``'%.17g'`` one by one."""
+    rounded half-even, as ``'%.17g'`` rounds. Indices are intp and digits
+    int64, as numpy's uint64 paths are slow. Zeros and values written with
+    an exponent take ``'%.17g'`` one by one."""
     t = _tables()
     a = np.abs(x)
     fixed = (a >= t.decades[0]) & (a < t.decades[-1])
     a[~fixed] = 1.0  # any value in range; these are formatted one by one
-    decade = t.binade_decade[a.view(np.uint64) >> np.uint64(52)]
-    decade += a >= t.decades[decade + 1]
-    scale = t.scale[decade]
+    decade = np.take(t.binade_decade, a.view(np.int64) >> 52)
+    decade += a >= np.take(t.decades, decade + 1)
     high, low = _split(a)
-    scale_high, scale_low = t.scale_high[decade], t.scale_low[decade]
-    p = a * scale
+    scale_high, scale_low = np.take(t.scale_high, decade), np.take(t.scale_low, decade)
+    p = a * np.take(t.scale, decade)
     err = (((high * scale_high - p) + high * scale_low + low * scale_high)
            + low * scale_low)
-    digits = p.astype(np.uint64) + np.rint(err).astype(np.int64).view(np.uint64)
-    upper, lower = np.divmod(digits, np.uint64(10**8))
-    upper, g2 = np.divmod(upper, np.uint64(10**4))
-    lead, g1 = np.divmod(upper, np.uint64(10**4))
-    g3, g4 = np.divmod(lower, np.uint64(10**4))
-    last = np.maximum(np.maximum(t.last[0][g1], t.last[1][g2]),
-                      np.maximum(t.last[2][g3], t.last[3][g4]))
+    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    upper = digits // 10**8
+    g3 = (lower := digits - upper * 10**8) // 10**4
+    lead = (head := upper // 10**4) // 10**4
+    g1, g2, g4 = head - lead * 10**4, upper - head * 10**4, lower - g3 * 10**4
+    last = np.take(t.last[3], g4)  # groups 1-3 matter only where group 4 is 0
+    rest = np.flatnonzero(last == 0)
+    last[rest] = np.max([t.last[i][g[rest]] for i, g in enumerate((g1, g2, g3))], 0)
     key = (decade * 17 + np.maximum(last, decade - 4)) * 2 + np.signbit(x)
     canvas = np.take(t.keep, key, axis=0)
-    for word, table, part in ((0, t.lead, lead), (1, t.group, g1), (2, t.group, g2),
-                              (3, t.group, g3), (4, t.group, g4)):
-        canvas[:, word] &= table[part]
+    for word, part in enumerate((lead, g1, g2, g3, g4)):
+        canvas[:, word] &= np.take(t.group, part)
     canvas |= np.take(t.marks, key, axis=0)
     text = canvas.view(np.uint8)
     text[dim - 1::dim, -1] = ord("\n")
     slow = np.flatnonzero(~fixed)
-    if slow.size:
-        values = b"".join([(b"%.17g" % v).ljust(_WIDTH - 1, b"\0")
-                           for v in x[slow].tolist()])
-        text[slow, :-1] = np.frombuffer(values, np.uint8).reshape(-1, _WIDTH - 1)
-    return text.tobytes().translate(None, b"\0")
+    values = np.array([b"%.17g" % v for v in x[slow].tolist()], f"S{_WIDTH - 1}")
+    text[slow, :-1] = values.view(np.uint8).reshape(-1, _WIDTH - 1)
+    return text.reshape(-1, dim * _WIDTH)
 
 
 def _write_rows(path, header: str, matrix, tokens=None) -> None:
     """Stream ``header`` then one line per matrix row, after its token if
-    ``tokens`` is given: 17 significant digits per value, which round-trips
-    IEEE-754 doubles exactly. The rows of about ``WRITE_BLOCK_VALUES``
-    values are formatted at a time by ``_format_values``, so memory stays
-    bounded however many rows there are."""
+    ``tokens`` is given, formatted about ``WRITE_BLOCK_VALUES`` values at a
+    time so that memory stays bounded. A block's tokens, NUL-padded to the
+    longest plus a space, go in front of its canvas rows, and one
+    ``translate`` deleting the NULs gives its lines: a NUL in a token
+    travels as 0xFF, a byte UTF-8 never holds, and is mapped back."""
     rows, dim = matrix.shape
     step = max(1, WRITE_BLOCK_VALUES // dim)
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
         for start in range(0, rows, step):
-            text = _format_values(matrix[start:start + step].ravel(), dim)
+            lines = _format_values(matrix[start:start + step].ravel(), dim)
             if tokens is not None:
-                names = [t.encode() for t in tokens[start:start + step]]
-                text = b"".join([b"%s %s\n" % line
-                                 for line in zip(names, text.split(b"\n"))])
-            fh.write(text)
+                names = (" \n".join(tokens[start:start + step]) + " ").encode()
+                names = np.array(names.replace(b"\0", b"\xff").split(b"\n"))[:, None]
+                lines = np.hstack([names.view(np.uint8), lines])
+            fh.write(lines.tobytes().translate(_CARRIED_NUL, b"\0"))
 
 
 def _token_error(token: str, seen) -> str:
@@ -576,8 +575,9 @@ class EmbeddingTable:
             )
         if matrix.shape[1] < 1:
             raise ValueError("embedding dimension must be >= 1")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("embedding matrix contains non-finite values")
+        if not np.isfinite(matrix).all():  # the row is looked for only then
+            word = vocab.tokens[int(np.argmin(np.isfinite(matrix).all(axis=1)))]
+            raise ValueError(f"embedding matrix contains non-finite values in row {word!r}")
         matrix.setflags(write=False)
         if norms is not None:
             norms.setflags(write=False)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -79,12 +80,28 @@ FLAGS = {
 
 
 @pytest.mark.parametrize("command", FLAGS, ids=lambda c: c or "top")
-def test_help_exits_0_and_lists_every_flag(capsys, command):
+def test_help_exits_0_and_lists_every_flag(capsys, monkeypatch, command):
+    # a command given first builds its subparser alone; top-level help, and
+    # so an option ahead of the command, builds every command's
+    built, add_parser = [], argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
     argv = [command, "--help"] if command else ["--help"]
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 0
     out = capsys.readouterr().out
+    assert built == ([command] if command else list(FLAGS)[1:])
+    if command:
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(["--help", command])
+        assert built == list(FLAGS)[1:]
+        capsys.readouterr()
     want = set(FLAGS[command]) | ({"--help"} if command else set())
     assert set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", out)) == want
     if command is None:  # every command, with its help line
@@ -509,14 +526,21 @@ def test_mapping_that_overflows_a_value_exits_1(tmp_path, capsys):
     save_matrix(1e308 * np.eye(6), scaled)
     dict_path = tmp_path / "d.dict"
     dict_path.write_text(f"{src.vocab.tokens[row]}\tt0\n", encoding="utf-8")
+    # the error names the first row that overflows: map maps every row, nn
+    # and eval the query word's alone
+    with np.errstate(over="ignore"):
+        overflowing = np.flatnonzero(np.isinf(1e308 * src.matrix).any(axis=1))
+    first = overflowing[0]
+    assert overflowing.size > 1
     common = ["--checkpoint", str(scaled), "--src", str(sp)]
-    for argv in (["map", *common, "--out", str(tmp_path / "mapped.vec")],
-                 ["nn", *common, "--tgt", str(tp), "--words", src.vocab.tokens[row]],
-                 ["eval", *common, "--tgt", str(tp), "--dict", str(dict_path), "--k", "1"]):
+    for argv, word in (
+            (["map", *common, "--out", str(tmp_path / "mapped.vec")], first),
+            (["nn", *common, "--tgt", str(tp), "--words", src.vocab.tokens[row]], row),
+            (["eval", *common, "--tgt", str(tp), "--dict", str(dict_path), "--k", "1"], row)):
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "error: embedding matrix contains non-finite "
-                                           "values\n")
+                                           f"values in row {src.vocab.tokens[word]!r}\n")
 
 
 def test_zero_source_row_names_its_word(tmp_path, capsys):
@@ -883,13 +907,19 @@ def test_unreadable_mapping_or_table_exits_1_naming_its_file(tmp_path, capsys,
     # hold a JSON header and the encoder's weight, and no encoder bias
     sp, _, _, _ = write_tables(tmp_path)
     # a pipe has no size to bound the allocation by: a shape that cannot be
-    # allocated (43.7 TiB) is refused
-    pipe = tmp_path / "src.pipe"
-    os.mkfifo(pipe)
+    # allocated (43.7 TiB) is refused; and a pipe, which cannot seek back,
+    # gets the row errors a file gets
+    pipes = {tmp_path / f"{name}.pipe": payload for name, payload in [
+        ("src", b"1000000000000 6\ns0 1 0 0 0 0 0\n"),
+        ("bad", b"2 6\ns0 1 0 0 0 0 x\ns1 1 0 0 0 0 0\n"),
+        ("short", b"3 6\ns0 1 0 0 0 0 0\ns1 1 0 0 0 0 0\n")]}
+    for pipe in pipes:
+        os.mkfifo(pipe)
 
-    def feed():  # its open waits for the case that reads the pipe
-        with contextlib.suppress(BrokenPipeError), open(pipe, "wb") as fh:
-            fh.write(b"1000000000000 6\ns0 1 0 0 0 0 0\n")
+    def feed():  # each open waits for the case that reads its pipe
+        for pipe, payload in pipes.items():
+            with contextlib.suppress(BrokenPipeError), open(pipe, "wb") as fh:
+                fh.write(payload)
 
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
@@ -908,6 +938,7 @@ def test_unreadable_mapping_or_table_exits_1_naming_its_file(tmp_path, capsys,
     damaged = tmp_path / "damaged.xlaae"
     damaged.write_bytes(b"1\xff 2\n" + Path(sidecar_checkpoint).read_bytes()[8:])
     out = tmp_path / "mapped.vec"
+    huge, bad, short = pipes
     for mapping, src, message in [
         (sidecar_checkpoint, tall, f"{tall}: header declares 1000000000000 rows, found 1"),
         (wide, sp, f"{wide}: header declares 1 x 1000000000000 values, "
@@ -917,8 +948,10 @@ def test_unreadable_mapping_or_table_exits_1_naming_its_file(tmp_path, capsys,
                        "(char 0)"),
         (unweighted, sp, f"{unweighted}: checkpoint has no encoder weight"),
         (biased, sp, f"{biased}: encoder bias is not supported"),
-        (sidecar_checkpoint, pipe, f"{pipe}: header declares 1000000000000 x 6 values, "
+        (sidecar_checkpoint, huge, f"{huge}: header declares 1000000000000 x 6 values, "
                                    "more than memory holds"),
+        (sidecar_checkpoint, bad, f"{bad}:2: unparseable value"),
+        (sidecar_checkpoint, short, f"{short}: header declares 3 rows, found 2"),
     ]:
         capsys.readouterr()
         assert main(["map", "--checkpoint", str(mapping), "--src", str(src),

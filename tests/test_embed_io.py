@@ -302,8 +302,8 @@ def test_frequency_table_validates():
 def test_embedding_table_validates():
     with pytest.raises(ValueError, match="row count"):
         EmbeddingTable(Vocabulary(["a", "b"]), [[1.0, 2.0]])
-    with pytest.raises(ValueError, match="non-finite"):
-        EmbeddingTable(Vocabulary(["a"]), [[np.nan, 1.0]])
+    with pytest.raises(ValueError, match="non-finite values in row 'b'$"):
+        EmbeddingTable(Vocabulary(["a", "b", "c"]), [[1.0, 2.0], [np.nan, 1.0], [np.inf, 0]])
 
 
 def test_loaded_table_adopts_its_matrix(tmp_path, monkeypatch):
@@ -398,6 +398,27 @@ def bits(a):
 # take more than one writer block
 WRITER_SHAPES = [(50, 7), (50, 7), (50, 7), (embed_io.WRITE_BLOCK_VALUES + 5, 1),
                  (2 * (embed_io.WRITE_BLOCK_VALUES // 300) + 1, 300)]
+# token prefixes: ASCII, 2- and 3-byte UTF-8, a NUL (which the writer
+# carries as 0xFF), and a token longer than a value's 40-byte slot
+TOKEN_PREFIXES = ("w", "ü", "слово", "語", "a\0b", "x" * 500)
+
+
+def writer_kinds(rng, shape):
+    """The kinds of values the writer is checked on, each of ``shape``."""
+    sign = rng.choice([-1.0, 1.0], size=shape)
+    patterns = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    return [
+        rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape),
+        # log-uniform over the fixed-notation range and past both its ends
+        sign * 10.0 ** rng.uniform(-6, 18, size=shape),
+        # random 64-bit patterns
+        np.where(np.isfinite(patterns), patterns, 1.5),
+        np.zeros(shape),
+        # the last four of the 17 digits all 0, the last nonzero one in the
+        # lead digit or in group 1, 2 or 3 of four digits (5, 12345,
+        # 9765625, 1220703125)
+        sign * rng.choice([0.5, 1234.5, 2.0**-10, 2.0**-13, 3.0, 1e15], size=shape),
+    ]
 
 
 @pytest.mark.parametrize("seed", range(len(WRITER_SHAPES)))
@@ -405,19 +426,11 @@ def test_writer_matches_per_value_format(tmp_path, seed):
     rows, cols = WRITER_SHAPES[seed]
     rng = np.random.default_rng(seed)
     shape = (rows, cols)
-    sign = rng.choice([-1.0, 1.0], size=shape)
-    patterns = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
-    kinds = [
-        rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape),
-        # log-uniform over the fixed-notation range and past both its ends
-        sign * 10.0 ** rng.uniform(-6, 18, size=shape),
-        # random 64-bit patterns
-        np.where(np.isfinite(patterns), patterns, 1.5),
-        np.zeros(shape),
-    ]
-    m = np.choose(rng.choice(len(kinds), size=shape, p=[0.3, 0.4, 0.2, 0.1]), kinds)
+    kinds = writer_kinds(rng, shape)
+    m = np.choose(rng.choice(len(kinds), size=shape, p=[0.25, 0.35, 0.15, 0.1, 0.15]),
+                  kinds)
     header = f"{rows} {cols}"
-    tokens = [f"{('w', 'ü', 'слово', '語')[i % 4]}{i}" for i in range(rows)]
+    tokens = [f"{TOKEN_PREFIXES[i % len(TOKEN_PREFIXES)]}{i}" for i in range(rows)]
     t = EmbeddingTable(Vocabulary(tokens), m)
     path = tmp_path / "t.vec"
     save_embeddings(t, path)
@@ -614,6 +627,20 @@ def test_block_parse_matches_float_parse(tmp_path, monkeypatch, n):
     monkeypatch.setattr(embed_io, "READ_BYTES", 2000)
     part = [field for field in mixed[:len(mixed) // 10] if math.isfinite(float(field))]
     assert_reads_as_float_parse(tmp_path / "m.txt", part[:len(part) // 10 * 10], 10)
+
+
+@pytest.mark.slow
+def test_writer_matches_per_value_format_on_a_million_values(tmp_path):
+    # each kind of the writer test alone, in 124 blocks of 81 whole rows
+    rng = np.random.default_rng(1_000_000)
+    shape = (10_000, 100)
+    tokens = [f"{TOKEN_PREFIXES[i % len(TOKEN_PREFIXES)]}{i}" for i in range(shape[0])]
+    path = tmp_path / "m.vec"
+    for m in writer_kinds(rng, shape):
+        save_embeddings(EmbeddingTable(Vocabulary(tokens), m), path)
+        assert path.read_bytes() == reference_text("10000 100", m, tokens).encode("utf-8")
+        save_matrix(m, path)
+        assert path.read_bytes() == reference_text("10000 100", m).encode("utf-8")
 
 
 # fields off the integer route, including what numpy's float parse rejects
