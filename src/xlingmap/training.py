@@ -1,12 +1,12 @@
 """Training loops for the two adversarial procedures, plus metrics logging
 and bit-exact checkpointing.
 
-``gan`` mode trains the linear generator against the adversarial loss alone;
-``aae`` mode jointly minimizes reconstruction through the tied decoder, the
-adversarial loss, and a latent cosine penalty against target samples. In both
-modes the training discriminator and a structurally identical monitoring
-discriminator are updated on the same batches every step; the monitor never
-influences the generator and exists purely as an over/underfitting probe.
+``aae`` mode minimizes a weighted sum of reconstruction through the tied
+decoder, the adversarial loss and a latent cosine penalty against target
+samples; ``gan`` mode is its weights (0, 1, 0). In both modes the training
+discriminator and a structurally identical monitoring discriminator are
+updated on the same batches every step; the monitor never influences the
+generator and exists purely as an over/underfitting probe.
 
 Each record of the metrics log is a plain dict, built once: ``step``
 returns the ``step`` record, ``evaluate`` the ``eval`` record, each checked
@@ -109,6 +109,12 @@ class TrainConfig:
         if self.lr_gen <= 0.0 or self.lr_disc <= 0.0:
             raise ValueError("learning rates must be positive")
 
+    @property
+    def weights(self) -> tuple:
+        """(λr, λa, λc) of the generator's objective: (0, 1, 0) in ``gan``."""
+        return (0.0, 1.0, 0.0) if self.mode == "gan" else (
+            self.lambda_r, self.lambda_a, self.lambda_c)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -135,43 +141,40 @@ def _joint_pass(cfg: TrainConfig, encoder: EncoderDecoder, disc: Discriminator,
     separately hands the discriminator a degenerate shortcut (batch-level
     statistics differ between the classes even when individual rows
     overlap), which produces runaway discriminator wins and garbage
-    generator gradients. ``gan`` mode uses the adversarial loss alone and
-    ignores the loss weights; ``aae`` adds reconstruction through the tied
-    decoder and the cosine penalty against the target rows ``e``. Returns
-    (the joint batch, loss values, disc BCE, encoder weight gradient).
+    generator gradients. The generator descends λr·``loss_recon`` +
+    λa·``loss_adv`` + λc·``loss_cos`` under ``cfg.weights``; a term of weight
+    0 is not computed and reads 0. Returns (the joint batch, loss values,
+    disc BCE, encoder weight gradient).
     """
+    lambda_r, lambda_a, lambda_c = cfg.weights
     n = e.shape[0]
     joint = np.vstack([e, encoder.encode(f)])
     e_hat = joint[n:]
     p = disc.forward(joint, rng)
     disc_bce, grad_bce = bce_loss(p[:n], p[n:])
-    loss_adv, grad_adv = adversarial_loss(p[n:])
-    lambda_a = 1.0 if cfg.mode == "gan" else cfg.lambda_a
-    grad_gen = np.vstack([np.zeros_like(grad_adv), lambda_a * grad_adv])
-    grad_from_disc = disc.backward(np.stack([grad_bce, grad_gen]))[n:]
-    if cfg.mode == "gan":
-        losses = {"loss_recon": 0.0, "loss_adv": loss_adv, "loss_cos": 0.0,
-                  "loss_total": loss_adv}
-        return joint, losses, disc_bce, f.T @ grad_from_disc
-
-    recon = encoder.decode(e_hat)
-    loss_recon, grad_recon = cosine_dissim_loss(f, recon)
-    loss_cos, grad_from_cos = cosine_dissim_loss(e, e_hat)
-    loss_total = (
-        cfg.lambda_r * loss_recon
-        + cfg.lambda_a * loss_adv
-        + cfg.lambda_c * loss_cos
-    )
-    grad_recon = cfg.lambda_r * grad_recon
-    grad_e_hat = (
-        grad_recon @ encoder.weight.value
-        + grad_from_disc
-        + cfg.lambda_c * grad_from_cos
-    )
-    losses = {"loss_recon": loss_recon, "loss_adv": loss_adv,
-              "loss_cos": loss_cos, "loss_total": loss_total}
-    # the tied weight gets one term from the decoder and one from the encoder
-    return joint, losses, disc_bce, grad_recon.T @ e_hat + f.T @ grad_e_hat
+    losses = dict.fromkeys(("loss_recon", "loss_adv", "loss_cos"), 0.0)
+    channels = [grad_bce]
+    if lambda_a:
+        losses["loss_adv"], grad_adv = adversarial_loss(p[n:])
+        channels.append(np.vstack([np.zeros_like(grad_adv), lambda_a * grad_adv]))
+    grad_from_disc = disc.backward(np.stack(channels))
+    terms = []  # each computed term, weighted, and its gradient w.r.t. e_hat
+    if lambda_r:
+        losses["loss_recon"], grad_recon = cosine_dissim_loss(f, encoder.decode(e_hat))
+        grad_recon = lambda_r * grad_recon
+        terms.append((lambda_r * losses["loss_recon"], grad_recon @ encoder.weight.value))
+    if lambda_a:
+        terms.append((lambda_a * losses["loss_adv"], grad_from_disc[n:]))
+    if lambda_c:
+        losses["loss_cos"], grad_from_cos = cosine_dissim_loss(e, e_hat)
+        terms.append((lambda_c * losses["loss_cos"], lambda_c * grad_from_cos))
+    # added in that order from the first term: a sum from 0 turns -0.0 into +0.0
+    values, grads = zip(*terms) if terms else ((0.0,), (np.zeros_like(e_hat),))
+    losses["loss_total"] = sum(values[1:], values[0])
+    grad_w = f.T @ sum(grads[1:], grads[0])
+    if lambda_r:  # the tied weight's second use, in the decoder
+        grad_w = grad_recon.T @ e_hat + grad_w
+    return joint, losses, disc_bce, grad_w
 
 
 def _counts(counts, table: EmbeddingTable, side: str) -> np.ndarray:
@@ -205,8 +208,10 @@ class Trainer:
                 f"embedding dims (src {src.dim}, tgt {tgt.dim}) do not match "
                 f"model dim {cfg.model.dim}"
             )
-        if cfg.mode == "aae":  # both cosine losses are undefined on a zero row
+        lambda_r, _, lambda_c = cfg.weights  # a cosine is undefined on a zero row:
+        if lambda_r or lambda_c:  # a zero source row maps to a zero row of e_hat
             src.row_norms("the source table")
+        if lambda_c:
             tgt.row_norms("the target table")
         self.cfg = cfg
         self.src = src

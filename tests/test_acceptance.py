@@ -128,7 +128,7 @@ def test_criterion_1_gradient_suite():
 
         # dL/dW of the generator pass Trainer.step calls, with the training
         # discriminator in the loop: reconstruction alone (the tied weight's
-        # two uses), the full aae objective, and gan
+        # two uses), the full aae objective, gan, and each term's weight at 0
         d, k, n = 5, 4, 4
         model = ModelConfig(dim=d, block_dim=k, depth=2, dropout_rate=0.3)
         enc, disc, _ = build_models(model, Rng(seed))
@@ -142,6 +142,9 @@ def test_criterion_1_gradient_suite():
             ("tied", TrainConfig(model=model, lambda_a=0.0, lambda_c=0.0)),
             ("composite_LGR", TrainConfig(model=model)),
             ("gan", TrainConfig(model=model, mode="gan")),
+            ("no_recon", TrainConfig(model=model, lambda_r=0.0, lambda_a=1.3, lambda_c=0.4)),
+            ("no_adv", TrainConfig(model=model, lambda_r=0.7, lambda_a=0.0, lambda_c=0.4)),
+            ("no_cos", TrainConfig(model=model, lambda_r=0.7, lambda_a=1.3, lambda_c=0.0)),
         ):
             def run(vec, cfg=cfg):
                 enc.weight.value[...] = vec.reshape(d, d)

@@ -258,25 +258,37 @@ def with_zero_row(table, row, path):
 
 
 def test_aae_refuses_a_zero_row_before_step_1(tmp_path, capsys):
-    # both cosine losses of aae are undefined on a zero row; gan takes it
+    # a cosine is undefined on a zero row: train and resume check the source
+    # table when λr or λc is above 0 (a zero source row maps to a zero row of
+    # e_hat) and the target table when λc is; gan, (0, 1, 0), takes either
     sp, tp, src, tgt = write_tables(tmp_path)
-    assert main(train_args(sp, tp, tmp_path / "run")) == 0
-    ckpt = tmp_path / "run" / "checkpoint_final.xlaae"
-    for flag, table, where in (("src", src, "source"), ("tgt", tgt, "target")):
-        paths = {"src": sp, "tgt": tp,
-                 flag: with_zero_row(table, 3, tmp_path / f"zeroed-{flag}.vec")}
-        message = f"error: zero row {table.vocab.tokens[3]!r} in the {where} table\n"
-        for argv in (train_args(paths["src"], paths["tgt"], tmp_path / "aae"),
-                     ["resume", "--checkpoint", str(ckpt), "--src", str(paths["src"]),
-                      "--tgt", str(paths["tgt"]), "--out", str(tmp_path / "aae"),
-                      "--max-steps", "10"]):
-            capsys.readouterr()
-            assert main(argv) == 1
-            assert capsys.readouterr() == ("", message)
-            assert not (tmp_path / "aae").exists()
-        out = tmp_path / f"gan-{flag}"
-        assert main(train_args(paths["src"], paths["tgt"], out, mode="gan")) == 0
-        assert (out / "checkpoint_final.xlaae").exists()
+    zeroed = {"src": with_zero_row(src, 3, tmp_path / "zeroed-src.vec"),
+              "tgt": with_zero_row(tgt, 3, tmp_path / "zeroed-tgt.vec")}
+    messages = {flag: f"error: zero row {table.vocab.tokens[3]!r} in the {where} table\n"
+                for flag, table, where in (("src", src, "source"), ("tgt", tgt, "target"))}
+    for tag, weights, refused in (
+            ("aae", {}, ("src", "tgt")),
+            ("no-cos", {"lambda_c": 0.0}, ("src",)),
+            ("no-recon-no-cos", {"lambda_r": 0.0, "lambda_c": 0.0}, ()),
+            ("gan", {"mode": "gan"}, ())):
+        assert main(train_args(sp, tp, tmp_path / tag, **weights)) == 0
+        ckpt = tmp_path / tag / "checkpoint_final.xlaae"
+        for flag in ("src", "tgt"):
+            paths = {"src": sp, "tgt": tp, flag: zeroed[flag]}
+            out = tmp_path / f"{tag}-{flag}"
+            for command, argv in (
+                    ("train", train_args(paths["src"], paths["tgt"], out / "train", **weights)),
+                    ("resume", ["resume", "--checkpoint", str(ckpt), "--src", str(paths["src"]),
+                                "--tgt", str(paths["tgt"]), "--out", str(out / "resume"),
+                                "--max-steps", "10"])):
+                capsys.readouterr()
+                if flag in refused:
+                    assert main(argv) == 1, (tag, flag, command)
+                    assert capsys.readouterr() == ("", messages[flag])
+                    assert not out.exists()
+                else:
+                    assert main(argv) == 0, (tag, flag, command)
+                    assert (out / command / "checkpoint_final.xlaae").exists()
 
 
 def test_train_twice_same_seed_identical_checkpoints(tmp_path, parses):

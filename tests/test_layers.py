@@ -419,6 +419,14 @@ def test_combined_loss_composition():
     assert weighted["loss_total"] == pytest.approx(
         2.0 * parts["loss_recon"] + 0.5 * parts["loss_adv"] + 3.0 * parts["loss_cos"],
         rel=1e-12)
+    # a term of weight 0 is not computed: it reads 0 and leaves the others as they are
+    for weight, key in (("lambda_r", "loss_recon"), ("lambda_a", "loss_adv"),
+                        ("lambda_c", "loss_cos")):
+        skipped = losses(**{weight: 0.0})
+        assert skipped[key] == 0.0
+        assert skipped["loss_total"] == pytest.approx(parts["loss_total"] - parts[key],
+                                                      rel=1e-12)
+        assert all(skipped[k] == parts[k] for k in parts if k not in (key, "loss_total"))
     # an orthogonal encoder reconstructs exactly; a fresh output layer scores 0.5
     assert losses(lambda_a=0.0, lambda_c=0.0)["loss_total"] < 1e-15
     disc.output.value[...] = 0.0

@@ -90,6 +90,22 @@ def test_gan_ignores_reconstruction_weights(tables):
     assert runs[0] == runs[1]
 
 
+def test_aae_with_weights_0_1_0_is_gan(tables):
+    # gan is aae with the weights (0, 1, 0): the same arrays, bit for bit, and
+    # the same step records, the two skipped terms reading 0 in both
+    src, tgt = tables
+    runs = []
+    for cfg in (tiny_cfg(mode="gan"), tiny_cfg(lambda_r=0.0, lambda_c=0.0)):
+        tr = Trainer(cfg, src, tgt)
+        runs.append(([metrics_tuple(tr.step()) for _ in range(20)], tr._state()))
+    (gan_records, gan_state), (aae_records, aae_state) = runs
+    assert aae_records == gan_records
+    assert dict(gan_records[-1])["loss_recon"] == dict(gan_records[-1])["loss_cos"] == 0.0
+    assert list(aae_state) == list(gan_state)
+    for name, value in gan_state.items():
+        assert aae_state[name].tobytes() == value.tobytes(), name
+
+
 def test_fixed_seed_runs_bit_identical(tables):
     src, tgt = tables
 
@@ -167,12 +183,15 @@ def test_metrics_finite_over_many_steps(tables):
 
 def test_aae_composite_gradient_via_trainer_math(tables):
     # d(loss_total)/dW of the generator pass Trainer.step calls, with the
-    # training discriminator in the loop under a frozen dropout mask
+    # training discriminator in the loop under a frozen dropout mask; each
+    # zero weight skips its own term's path
     from xlingmap.training import _joint_pass
 
     src, tgt = tables
-    for mode in ("aae", "gan"):
-        cfg = tiny_cfg(mode=mode, lambda_r=0.7, lambda_a=1.3, lambda_c=0.4)
+    for mode, (lr_weight, la_weight, lc_weight) in (
+            ("aae", (0.7, 1.3, 0.4)), ("gan", (0.7, 1.3, 0.4)), ("aae", (0.0, 1.3, 0.4)),
+            ("aae", (0.7, 0.0, 0.4)), ("aae", (0.7, 1.3, 0.0))):
+        cfg = tiny_cfg(mode=mode, lambda_r=lr_weight, lambda_a=la_weight, lambda_c=lc_weight)
         tr = Trainer(cfg, src, tgt)
         n, k = cfg.batch_size, cfg.model.block_dim
         data = Rng(1)
@@ -188,7 +207,7 @@ def test_aae_composite_gradient_via_trainer_math(tables):
 
         w0 = tr.encoder.weight.value.ravel().copy()
         assert grad_check(lambda v: run(v)[1]["loss_total"],
-                          lambda v: run(v)[3].ravel(), w0, eps=1e-5) < 1e-4, mode
+                          lambda v: run(v)[3].ravel(), w0, eps=1e-5) < 1e-4, cfg.weights
 
 
 def test_checkpoint_save_load_save_byte_identical(tables, tmp_path):
