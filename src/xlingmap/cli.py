@@ -67,7 +67,7 @@ from .evaluation import (
     precision_at_k,
     synth_generate,
 )
-from .models import EncoderDecoder, ModelConfig, PRESETS
+from .models import ModelConfig, PRESETS
 from .optim import NonFiniteGradient
 from .sampling import SUBSAMPLE_FORMULAS, SamplerConfig
 from .training import (
@@ -239,28 +239,28 @@ def _load_table(path, words=None):
     return table or None
 
 
-def _load_inputs(args, mapping=False, **tables):
-    """The mapping of ``--checkpoint`` if ``mapping`` (a checkpoint if the file
-    opens with its magic bytes, else a text matrix), then the table of each
+def _load_inputs(args, **tables):
+    """The mapping weight W of ``--checkpoint`` (a checkpoint if the file opens
+    with its magic bytes, else a text matrix), square, then the table of each
     flag in ``tables`` (``_load_table`` of its path and the words given), each
-    of the mapping's dimension, or without a mapping, of the first table's."""
-    loaded = []
-    if mapping:
-        with open(args.checkpoint, "rb") as fh:
-            magic = fh.read(len(CHECKPOINT_MAGIC))
-        loaded.append(encoder_from_checkpoint(args.checkpoint) if magic == CHECKPOINT_MAGIC
-                      else EncoderDecoder(load_matrix(args.checkpoint)))
-    loaded += [_load_table(getattr(args, name), words) for name, words in tables.items()]
-    for name, table in zip(tables, loaded[-len(tables):]):
-        if table is not None and table.dim != loaded[0].dim:
-            against = "the mapping" if mapping else f"--{next(iter(tables))}"
+    of W's dimension."""
+    with open(args.checkpoint, "rb") as fh:
+        magic = fh.read(len(CHECKPOINT_MAGIC))
+    load = encoder_from_checkpoint if magic == CHECKPOINT_MAGIC else load_matrix
+    weight = load(args.checkpoint)
+    if weight.ndim != 2 or weight.shape[0] != weight.shape[1]:
+        raise UsageError(f"{args.checkpoint}: mapping weight has shape {weight.shape}, "
+                         "not square")
+    loaded = [_load_table(getattr(args, name), words) for name, words in tables.items()]
+    for name, table in zip(tables, loaded):
+        if table is not None and table.dim != len(weight):
             raise UsageError(f"dimension mismatch: --{name} has d={table.dim}, "
-                             f"{against} d={loaded[0].dim}")
-    return loaded
+                             f"the mapping d={len(weight)}")
+    return [weight, *loaded]
 
 
 def _load_pair(args):
-    src, tgt = _load_inputs(args, src=None, tgt=None)
+    src, tgt = _load_table(args.src), _load_table(args.tgt)
     return src, tgt, *(load_frequencies(path, table.vocab) if path else None
                        for path, table in ((args.src_freq, src), (args.tgt_freq, tgt)))
 
@@ -387,8 +387,8 @@ def _map_flags(p) -> None:
 # so that stderr holds only the error line
 @np.errstate(all="ignore")
 def _cmd_map(args) -> int:
-    encoder, src = _load_inputs(args, mapping=True, src=None)
-    mapped = EmbeddingTable(src.vocab, encoder.map_rows(src.matrix))
+    weight, src = _load_inputs(args, src=None)
+    mapped = EmbeddingTable(src.vocab, src.matrix @ weight)
     save_embeddings(mapped, args.out)
     print(f"mapped {len(src.vocab)} embeddings -> {args.out}")
     return 0
@@ -407,14 +407,14 @@ def _cmd_nn(args) -> int:
     if not words:
         raise UsageError("no query words given")
     # only the query words' rows of --src are read
-    encoder, src, tgt = _load_inputs(args, mapping=True, src=words, tgt=None)
+    weight, src, tgt = _load_inputs(args, src=words, tgt=None)
     for word in words:
         if src is None or word not in src.vocab:
             print(f"warning: {word!r} not in source vocabulary", file=sys.stderr)
     if src is None:
         return 1
     # src holds each present word once, so each is mapped and ranked once
-    rows, sims = knn(EmbeddingTable(src.vocab, encoder.map_rows(src.matrix)), tgt,
+    rows, sims = knn(EmbeddingTable(src.vocab, src.matrix @ weight), tgt,
                      min(args.k, len(tgt.vocab)))
     for word in (w for w in words if w in src.vocab):
         i = src.vocab.index(word)
@@ -435,10 +435,10 @@ def _cmd_eval(args) -> int:
     # only the dictionary's source words are ranked, so only their rows of
     # --src are read and mapped
     dictionary = BilingualDictionary.load(args.dictionary)
-    encoder, src, tgt = _load_inputs(args, mapping=True, src=dictionary.entries, tgt=None)
+    weight, src, tgt = _load_inputs(args, src=dictionary.entries, tgt=None)
     if src is None:
         raise ValueError("no resolvable dictionary entries")
-    text = json.dumps(precision_at_k(encoder, src, tgt, dictionary, args.k), indent=2,
+    text = json.dumps(precision_at_k(weight, src, tgt, dictionary, args.k), indent=2,
                       sort_keys=True)
     print(text)
     if args.out:

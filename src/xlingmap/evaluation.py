@@ -9,13 +9,14 @@ pipeline can be validated end to end.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embed_io import EmbeddingTable, Vocabulary
 from .layers import _row_norms
-from .models import Discriminator, EncoderDecoder, init_orthogonal
+from .models import Discriminator, init_semi_orthogonal
 from .numerics import Rng
 
 
@@ -114,13 +115,13 @@ def _top_k(scores, k: int):
     return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
-def precision_at_k(encoder: EncoderDecoder, src: EmbeddingTable, tgt: EmbeddingTable,
+def precision_at_k(weight: np.ndarray, src: EmbeddingTable, tgt: EmbeddingTable,
                    dictionary: BilingualDictionary, k: int) -> dict:
     """The report ``eval`` prints, ``{"precision": {"p@1": ...}, "resolvable":
     r, "unresolvable": u}``: p@j is the fraction of resolvable entries whose
     top j contains an accepted target, from one ranking of every entry.
-    ``src`` is mapped whole, in one ``map_rows`` call."""
-    mapped = encoder.map_rows(src.matrix)
+    ``src`` is mapped whole, as ``src.matrix @ weight``."""
+    mapped = src.matrix @ weight
     # entry i's accepted rows offset by i * V: one membership test for all
     size = len(tgt.vocab)
     words, accepted = [], []
@@ -193,8 +194,13 @@ class SyntheticSpec:
     def __post_init__(self):
         if min(self.dim, self.source_size, self.target_size, self.components) < 1:
             raise ValueError("dim, sizes and component count must be positive")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise sigma must be >= 0")
+        # a comparison with NaN is false: each range check refuses NaN
+        if not (math.isfinite(self.means_scale) and math.isfinite(self.cov_scale)):
+            raise ValueError("means and covariance scales must be finite")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise sigma must be finite and >= 0")
+        if not -math.inf < self.zipf_exponent <= math.inf:
+            raise ValueError("zipf exponent must be a number above -inf")
 
 
 @dataclass(frozen=True)
@@ -228,7 +234,7 @@ def synth_generate(spec: SyntheticSpec) -> SyntheticData:
         spec.components - 1,
     )
     cloud = means[assign] + rng.substream("cloud").normal(size=(base, spec.dim)) * spec.cov_scale
-    q = init_orthogonal(spec.dim, rng.substream("map"))
+    q = init_semi_orthogonal(spec.dim, spec.dim, rng.substream("map"))
 
     src_matrix = cloud[: spec.source_size]
     tgt_matrix = cloud[: spec.target_size] @ q

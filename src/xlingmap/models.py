@@ -44,15 +44,9 @@ PRESETS = {
 }
 
 
-def init_orthogonal(d: int, rng: Rng) -> np.ndarray:
-    """Uniformly random d x d orthogonal matrix (QR with sign-fixed R)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return init_semi_orthogonal(d, d, rng)
-
-
 def init_semi_orthogonal(rows: int, cols: int, rng: Rng) -> np.ndarray:
-    """Random (rows x cols) matrix whose smaller side is orthonormal."""
+    """Random (rows x cols) matrix whose smaller side is orthonormal (QR
+    with sign-fixed R); square, a uniformly random orthogonal matrix."""
     if rows >= cols:
         a = rng.normal(size=(rows, cols))
         q, r = np.linalg.qr(a)
@@ -63,29 +57,18 @@ def init_semi_orthogonal(rows: int, cols: int, rng: Rng) -> np.ndarray:
 
 
 class EncoderDecoder:
-    """Linear map f -> f @ W with the reverse map z -> z @ W.T sharing the
-    single stored weight. Stateless: the generator objective computes the
-    weight gradient from the rows it mapped."""
+    """Training's map f -> f @ W and reverse map z -> z @ W.T, sharing one
+    stored weight W (outside training, the mapping is W alone). Stateless: the
+    generator objective computes the weight gradient from the rows it mapped."""
 
     def __init__(self, weight):
         self.weight = Param("encoder.weight", weight)
-        if self.weight.value.ndim != 2 or (
-            self.weight.value.shape[0] != self.weight.value.shape[1]
-        ):
-            raise ValueError("encoder weight must be square")
-
-    @property
-    def dim(self) -> int:
-        return self.weight.value.shape[0]
 
     def encode(self, f):
         return f @ self.weight.value
 
     def decode(self, z):
         return z @ self.weight.value.T
-
-    # the same map, under the name the commands use for whole tables
-    map_rows = encode
 
     def params(self):
         return [self.weight]
@@ -117,7 +100,7 @@ class Discriminator:
         self.blocks = [
             (
                 Param(f"{name}.block{i}.weight",
-                      init_orthogonal(k, rng.substream(f"block{i}"))),
+                      init_semi_orthogonal(k, k, rng.substream(f"block{i}"))),
                 Param(f"{name}.block{i}.bn.gamma", np.ones(k)),
                 Param(f"{name}.block{i}.bn.beta", np.zeros(k)),
             )
@@ -244,7 +227,8 @@ class Discriminator:
 
 def build_models(cfg: ModelConfig, rng: Rng):
     """Encoder/decoder plus two independently initialized discriminators."""
-    enc = EncoderDecoder(init_orthogonal(cfg.dim, rng.substream("encoder_init")))
+    enc = EncoderDecoder(init_semi_orthogonal(cfg.dim, cfg.dim,
+                                              rng.substream("encoder_init")))
     d_train = Discriminator("disc_train", cfg, rng.substream("disc_train_init"))
     d_monitor = Discriminator("disc_monitor", cfg, rng.substream("disc_monitor_init"))
     return enc, d_train, d_monitor

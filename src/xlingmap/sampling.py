@@ -8,6 +8,7 @@ word with probability ``sqrt(t/f)``. Both are clamped to 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ class SamplerConfig:
     formula: str = "code"
 
     def __post_init__(self):
-        if self.subsample_threshold <= 0.0:
+        if not 0.0 < self.subsample_threshold <= math.inf:  # NaN too
             raise ValueError("subsample threshold must be positive")
         if self.formula not in SUBSAMPLE_FORMULAS:
             raise ValueError(

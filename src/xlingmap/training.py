@@ -98,16 +98,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
-        if min(self.lambda_r, self.lambda_a, self.lambda_c) < 0.0:
-            raise ValueError("loss weights must be >= 0")
+        # a comparison with NaN is false: each range check refuses NaN
+        if not all(0.0 <= w < math.inf for w in (self.lambda_r, self.lambda_a,
+                                                  self.lambda_c)):
+            raise ValueError("loss weights must be finite and >= 0")
         if self.batch_size < 2:
             raise ValueError("batch size must be >= 2 (batch norm)")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.eval_every < 1 or self.checkpoint_every < 1:
             raise ValueError("eval/checkpoint intervals must be >= 1")
-        if self.lr_gen <= 0.0 or self.lr_disc <= 0.0:
-            raise ValueError("learning rates must be positive")
+        if not (0.0 < self.lr_gen < math.inf and 0.0 < self.lr_disc < math.inf):
+            raise ValueError("learning rates must be positive and finite")
 
     @property
     def weights(self) -> tuple:
@@ -276,7 +278,7 @@ class Trainer:
         f = sample_batch(self.src_cum, self.src, EVAL_SIZE, rng)
         e = sample_batch(self.tgt_cum, self.tgt, EVAL_SIZE, rng)
         return _checked({"type": "eval", "step": self.step_count,
-                         **distribution_match_report(self.encoder.map_rows(f), e,
+                         **distribution_match_report(self.encoder.encode(f), e,
                                                      self.d_monitor)})
 
     # -- the outer loop ------------------------------------------------------
@@ -482,11 +484,11 @@ def read_checkpoint(path, names=None):
     return header, arrays
 
 
-def encoder_from_checkpoint(path) -> EncoderDecoder:
-    """Rebuild just the mapping (encoder/decoder) from a checkpoint."""
+def encoder_from_checkpoint(path) -> np.ndarray:
+    """The mapping weight W (``encoder.weight``) of a checkpoint."""
     arrays = read_checkpoint(path, {"encoder.weight", "encoder.enc_bias"})[1]
     if "encoder.weight" not in arrays:
         raise CheckpointError(f"{path}: checkpoint has no encoder weight")
     if "encoder.enc_bias" in arrays:
         raise CheckpointError(f"{path}: encoder bias is not supported")
-    return EncoderDecoder(arrays["encoder.weight"])
+    return arrays["encoder.weight"]

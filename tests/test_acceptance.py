@@ -31,7 +31,7 @@ from xlingmap.layers import (
     cosine_dissim_loss,
     sigmoid,
 )
-from xlingmap.models import Discriminator, EncoderDecoder, ModelConfig, build_models
+from xlingmap.models import Discriminator, ModelConfig, build_models
 from xlingmap.numerics import Rng
 from xlingmap.sampling import SamplerConfig, build_adjusted, sample_batch
 from xlingmap.training import TrainConfig, Trainer, _joint_pass
@@ -290,7 +290,7 @@ def test_criterion_5_determinism_and_resume(tmp_path):
 def test_criterion_8_oracle_pipeline():
     data = synth_generate(SyntheticSpec(dim=16, source_size=200, target_size=200,
                                         noise_sigma=0.0, seed=21))
-    rep = precision_at_k(EncoderDecoder(data.map_matrix), data.src, data.tgt, data.truth, 1)
+    rep = precision_at_k(data.map_matrix, data.src, data.tgt, data.truth, 1)
     assert rep["precision"] == {"p@1": 1.0}
     assert rep["unresolvable"] == 0
     report(8, f"encoder forced to hidden map: P@1 = {rep['precision']['p@1']} over "

@@ -25,7 +25,7 @@ from xlingmap.embed_io import (
     save_matrix,
 )
 from xlingmap.evaluation import SyntheticSpec, synth_generate
-from xlingmap.models import EncoderDecoder, ModelConfig
+from xlingmap.models import ModelConfig
 from xlingmap.sampling import SamplerConfig
 from xlingmap.training import (
     CHECKPOINT_MAGIC,
@@ -338,7 +338,7 @@ def test_train_dim_mismatch_exits_1(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == (
-            "error: dimension mismatch: --tgt has d=4, --src d=6\n")
+            "error: embedding dims (src 6, tgt 4) do not match model dim 6\n")
 
 
 def test_resume_continues(tmp_path, capsys, parses):
@@ -711,22 +711,22 @@ def test_eval_maps_only_dictionary_source_rows(tmp_path, capsys, monkeypatch):
                          "yy\tt2\n", encoding="utf-8")
     seen = []
 
-    def recording(encoder, src_table, tgt_table, dictionary, k):
-        seen.append((encoder, src_table))
-        return precision_at_k(encoder, src_table, tgt_table, dictionary, k)
+    def recording(mapping, src_table, tgt_table, dictionary, k):
+        seen.append((mapping, src_table))
+        return precision_at_k(mapping, src_table, tgt_table, dictionary, k)
 
     monkeypatch.setattr(cli, "precision_at_k", recording)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(matrix_path), "--src", str(sp),
                  "--tgt", str(tp), "--dict", str(dict_path), "--k", "5"]) == 0
     report = json.loads(capsys.readouterr().out)
-    ((encoder, held),) = seen
+    ((mapping, held),) = seen
     assert sorted(held.vocab.tokens) == ["s1", "s12", "s3", "s7"]
     rows = [src.vocab.index(w) for w in held.vocab.tokens]
-    assert np.allclose(encoder.map_rows(held.matrix), src.matrix[rows] @ weight,
+    assert np.allclose(held.matrix @ mapping, src.matrix[rows] @ weight,
                        rtol=0, atol=1e-14)
     # the report of the whole table, as the command computed it before
-    full = precision_at_k(EncoderDecoder(weight), src, tgt,
+    full = precision_at_k(weight, src, tgt,
                           BilingualDictionary.load(dict_path), 5)
     assert report == full
     assert (full["resolvable"], full["unresolvable"]) == (3, 3)
@@ -805,24 +805,80 @@ def test_every_synth_spec_field_has_a_flag(tmp_path, case):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
+# The flag of each float config field, by command. Of the infinities, a
+# subsample threshold of +inf (no word subsampled) and a Zipf exponent of +inf
+# (every count but the first 1) are usable.
+FLOAT_FLAGS = {
+    "train": {"lambda_r": "--lambda-r", "lambda_a": "--lambda-a",
+              "lambda_c": "--lambda-c", "lr_gen": "--lr-gen", "lr_disc": "--lr-disc",
+              "subsample_threshold": "--subsample-threshold",
+              "leaky_slope": "--leaky-slope", "dropout_rate": "--dropout"},
+    "synth": {"means_scale": "--means-scale", "cov_scale": "--cov-scale",
+              "noise_sigma": "--noise", "zipf_exponent": "--zipf"},
+}
+USABLE_INF = {"subsample_threshold", "zipf_exponent"}
+
+
+@pytest.mark.parametrize("name", [
+    f.name for config in (TrainConfig, ModelConfig, SamplerConfig, SyntheticSpec)
+    for f in fields(config) if f.type in (float, "float")])
+def test_nan_or_unusable_infinite_setting_exits_1_before_writing(tmp_path, capsys, name):
+    sp, tp, _, _ = write_tables(tmp_path)
+    command = "train" if name in FLOAT_FLAGS["train"] else "synth"
+    for value in ("nan", "inf", "-inf"):
+        out = tmp_path / value
+        argv = (train_args(sp, tp, out, max_steps=1) if command == "train" else
+                ["synth", "--out", str(out), "--dim", "4", "--source-size", "20",
+                 "--target-size", "20"])
+        capsys.readouterr()
+        rc = main([*argv, f"{FLOAT_FLAGS[command][name]}={value}"])
+        captured = capsys.readouterr()
+        if value == "inf" and name in USABLE_INF:
+            assert rc == 0, captured.err
+        else:
+            assert rc == 1, value
+            assert captured.out == "" and re.fullmatch(r"error: [^\n]+\n", captured.err)
+            assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def mismatch_inputs(tmp_path_factory):
     """A d = 6 checkpoint and encoder matrix (a text matrix file), d = 6
-    tables, d = 4 tables with the same words and a dictionary between the
-    tables."""
+    tables, d = 4 tables with the same words, a dictionary between the
+    tables, and mappings that are not square: a 2 x 3 text matrix, and
+    checkpoints whose encoder weight is 6 x 4 or a vector of 6."""
     tmp_path = tmp_path_factory.mktemp("mismatch")
     sp, tp, _, _ = write_tables(tmp_path)
     assert main(train_args(sp, tp, tmp_path / "run", max_steps=1)) == 0
+    checkpoint = tmp_path / "run" / "checkpoint_final.xlaae"
     save_matrix(np.eye(6), tmp_path / "w.txt")
+    save_matrix(np.eye(2, 3), tmp_path / "wide.txt")
+    header, arrays = read_checkpoint(checkpoint)
+    for name, weight in (("wide", arrays["encoder.weight"][:, :4]), ("flat", np.ones(6))):
+        write_checkpoint(tmp_path / f"{name}.xlaae", header,
+                         {**arrays, "encoder.weight": weight})
     for name, prefix in (("src4", "s"), ("tgt4", "t")):
         save_embeddings(random_table(10, 4, seed=3, prefix=prefix),
                         tmp_path / f"{name}.vec")
     (tmp_path / "d.dict").write_text("s0\tt0\ns1\tt1\n", encoding="utf-8")
     return {"src": str(sp), "tgt": str(tp), "src4": str(tmp_path / "src4.vec"),
-            "tgt4": str(tmp_path / "tgt4.vec"),
-            "checkpoint": str(tmp_path / "run" / "checkpoint_final.xlaae"),
+            "tgt4": str(tmp_path / "tgt4.vec"), "checkpoint": str(checkpoint),
             "encoder-matrix": str(tmp_path / "w.txt"),
+            "wide-matrix": str(tmp_path / "wide.txt"),
+            "wide-checkpoint": str(tmp_path / "wide.xlaae"),
+            "flat-checkpoint": str(tmp_path / "flat.xlaae"),
             "dict": str(tmp_path / "d.dict"), "out": str(tmp_path / "mapped.vec")}
+
+
+def mapping_command(paths, command, mapping):
+    """``command`` on the tables and dictionary of ``paths``, with the
+    mapping file ``paths[mapping]`` as --checkpoint (either kind of mapping
+    file is given so); ``map`` and ``eval`` write ``paths["out"]``."""
+    extra = {"map": ["--src", paths["src"], "--out", paths["out"]],
+             "nn": ["--src", paths["src"], "--tgt", paths["tgt"], "--words", "s0"],
+             "eval": ["--src", paths["src"], "--tgt", paths["tgt"],
+                      "--dict", paths["dict"], "--k", "2", "--out", paths["out"]]}[command]
+    return [command, "--checkpoint", paths[mapping], *extra]
 
 
 @pytest.mark.parametrize("command, mapping, bad", [
@@ -834,17 +890,26 @@ def mismatch_inputs(tmp_path_factory):
 def test_table_of_another_dimension_than_the_mapping_exits_1(
         mismatch_inputs, capsys, command, mapping, bad):
     paths = {**mismatch_inputs, bad: mismatch_inputs[f"{bad}4"]}
-    extra = {"map": ["--src", paths["src"], "--out", paths["out"]],
-             "nn": ["--src", paths["src"], "--tgt", paths["tgt"], "--words", "s0"],
-             "eval": ["--src", paths["src"], "--tgt", paths["tgt"],
-                      "--dict", paths["dict"], "--k", "2"]}[command]
     capsys.readouterr()
-    # either kind of mapping file is given as --checkpoint
-    assert main([command, "--checkpoint", paths[mapping], *extra]) == 1
+    assert main(mapping_command(paths, command, mapping)) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: dimension mismatch: --{bad} has d=4, the mapping d=6\n"
     assert captured.out == ""
     assert not Path(paths["out"]).exists()
+
+
+@pytest.mark.parametrize("command", ["map", "nn", "eval"])
+@pytest.mark.parametrize("mapping, shape", [("wide-matrix", (2, 3)),
+                                            ("wide-checkpoint", (6, 4)),
+                                            ("flat-checkpoint", (6,))],
+                         ids=["wide-matrix", "wide-checkpoint", "flat-checkpoint"])
+def test_non_square_mapping_exits_1_naming_its_file(mismatch_inputs, capsys, command,
+                                                    mapping, shape):
+    capsys.readouterr()
+    assert main(mapping_command(mismatch_inputs, command, mapping)) == 1
+    assert capsys.readouterr() == ("", f"error: {mismatch_inputs[mapping]}: mapping weight "
+                                       f"has shape {shape}, not square\n")
+    assert not Path(mismatch_inputs["out"]).exists()
 
 
 # -- table sidecars -------------------------------------------------------------
@@ -1083,12 +1148,12 @@ def test_map_onto_its_own_src_is_parsed_again(tmp_path, capsys, parses,
     age(sp)
     ref = tmp_path / "ref.vec"
     ref.write_bytes(sp.read_bytes())
-    encoder = encoder_from_checkpoint(sidecar_checkpoint)
+    weight = encoder_from_checkpoint(sidecar_checkpoint)
     for _ in range(2):
         assert main(["map", "--checkpoint", sidecar_checkpoint, "--src", str(sp),
                      "--out", str(sp)]) == 0
         table = load_embeddings(ref)
-        save_embeddings(EmbeddingTable(table.vocab, encoder.map_rows(table.matrix)), ref)
+        save_embeddings(EmbeddingTable(table.vocab, table.matrix @ weight), ref)
     assert parses == ["src.vec", "src.vec"]
     assert sp.read_bytes() == ref.read_bytes()
 
@@ -1318,12 +1383,12 @@ def test_nn_duplicate_and_missing_words(tmp_path, capsys, monkeypatch, blocks_in
 
     argv = blocks_commands(blocks_inputs, tmp_path)["nn"]
     at = argv.index("--words") + 1
-    encoder = encoder_from_checkpoint(argv[argv.index("--checkpoint") + 1])
+    weight = encoder_from_checkpoint(argv[argv.index("--checkpoint") + 1])
     src, tgt = load_embeddings(tmp_path / "src.vec"), load_embeddings(tmp_path / "tgt.vec")
     asked = ["s450", "zz", "s5", "s450", "yy", "s5"]
     distinct = ["s450", "s5"]
-    rows, sims = knn(as_table(encoder.map_rows(src.matrix[[src.vocab.index(w)
-                                                           for w in distinct]])), tgt, 4)
+    rows, sims = knn(as_table(src.matrix[[src.vocab.index(w) for w in distinct]] @ weight),
+                     tgt, 4)
     lines = {w: "".join(f"{w}\t{rank}\t{tgt.vocab.tokens[r]}\t{s:.6f}\n"
                         for rank, (r, s) in enumerate(zip(top, top_sims), start=1))
              for w, top, top_sims in zip(distinct, rows, sims)}

@@ -15,7 +15,7 @@ from xlingmap.evaluation import (
     precision_at_k,
     synth_generate,
 )
-from xlingmap.models import Discriminator, EncoderDecoder, ModelConfig
+from xlingmap.models import Discriminator, ModelConfig
 from xlingmap.numerics import Rng
 
 from conftest import as_table, cosine, random_table
@@ -240,14 +240,10 @@ def test_knn_rejects_bad_input():
         assert np.array_equal(knn(ones, holed, 2)[0], rows[:, :2])
 
 
-def identity(dim):
-    return EncoderDecoder(np.eye(dim))
-
-
 def test_precision_identity_mapping():
     t = random_table(15, 4, seed=7)
     d = BilingualDictionary({tok: {tok} for tok in t.vocab.tokens})
-    rep = precision_at_k(identity(4), t, t, d, 1)
+    rep = precision_at_k(np.eye(4), t, t, d, 1)
     assert rep == {"precision": {"p@1": 1.0}, "resolvable": 15, "unresolvable": 0}
 
 
@@ -260,7 +256,7 @@ def test_precision_all_misses():
         tgt.vocab,
         np.vstack([np.full(3, 100.0), tgt.matrix[1:]]),
     )
-    rep = precision_at_k(identity(3), src, far, d, 1)
+    rep = precision_at_k(np.eye(3), src, far, d, 1)
     assert 0.0 <= rep["precision"]["p@1"] <= 1.0
 
 
@@ -268,7 +264,7 @@ def test_precision_monotone_in_k():
     src = random_table(20, 5, seed=10, prefix="s")
     tgt = random_table(20, 5, seed=11, prefix="t")
     d = BilingualDictionary({f"s{i}": {f"t{i}"} for i in range(20)})
-    values = list(precision_at_k(identity(5), src, tgt, d, 20)["precision"].values())
+    values = list(precision_at_k(np.eye(5), src, tgt, d, 20)["precision"].values())
     assert len(values) == 20
     assert list(values) == sorted(values)
     assert values[-1] == 1.0  # k = |vocab| always hits
@@ -286,7 +282,7 @@ def test_precision_matches_per_k_brute_force():
     entries["missing"] = {"t0"}
     entries["s0"] = {"t3", "absent"}
     d = BilingualDictionary(entries)
-    rep = precision_at_k(identity(4), src, tgt, d, 10)
+    rep = precision_at_k(np.eye(4), src, tgt, d, 10)
     resolvable = [s for s in entries if s != "missing"]
     assert (rep["resolvable"], rep["unresolvable"]) == (30, 1)
     for k in range(1, 11):
@@ -301,11 +297,11 @@ def test_precision_counts_unresolvable():
     src = random_table(5, 3, seed=12, prefix="s")
     tgt = random_table(5, 3, seed=13, prefix="t")
     d = BilingualDictionary({"s0": {"t0"}, "missing": {"t1"}, "s1": {"absent"}})
-    rep = precision_at_k(identity(3), src, tgt, d, 2)
+    rep = precision_at_k(np.eye(3), src, tgt, d, 2)
     assert rep["resolvable"] == 1
     assert rep["unresolvable"] == 2
     with pytest.raises(ValueError, match="resolvable"):
-        precision_at_k(identity(3), src, tgt, BilingualDictionary({"nope": {"t0"}}), 1)
+        precision_at_k(np.eye(3), src, tgt, BilingualDictionary({"nope": {"t0"}}), 1)
 
 
 def test_collapse_identical_rows():
@@ -389,7 +385,7 @@ def test_synth_oracle_precision():
     spec = SyntheticSpec(dim=6, source_size=40, target_size=40, noise_sigma=0.0,
                          seed=5)
     data = synth_generate(spec)
-    rep = precision_at_k(EncoderDecoder(data.map_matrix), data.src, data.tgt, data.truth, 1)
+    rep = precision_at_k(data.map_matrix, data.src, data.tgt, data.truth, 1)
     assert rep["precision"] == {"p@1": 1.0}
 
 

@@ -59,9 +59,9 @@ def test_linear_input_grad_check():
 
 
 def test_tied_pair_orthogonal_inverts():
-    from xlingmap.models import EncoderDecoder, init_orthogonal
+    from xlingmap.models import EncoderDecoder, init_semi_orthogonal
 
-    w = init_orthogonal(6, Rng(3))
+    w = init_semi_orthogonal(6, 6, Rng(3))
     enc = EncoderDecoder(w)
     x = np.random.default_rng(4).normal(size=(5, 6))
     out = enc.decode(enc.encode(x))

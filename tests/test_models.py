@@ -8,7 +8,6 @@ from xlingmap.models import (
     ModelConfig,
     PRESETS,
     build_models,
-    init_orthogonal,
     init_semi_orthogonal,
 )
 from xlingmap.numerics import Rng
@@ -36,20 +35,20 @@ def det_via_lu(a):
 
 def test_init_orthogonal_d1():
     for seed in range(10):
-        w = init_orthogonal(1, Rng(seed))
+        w = init_semi_orthogonal(1, 1, Rng(seed))
         assert w.shape == (1, 1)
         assert abs(abs(w[0, 0]) - 1.0) < 1e-12
 
 
 def test_init_orthogonal_property():
     for seed in range(5):
-        w = init_orthogonal(100, Rng(seed))
+        w = init_semi_orthogonal(100, 100, Rng(seed))
         assert np.max(np.abs(w.T @ w - np.eye(100))) < 1e-10
 
 
 def test_init_orthogonal_determinant():
     for seed in range(5):
-        w = init_orthogonal(6, Rng(seed))
+        w = init_semi_orthogonal(6, 6, Rng(seed))
         assert abs(abs(det_via_lu(w)) - 1.0) < 1e-8
 
 
@@ -84,7 +83,7 @@ def test_encode_identity_weight():
 
 
 def test_encode_orthogonal_preserves_norms():
-    enc = EncoderDecoder(init_orthogonal(8, Rng(2)))
+    enc = EncoderDecoder(init_semi_orthogonal(8, 8, Rng(2)))
     f = np.random.default_rng(1).normal(size=(6, 8))
     z = enc.encode(f)
     assert np.max(np.abs(np.linalg.norm(z, axis=1) - np.linalg.norm(f, axis=1))) < 1e-10

@@ -408,8 +408,7 @@ def test_encoder_and_monitor_rebuild_from_checkpoint(tables, tmp_path):
     path = tmp_path / "r.ckpt"
     tr.save_checkpoint(path)
 
-    enc = encoder_from_checkpoint(path)
-    assert np.array_equal(enc.weight.value, tr.encoder.weight.value)
+    assert np.array_equal(encoder_from_checkpoint(path), tr.encoder.weight.value)
     assert read_checkpoint(path)[0]["step"] == 3
 
     # the monitor, running statistics included, scores like the original
@@ -584,8 +583,7 @@ def test_commands_read_checkpoint_of_older_step_scheme(tables, tmp_path, capsys)
     sp, tp = tmp_path / "src.vec", tmp_path / "tgt.vec"
     save_embeddings(src, sp)
     save_embeddings(tgt, tp)
-    assert np.array_equal(encoder_from_checkpoint(path).weight.value,
-                          tr.encoder.weight.value)
+    assert np.array_equal(encoder_from_checkpoint(path), tr.encoder.weight.value)
     assert main(["map", "--checkpoint", str(path), "--src", str(sp),
                  "--out", str(tmp_path / "mapped.vec")]) == 0
     assert main(["nn", "--checkpoint", str(path), "--src", str(sp), "--tgt", str(tp),
