@@ -55,7 +55,6 @@ from .embed_io import (
     load_embeddings,
     load_frequencies,
     load_matrix,
-    normalize_rows,
     save_embeddings,
     save_frequencies,
     save_matrix,
@@ -332,14 +331,12 @@ def _train_flags(p) -> None:
                    metavar="DROPOUT")
     p.add_argument("--leaky-slope", type=float)
     p.add_argument("--normalize", action="store_true",
-                   help="unit-normalize embedding rows before training")
+                   help="unit-normalize embedding rows before training "
+                        "(recorded in the checkpoint: resume repeats it)")
 
 
 def _cmd_train(args) -> int:
     src, tgt, src_freq, tgt_freq = _load_pair(args)
-    if args.normalize:
-        src = normalize_rows(src, "the source table")
-        tgt = normalize_rows(tgt, "the target table")
     if args.preset:
         for name in ("block_dim", "depth"):  # a given --k or --T wins
             if getattr(args, name) is None:

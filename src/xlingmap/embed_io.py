@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .layers import _check_nonzero, _row_norms
+from .layers import _row_norms
 
 
 class EmbedFormatError(ValueError):
@@ -595,8 +595,9 @@ class EmbeddingTable:
         if self._norms is None:
             self._norms = _row_norms(self.matrix)
             self._norms.setflags(write=False)
-        if where is not None:
-            _check_nonzero(self._norms, self.vocab.tokens, where)
+        if where is not None and not self._norms.all():
+            word = self.vocab.tokens[int(np.argmin(self._norms != 0.0))]
+            raise ValueError(f"zero row {word!r} in {where}")
         return self._norms
 
 

@@ -147,17 +147,14 @@ def precision_at_k(weight: np.ndarray, src: EmbeddingTable, tgt: EmbeddingTable,
 
 
 def collapse_metric(outputs):
-    """Mean pairwise cosine similarity plus mean per-dimension spread:
-    ``(mean pairwise cosine, mean dim std)``.
+    """Mean pairwise cosine similarity plus mean per-dimension spread of the
+    rows of a float64 matrix: ``(mean pairwise cosine, mean dim std)``.
 
     Near-constant generator output shows up as mean pairwise cosine close
     to 1 together with per-dimension standard deviation close to 0. The
     cosine is taken over the nonzero rows; with fewer than 2 of them the
     output has collapsed all the way and the cosine is 1.
     """
-    outputs = np.asarray(outputs, dtype=np.float64)
-    if outputs.ndim != 2 or outputs.shape[0] < 2:
-        raise ValueError("need a matrix with at least 2 rows")
     std = float(outputs.std(axis=0).mean())
     norms = _row_norms(outputs)
     nonzero = norms > 0.0
@@ -214,9 +211,20 @@ class SyntheticData:
 
 
 def _zipf_counts(size: int, exponent: float) -> np.ndarray:
-    base = 1_000_000.0
-    return np.array([max(1, round(base / (r + 1) ** exponent)) for r in range(size)],
-                    dtype=np.int64)
+    """``max(1, round(1e6 / r ** exponent))`` for the ranks r = 1..size, in
+    Python floats; a power beyond the floats counts 1, as at ``--zipf inf``."""
+    counts = []
+    for r in range(1, size + 1):
+        try:
+            power = r ** exponent
+        except OverflowError:
+            power = math.inf
+        count = 1e6 / power if power else math.inf  # the power underflowed to 0
+        if not count < 2.0 ** 63:  # beyond int64
+            raise ValueError(f"zipf exponent {exponent} gives counts beyond int64 "
+                             f"at {size} words")
+        counts.append(max(1, round(count)))
+    return np.array(counts, dtype=np.int64)
 
 
 def _tokens(prefix: str, size: int) -> list:
@@ -261,18 +269,8 @@ def distribution_match_report(mapped, target_sample, monitor: Discriminator) -> 
     """The collapse of the mapped sample (:func:`collapse_metric`), the
     first/second-moment agreement between the two samples, and how well the
     monitoring discriminator can still tell them apart (targets positive,
-    mapped rows negative; see :func:`monitor_accuracy`)."""
-    mapped = np.asarray(mapped, dtype=np.float64)
-    target_sample = np.asarray(target_sample, dtype=np.float64)
-    if mapped.ndim != 2 or target_sample.ndim != 2:
-        raise ValueError("samples must be matrices")
-    if mapped.shape[1] != target_sample.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {mapped.shape[1]} vs {target_sample.shape[1]}"
-        )
-    if mapped.shape[0] < 2 or target_sample.shape[0] < 2:
-        raise ValueError("need at least 2 rows per sample")
-
+    mapped rows negative; see :func:`monitor_accuracy`), for samples of one
+    dimension with at least 2 rows each, as ``Trainer.evaluate`` draws."""
     mu_m = mapped.mean(axis=0)
     mu_t = target_sample.mean(axis=0)
     tgt_norm = np.linalg.norm(mu_t)

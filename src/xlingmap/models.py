@@ -11,13 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import PROB_CLAMP, sigmoid
+from .layers import sigmoid
 from .numerics import Rng
 from .optim import Param
 
 # Batch-norm variance epsilon and running-statistics momentum.
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# The discriminator's output is clamped this far from 0/1, so the losses'
+# logs stay finite for any input; far below float64 training relevance.
+PROB_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,14 +116,15 @@ class Discriminator:
         self._work = None
 
     def forward(self, x, rng: Rng | None = None, training: bool = True):
-        """Probability column for a batch; training mode needs n >= 2 rows
-        and an ``rng`` for the dropout masks.
+        """Probability column for a batch; training mode takes an ``rng`` for
+        the dropout masks, and a batch of n >= 2 rows (``TrainConfig``'s).
 
-        Outputs are clamped strictly inside (0, 1). Besides keeping the
-        losses finite, using the clamped value in the backward chain keeps
-        the generator's gradient alive when the discriminator saturates:
-        the exact sigmoid derivative underflows to zero there, while the
-        clamped chain reproduces the analytic -(1 - p) logit gradient.
+        Outputs are clamped to [``PROB_CLAMP``, 1 - ``PROB_CLAMP``], the one
+        clamp the losses rely on. Besides keeping them finite, using the
+        clamped value in the backward chain keeps the generator's gradient
+        alive when the discriminator saturates: the exact sigmoid derivative
+        underflows to zero there, while the clamped chain reproduces the
+        analytic -(1 - p) logit gradient.
         """
         cfg = self.cfg
         m = BN_MOMENTUM
@@ -142,8 +146,6 @@ class Discriminator:
             z = np.matmul(h, weight.value, out=z_out)
             if training:
                 n = z.shape[0]
-                if n < 2:
-                    raise ValueError("batch norm training mode needs n >= 2")
                 mean = z.sum(axis=0) / n
                 centered = z
                 centered -= mean

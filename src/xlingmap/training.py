@@ -14,9 +14,13 @@ to hold finite values, and ``run`` writes them as it receives them, and an
 ``error`` record before it re-raises a numeric failure (the README's
 "Metrics log" lists every field).
 
-Checkpoints capture parameters, batch-norm running statistics, optimizer
-moments, every RNG substream and the step counter, so a restored run
-continues exactly the trajectory of an uninterrupted one.
+``TrainConfig`` and ``Trainer.__init__`` are the one gate for what training
+reads, and the step code checks none of it again: a batch that still fails,
+such as a row a singular W maps to zero, is a numeric failure. Checkpoints
+capture the config (so resume repeats its ``normalize``), parameters,
+batch-norm running statistics, optimizer moments, every RNG substream and
+the step counter, so a restored run continues exactly the trajectory of an
+uninterrupted one.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed_io import EmbeddingTable
+from .embed_io import EmbeddingTable, normalize_rows
 from .evaluation import collapse_metric, distribution_match_report, monitor_accuracy
 from .layers import adversarial_loss, bce_loss, cosine_dissim_loss
 from .models import Discriminator, EncoderDecoder, ModelConfig, build_models
@@ -94,6 +98,7 @@ class TrainConfig:
     checkpoint_every: int = 10000
     seed: int = 0
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
+    normalize: bool = False  # unit-normalize both tables' rows first
 
     def __post_init__(self):
         if self.mode not in TRAIN_MODES:
@@ -210,6 +215,9 @@ class Trainer:
                 f"embedding dims (src {src.dim}, tgt {tgt.dim}) do not match "
                 f"model dim {cfg.model.dim}"
             )
+        if cfg.normalize:
+            src = normalize_rows(src, "the source table")
+            tgt = normalize_rows(tgt, "the target table")
         lambda_r, _, lambda_c = cfg.weights  # a cosine is undefined on a zero row:
         if lambda_r or lambda_c:  # a zero source row maps to a zero row of e_hat
             src.row_norms("the source table")

@@ -373,6 +373,46 @@ def test_resume_continues(tmp_path, capsys, parses):
     assert not (tmp_path / "r4").exists()
 
 
+def test_resume_repeats_normalize(tmp_path):
+    # --normalize is a config field: the checkpoint records it and resume
+    # normalizes the tables again, so the resumed run is the uninterrupted one
+    sp, tp, _, _ = write_tables(tmp_path)
+    straight = tmp_path / "straight"
+    assert main([*train_args(sp, tp, straight, max_steps=20, eval_every=10,
+                             checkpoint_every=10), "--normalize"]) == 0
+    assert main(["resume", "--checkpoint", str(straight / "checkpoint_00000010.xlaae"),
+                 "--src", str(sp), "--tgt", str(tp), "--out", str(tmp_path / "resumed")]) == 0
+    final = (straight / "checkpoint_final.xlaae").read_bytes()
+    assert (tmp_path / "resumed" / "checkpoint_final.xlaae").read_bytes() == final
+    assert read_checkpoint(straight / "checkpoint_final.xlaae")[0]["config"]["normalize"]
+
+
+def test_normalize_refuses_a_zero_row_after_settings_and_dimensions(tmp_path, capsys):
+    # Trainer normalizes, after the config's checks and its own dimension
+    # check; resume of a --normalize run refuses a zero row as train does,
+    # in gan mode too, which otherwise takes one
+    sp, tp, src, _ = write_tables(tmp_path)
+    zeroed = with_zero_row(src, 3, tmp_path / "zeroed.vec")
+    other = tmp_path / "d4.vec"
+    save_embeddings(random_table(10, 4, seed=3, prefix="t"), other)
+    assert main([*train_args(sp, tp, tmp_path / "run", mode="gan"), "--normalize"]) == 0
+    zero_row = f"error: zero row {src.vocab.tokens[3]!r} in the source table\n"
+    out = tmp_path / "out"
+    for argv, message in (
+            ([*train_args(zeroed, tp, out, n=1), "--normalize"],
+             "error: batch size must be >= 2 (batch norm)\n"),
+            ([*train_args(zeroed, other, out), "--normalize"],
+             "error: embedding dims (src 6, tgt 4) do not match model dim 6\n"),
+            ([*train_args(zeroed, tp, out, mode="gan"), "--normalize"], zero_row),
+            (["resume", "--checkpoint", str(tmp_path / "run" / "checkpoint_final.xlaae"),
+              "--src", str(zeroed), "--tgt", str(tp), "--out", str(out),
+              "--max-steps", "10"], zero_row)):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+
+
 def test_map_identity_checkpoint_round_trips(tmp_path):
     sp, tp, src, _ = write_tables(tmp_path)
     out = tmp_path / "run"
@@ -745,6 +785,28 @@ def fields_at_default(config):
     return names
 
 
+# A value off the config's default for each flag of ``train`` that sets a
+# config field (``--normalize`` takes none), and the flags that set none.
+TRAIN_CONFIG_FLAGS = {
+    "--normalize": [], "--mode": ["gan"], "--k": ["5"], "--T": ["3"], "--n": ["6"],
+    "--lr-gen": ["0.002"], "--lr-disc": ["0.02"], "--lambda-r": ["0.5"],
+    "--lambda-a": ["0.25"], "--lambda-c": ["2.0"], "--max-steps": ["3"],
+    "--eval-every": ["2"], "--checkpoint-every": ["2"], "--seed": ["11"],
+    "--subsample-threshold": ["0.001"], "--subsample-formula": ["paper"],
+    "--dropout": ["0.2"], "--leaky-slope": ["0.05"],
+}
+TRAIN_INPUT_FLAGS = ["--src", "--tgt", "--src-freq", "--tgt-freq", "--out", "--preset"]
+
+
+def recorded_config(out):
+    """The config of the run in ``out``: the manifest's, which must be the
+    final checkpoint header's."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    header, _ = read_checkpoint(out / "checkpoint_final.xlaae")
+    assert header["config"] == manifest["config"]
+    return TrainConfig.from_dict(manifest["config"])
+
+
 @pytest.mark.parametrize("case", ["every flag", "defaults"])
 def test_every_train_config_field_has_a_flag(tmp_path, case):
     sp, tp, _, _ = write_tables(tmp_path)
@@ -756,15 +818,9 @@ def test_every_train_config_field_has_a_flag(tmp_path, case):
         lr_gen=0.002, lr_disc=0.02, max_steps=3, eval_every=2,
         checkpoint_every=2, seed=11,
         sampler=SamplerConfig(subsample_threshold=0.001, formula="paper"),
+        normalize=True,
     )
-    flags = [
-        "--normalize", "--mode", "gan", "--k", "5", "--T", "3", "--n", "6",
-        "--lr-gen", "0.002", "--lr-disc", "0.02", "--lambda-r", "0.5",
-        "--lambda-a", "0.25", "--lambda-c", "2.0", "--max-steps", "3",
-        "--eval-every", "2", "--checkpoint-every", "2", "--seed", "11",
-        "--subsample-threshold", "0.001", "--subsample-formula", "paper",
-        "--dropout", "0.2", "--leaky-slope", "0.05",
-    ]
+    flags = [a for flag, value in TRAIN_CONFIG_FLAGS.items() for a in [flag, *value]]
     # a field this test leaves at its default is one no flag is shown to reach
     assert fields_at_default(want) == []
     if case == "defaults":
@@ -773,10 +829,25 @@ def test_every_train_config_field_has_a_flag(tmp_path, case):
         flags = ["--max-steps", "1"]
     assert main(["train", "--src", str(sp), "--tgt", str(tp), "--out", str(out),
                  *flags]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"] == want.to_dict()
-    header, _ = read_checkpoint(out / "checkpoint_final.xlaae")
-    assert TrainConfig.from_dict(header["config"]) == want
+    assert recorded_config(out) == want
+
+
+def test_every_train_flag_but_the_inputs_sets_the_recorded_config(tmp_path):
+    # the converse: a flag of train that the config does not record would be
+    # a setting that resume cannot repeat
+    assert sorted(TRAIN_CONFIG_FLAGS) == sorted(set(FLAGS["train"]) - set(TRAIN_INPUT_FLAGS))
+    sp, tp, _, _ = write_tables(tmp_path)
+
+    def config(name, *flags):  # a flag given twice takes its last value
+        out = tmp_path / name
+        assert main(["train", "--src", str(sp), "--tgt", str(tp), "--out", str(out),
+                     "--k", "4", "--T", "2", "--n", "8", "--max-steps", "1",
+                     *flags]) == 0
+        return recorded_config(out).to_dict()
+
+    base = config("base")
+    for i, (flag, value) in enumerate(TRAIN_CONFIG_FLAGS.items()):
+        assert config(f"run{i}", flag, *value) != base, flag
 
 
 @pytest.mark.parametrize("case", ["every flag", "defaults"])
@@ -839,6 +910,28 @@ def test_nan_or_unusable_infinite_setting_exits_1_before_writing(tmp_path, capsy
             assert rc == 1, value
             assert captured.out == "" and re.fullmatch(r"error: [^\n]+\n", captured.err)
             assert not out.exists()
+
+
+@pytest.mark.parametrize("zipf", ["1000", "-9.9", "-10", "-50", "-1000"])
+def test_synth_zipf_counts_beyond_the_floats_or_int64(tmp_path, capsys, zipf):
+    # r ** 1000 overflows the floats from r = 3 on, which counts as --zipf inf
+    # does; the last of 20 counts, 1e6 * 20 ** -zipf, fits int64 at -9.9 and
+    # not at -10, and 3 ** -1000 underflows to 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["synth", "--out", str(out), "--dim", "3", "--source-size", "20",
+               "--target-size", "20", f"--zipf={zipf}"])
+    captured = capsys.readouterr()
+    if float(zipf) <= -10:
+        assert rc == 1 and captured == ("", f"error: zipf exponent {float(zipf)} gives "
+                                            "counts beyond int64 at 20 words\n")
+        assert not out.exists()
+        return
+    assert rc == 0
+    counts = [int(line.split("\t")[1]) for line in
+              (out / "src.freq").read_text().splitlines()]
+    assert counts == ([10**6] + [1] * 19 if zipf == "1000" else
+                      [round(1e6 / r ** -9.9) for r in range(1, 21)])
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from xlingmap.layers import (
-    LayerError,
     adversarial_loss,
     bce_loss,
     cosine_dissim_loss,
     sigmoid,
 )
 from xlingmap import models
-from xlingmap.models import Discriminator, ModelConfig
+from xlingmap.models import PROB_CLAMP, Discriminator, ModelConfig
 from xlingmap.numerics import Rng
 
 from conftest import FixedRng, disc_grad_errors, final_state, grad_check, probe
@@ -143,11 +142,10 @@ def test_batchnorm_output_statistics():
     assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-4
 
 
-def test_batchnorm_needs_two_rows_in_training():
-    disc = probe(2)
-    with pytest.raises(ValueError, match="n >= 2"):
-        disc.forward(np.ones((1, 2)), Rng(0))
-    assert disc.forward(np.ones((1, 2)), training=False).shape == (1, 1)
+def test_batchnorm_inference_takes_one_row():
+    # training batches have n >= 2 rows (TrainConfig.batch_size); inference
+    # normalizes with the running statistics, so one row is enough
+    assert probe(2).forward(np.ones((1, 2)), training=False).shape == (1, 1)
 
 
 def test_batchnorm_inference_uses_running_stats(monkeypatch):
@@ -313,11 +311,6 @@ def test_cosine_dissim_symmetry_and_scale_invariance():
     assert abs(cosine_value(a * scales, b) - cosine_value(a, b)) < 1e-12
 
 
-def test_cosine_dissim_rejects_zero_row():
-    with pytest.raises(LayerError):
-        cosine_dissim_loss(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
-
-
 def test_cosine_dissim_grad_check():
     rng = np.random.default_rng(14)
     a = rng.normal(size=(4, 3))
@@ -333,9 +326,8 @@ def test_cosine_dissim_grad_check():
 
 
 def test_adversarial_loss_anchors():
-    assert adversarial_loss(np.ones((4, 1)))[0] == 0.0
     assert adversarial_loss(np.full((4, 1), 0.5))[0] == pytest.approx(math.log(2))
-    assert np.isfinite(adversarial_loss(np.zeros((4, 1)))[0])
+    assert adversarial_loss(np.full((4, 1), 1.0 - PROB_CLAMP))[0] < 1e-10
 
 
 def test_adversarial_loss_monotone():
@@ -362,8 +354,21 @@ def test_adversarial_loss_grad_check():
 def test_bce_anchors():
     half = np.full((4, 1), 0.5)
     assert bce_loss(half, half)[0] == pytest.approx(math.log(2))
-    assert bce_loss(np.full((4, 1), 1.0 - 1e-12), np.full((4, 1), 1e-12))[0] < 1e-10
-    assert np.isfinite(bce_loss(np.zeros((4, 1)), np.ones((4, 1)))[0])
+    assert bce_loss(np.full((4, 1), 1.0 - PROB_CLAMP), np.full((4, 1), PROB_CLAMP))[0] < 1e-10
+
+
+@pytest.mark.parametrize("logit", [1e3, -1e3])
+def test_saturated_discriminator_keeps_the_losses_finite(logit):
+    # the losses' anchors at p = 0 and 1 hold in the discriminator: its
+    # output is clamped to [PROB_CLAMP, 1 - PROB_CLAMP], which both losses
+    # take without a clamp of their own
+    disc = _live_disc(18, dropout_rate=0.0)
+    disc.output_bias.value[...] = logit
+    p = disc.forward(np.random.default_rng(18).normal(size=(8, 4)), Rng(18))
+    assert np.all(p == (1.0 - PROB_CLAMP if logit > 0 else PROB_CLAMP))
+    for loss, grad in (adversarial_loss(p), bce_loss(p[:4], p[4:]),
+                       bce_loss(p[4:], p[:4])):
+        assert math.isfinite(loss) and np.isfinite(grad).all()
 
 
 def test_bce_matches_scalar_loop():

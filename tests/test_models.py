@@ -255,13 +255,6 @@ def test_discriminator_inference_deterministic():
                           disc.forward(x, training=False))
 
 
-def test_discriminator_training_needs_two_rows():
-    cfg = ModelConfig(dim=4, block_dim=4, depth=1)
-    disc = Discriminator("d", cfg, Rng(10))
-    with pytest.raises(Exception, match="n >= 2"):
-        disc.forward(np.ones((1, 4)), Rng(11))
-
-
 def test_build_models_contract():
     cfg = ModelConfig(dim=7, block_dim=5, depth=3)
     enc, d1, d2 = build_models(cfg, Rng(12))

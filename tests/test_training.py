@@ -371,6 +371,20 @@ def test_non_finite_metric_halts_with_diagnostic(tables, tmp_path):
     assert (tmp_path / "checkpoint_diagnostic.xlaae").exists()
 
 
+def test_a_row_mapped_to_zero_is_a_numeric_failure(tables, tmp_path):
+    # the cosine terms check no batch: a W that maps a row to zero gives a
+    # NaN reconstruction gradient, which halts the run like any numeric failure
+    src, tgt = tables
+    tr = Trainer(tiny_cfg(max_steps=5, lambda_a=0.0, lambda_c=0.0), src, tgt)
+    tr.encoder.weight.value[...] = 0.0
+    with pytest.raises(NonFiniteGradient, match="encoder.weight"):
+        tr.run(out_dir=tmp_path)
+    records = [json.loads(l) for l in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert records[-1]["type"] == "error"
+    assert read_checkpoint(tmp_path / "checkpoint_diagnostic.xlaae")[0]["step"] == 0
+    assert not (tmp_path / "checkpoint_final.xlaae").exists()
+
+
 def test_non_finite_step_record_halts_with_diagnostic(tables, tmp_path, monkeypatch):
     # every gradient is finite; only the step record's own check can stop it
     src, tgt = tables
