@@ -18,7 +18,8 @@ for as long as the file is unchanged. The sidecar carries a checksum per
 block of rows and the rows' norms; a whole table is the mapped sidecar
 itself, and ``nn`` and ``eval`` check and copy only the blocks of the
 ``--src`` rows they rank: those of the query words, or of the dictionary's
-source words.
+source words. The mapping of ``--checkpoint`` is read from a sidecar of the
+same format holding no tokens, once the file has passed its checks.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numeric failure during
 training. ``XLINGMAP_THREADS`` caps BLAS threads (default 1, keeping runs
@@ -66,6 +67,7 @@ from .evaluation import (
     precision_at_k,
     synth_generate,
 )
+from .layers import _row_norms
 from .models import ModelConfig, PRESETS
 from .optim import NonFiniteGradient
 from .sampling import SUBSAMPLE_FORMULAS, SamplerConfig
@@ -109,7 +111,8 @@ def _config(cls, args, **given):
 # the bytes from the tokens to the matrix, 10 digits wide), then the tokens
 # joined by "\n", one little-endian uint32 crc32 per block of matrix rows,
 # zero bytes up to a multiple of 64, the row norms and the matrix as
-# little-endian float64: aligned arrays over the read-only mapped file.
+# little-endian float64: aligned arrays over the read-only mapped file. A
+# mapping's sidecar holds no tokens (token_bytes 0) and a square matrix.
 _SIDECAR_MAGIC = b"xlingmap table sidecar 3\n"
 # Matrix bytes per checksummed block, rounded down to whole rows (at least
 # one): a command checks only the blocks of the rows it uses.
@@ -117,13 +120,18 @@ _SIDECAR_BLOCK_BYTES = 1 << 16
 
 
 def _file_key(path):
-    """The stat key of ``path`` if it is a regular file, else ``None``."""
+    """The stat key of ``path`` if it is a regular file other than this
+    process's standard input (``/dev/stdin`` names another file in the next
+    process), else ``None``."""
     try:
         st = os.stat(path)
     except OSError:
         return None
     if not stat.S_ISREG(st.st_mode):
         return None
+    with contextlib.suppress(OSError):  # OSError: no standard input
+        if os.path.samestat(st, os.fstat(0)):
+            return None
     return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
 
@@ -148,11 +156,13 @@ def _held(tokens, words):
     return held, [index[w] for w in held]
 
 
-def _read_sidecar(sidecar: Path, key, words=None):
+def _read_sidecar(sidecar: Path, key, words=None, mapping=False):
     """The table in ``sidecar`` if it was written under ``key``, is whole
     (the sizes and the crc32 of the bytes from the tokens to the matrix
-    match) and passes the table checks; else ``None``. With ``words``, the table of those of them
-    it holds, in first-occurrence order, or ``()`` if it holds none. The
+    match) and passes the table checks; else ``None``. With ``words``, the
+    table of those of them it holds, in first-occurrence order, or ``()`` if
+    it holds none. With ``mapping``, the square matrix of a sidecar of no
+    tokens instead (a table's sidecar holds at least one token byte). The
     file is mapped read-only and checked in place, block by block against
     its crc32: a whole read checks every block and adopts the mapped matrix
     and norms, a partial read checks the blocks of its rows and copies
@@ -162,7 +172,8 @@ def _read_sidecar(sidecar: Path, key, words=None):
             if fh.readline(len(_SIDECAR_MAGIC)) != _SIDECAR_MAGIC:
                 return None
             *got, rows, dim, token_bytes, crc = map(int, fh.readline(256).split())
-            if got != key or rows < 1 or dim < 1 or token_bytes < 1:
+            kind = (token_bytes, rows) == (0, dim) if mapping else token_bytes >= 1
+            if got != key or rows < 1 or dim < 1 or not kind:
                 return None
             start, blocks = fh.tell(), -(-rows // _block_rows(dim))
             norms_at = -(-(start + token_bytes + 4 * blocks) // 64) * 64
@@ -172,8 +183,8 @@ def _read_sidecar(sidecar: Path, key, words=None):
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         if zlib.crc32(memoryview(data)[start:base]) != crc:
             return None
-        tokens = data[start:start + token_bytes].decode().split("\n")
-        if len(tokens) != rows:
+        tokens = data[start:start + token_bytes].decode().split("\n") if token_bytes else ()
+        if not mapping and len(tokens) != rows:
             return None
         crcs = np.frombuffer(data, "<u4", blocks, start + token_bytes)
         norms = np.frombuffer(data, "<f8", rows, norms_at)
@@ -187,21 +198,23 @@ def _read_sidecar(sidecar: Path, key, words=None):
             blocks = sorted({row // _block_rows(dim) for row in picked})
         if _block_crcs(matrix, blocks) != crcs[blocks].tolist():
             return None
-        return EmbeddingTable(Vocabulary(held), matrix[picked], norms[picked])
+        return matrix if mapping else EmbeddingTable(Vocabulary(held), matrix[picked],
+                                                     norms[picked])
     except (OSError, ValueError):
         return None
 
 
-def _write_sidecar(sidecar: Path, key, table: EmbeddingTable) -> None:
-    """Write ``table`` to ``sidecar`` under ``key`` through a temporary file
-    moved into place. A sidecar only saves time, so a failed write leaves
-    no file behind and is not an error."""
-    tokens = "\n".join(table.vocab.tokens).encode()
-    matrix = np.ascontiguousarray(table.matrix, dtype="<f8")
-    blocks = range(-(-len(matrix) // _block_rows(table.dim)))
+def _write_sidecar(sidecar: Path, key, matrix, norms, tokens=()) -> None:
+    """Write the table of ``tokens``, its ``matrix`` and its row ``norms``
+    (a mapping: its weight matrix, no tokens) to ``sidecar`` under ``key``
+    through a temporary file moved into place. A sidecar only saves time,
+    so a failed write leaves no file behind and is not an error."""
+    tokens = "\n".join(tokens).encode()
+    matrix = np.ascontiguousarray(matrix, dtype="<f8")
+    blocks = range(-(-len(matrix) // _block_rows(matrix.shape[1])))
     body = tokens + np.array(_block_crcs(matrix, blocks), dtype="<u4").tobytes()
     head = _SIDECAR_MAGIC + " ".join(map(str, [*key, *matrix.shape, len(tokens)])).encode()
-    norms = table.row_norms().astype("<f8").tobytes()
+    norms = norms.astype("<f8").tobytes()
     # the header ends in the 12 bytes " %010d\n", so the padding is known first
     body += bytes(-(len(head) + 12 + len(body)) % 64) + norms
     tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
@@ -231,7 +244,7 @@ def _load_table(path, words=None):
     if table is None:
         table = load_embeddings(path)
         if key and _file_key(path) == key:
-            _write_sidecar(sidecar, key, table)
+            _write_sidecar(sidecar, key, table.matrix, table.row_norms(), table.vocab.tokens)
         if words is not None:
             held, rows = _held(table.vocab.tokens, words)
             table = EmbeddingTable(Vocabulary(held), table.matrix[rows]) if held else ()
@@ -239,17 +252,28 @@ def _load_table(path, words=None):
 
 
 def _load_inputs(args, **tables):
-    """The mapping weight W of ``--checkpoint`` (a checkpoint if the file opens
-    with its magic bytes, else a text matrix), square, then the table of each
-    flag in ``tables`` (``_load_table`` of its path and the words given), each
-    of W's dimension."""
-    with open(args.checkpoint, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-    load = encoder_from_checkpoint if magic == CHECKPOINT_MAGIC else load_matrix
-    weight = load(args.checkpoint)
-    if weight.ndim != 2 or weight.shape[0] != weight.shape[1]:
-        raise UsageError(f"{args.checkpoint}: mapping weight has shape {weight.shape}, "
-                         "not square")
+    """The mapping weight W of ``--checkpoint``, square, then the table of
+    each flag in ``tables`` (``_load_table`` of its path and the words
+    given), each of W's dimension. W is read from the sidecar
+    ``<file>.xlcache``, read-only, when that was written from the file as it
+    is now. Otherwise the file is read and checked whole: a checkpoint (its
+    digest and every entry) if it opens with the magic bytes, else a text
+    matrix. A finite square W of a regular file whose stat key did not
+    change during the read then goes to the sidecar, as a table's does."""
+    path = Path(args.checkpoint)
+    sidecar = path.with_name(path.name + ".xlcache")
+    key = _file_key(path)
+    weight = _read_sidecar(sidecar, key, mapping=True) if key else None
+    if weight is None:
+        with open(args.checkpoint, "rb") as fh:
+            magic = fh.read(len(CHECKPOINT_MAGIC))
+        load = encoder_from_checkpoint if magic == CHECKPOINT_MAGIC else load_matrix
+        weight = load(args.checkpoint)
+        if weight.ndim != 2 or weight.shape[0] != weight.shape[1]:
+            raise UsageError(f"{args.checkpoint}: mapping weight has shape "
+                             f"{weight.shape}, not square")
+        if key and np.isfinite(weight).all() and _file_key(path) == key:
+            _write_sidecar(sidecar, key, weight, _row_norms(weight))
     loaded = [_load_table(getattr(args, name), words) for name, words in tables.items()]
     for name, table in zip(tables, loaded):
         if table is not None and table.dim != len(weight):

@@ -591,13 +591,19 @@ class EmbeddingTable:
 
     def row_norms(self, where=None):
         """The Euclidean norm of each row, computed at most once; given
-        ``where``, a zero row raises naming its token and ``where``."""
+        ``where``, the first row whose norm is zero or not finite (a row
+        with no unit direction) raises naming its token and ``where``."""
         if self._norms is None:
             self._norms = _row_norms(self.matrix)
             self._norms.setflags(write=False)
-        if where is not None and not self._norms.all():
-            word = self.vocab.tokens[int(np.argmin(self._norms != 0.0))]
-            raise ValueError(f"zero row {word!r} in {where}")
+        if where is not None:
+            usable = np.isfinite(self._norms) & (self._norms != 0.0)
+            if not usable.all():
+                row = int(np.argmin(usable))
+                word = self.vocab.tokens[row]
+                if self._norms[row] == 0.0:
+                    raise ValueError(f"zero row {word!r} in {where}")
+                raise ValueError(f"row {word!r} in {where} has a norm that is not finite")
         return self._norms
 
 
@@ -663,8 +669,9 @@ def save_frequencies(vocab: Vocabulary, counts, path) -> None:
 
 
 def normalize_rows(table: EmbeddingTable, where: str = "the table") -> EmbeddingTable:
-    """Rescale every row to unit Euclidean norm; a zero row is an error
-    naming its token and ``where``."""
+    """Rescale every row to unit Euclidean norm; a row whose norm is zero or
+    not finite cannot be, and is an error naming its token and ``where``
+    (see ``EmbeddingTable.row_norms``). So the result has no zero row."""
     norms = table.row_norms(where)
     return EmbeddingTable(table.vocab, table.matrix / norms[:, None])
 

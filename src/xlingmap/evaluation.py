@@ -65,17 +65,14 @@ def knn(queries: EmbeddingTable, tgt: EmbeddingTable, k: int):
     non-increasing along each row. Ties break by ascending target row index,
     so results are deterministic. Each table's norms are its ``row_norms()``.
     A query row that is zero or whose norm is not finite is an error naming
-    its token. A target row that is zero, or whose norm overflows, scores NaN
-    and ranks last."""
+    its token (``row_norms("the queries")``). A target row that is zero, or
+    whose norm overflows, scores NaN and ranks last."""
     if queries.dim != tgt.dim:
         raise ValueError(f"queries have d={queries.dim}, the targets d={tgt.dim}")
     size = len(tgt.vocab)
     if not 1 <= k <= size:
         raise ValueError(f"k={k} outside [1, {size}]")
     q_norms = queries.row_norms("the queries")
-    if not np.all(np.isfinite(q_norms)):  # its unit row would be all zeros
-        word = queries.vocab.tokens[int(np.argmin(np.isfinite(q_norms)))]
-        raise ValueError(f"query row {word!r} has a norm that is not finite")
     norms = tgt.row_norms()
     unit = queries.matrix / q_norms[:, None]
     rows = np.empty((len(unit), k), dtype=np.intp)

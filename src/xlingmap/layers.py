@@ -20,10 +20,12 @@ def sigmoid(x):
 
 def _row_norms(matrix):
     """``np.linalg.norm(matrix, axis=1)``, bitwise, from blocks of rows of at
-    most ``NORM_BLOCK`` values (the whole squared matrix is never held)."""
+    most ``NORM_BLOCK`` values (the whole squared matrix is never held); a
+    norm beyond the floats is inf, with no overflow warning."""
     norms, step = np.empty(len(matrix)), max(1, NORM_BLOCK // max(1, matrix.shape[1]))
-    for start in range(0, len(matrix), step):
-        norms[start:start + step] = np.linalg.norm(matrix[start:start + step], axis=1)
+    with np.errstate(over="ignore"):
+        for start in range(0, len(matrix), step):
+            norms[start:start + step] = np.linalg.norm(matrix[start:start + step], axis=1)
     return norms
 
 

@@ -215,14 +215,17 @@ class Trainer:
                 f"embedding dims (src {src.dim}, tgt {tgt.dim}) do not match "
                 f"model dim {cfg.model.dim}"
             )
+        # a cosine is undefined on a row of zero or non-finite norm: the raw
+        # norms decide, and a normalized table has no such row
         if cfg.normalize:
             src = normalize_rows(src, "the source table")
             tgt = normalize_rows(tgt, "the target table")
-        lambda_r, _, lambda_c = cfg.weights  # a cosine is undefined on a zero row:
-        if lambda_r or lambda_c:  # a zero source row maps to a zero row of e_hat
-            src.row_norms("the source table")
-        if lambda_c:
-            tgt.row_norms("the target table")
+        else:
+            lambda_r, _, lambda_c = cfg.weights
+            if lambda_r or lambda_c:  # such a source row maps to one of e_hat
+                src.row_norms("the source table")
+            if lambda_c:
+                tgt.row_norms("the target table")
         self.cfg = cfg
         self.src = src
         self.tgt = tgt

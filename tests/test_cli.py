@@ -291,6 +291,36 @@ def test_aae_refuses_a_zero_row_before_step_1(tmp_path, capsys):
                     assert (out / command / "checkpoint_final.xlaae").exists()
 
 
+def test_a_row_whose_norm_overflows_is_refused_before_anything_is_written(tmp_path,
+                                                                         capsys):
+    # a row of 1e200 values is finite, but its norm is not: it has no unit
+    # row, so the gate refuses it where it refuses a zero row (and with
+    # --normalize in either mode), with no numpy warning on stderr; gan
+    # without --normalize reads no norm and takes it
+    sp, tp, src, tgt = write_tables(tmp_path, d=4)
+    big = {}
+    for flag, table in (("src", src), ("tgt", tgt)):
+        matrix = table.matrix.copy()
+        matrix[3] = 1e200
+        big[flag] = tmp_path / f"big-{flag}.vec"
+        save_embeddings(EmbeddingTable(table.vocab, matrix), big[flag])
+    out = tmp_path / "out"
+    for flag, where, word, extra in (
+            ("src", "source", "s3", []), ("src", "source", "s3", ["--normalize"]),
+            ("tgt", "target", "t3", []), ("tgt", "target", "t3", ["--mode", "gan",
+                                                                   "--normalize"])):
+        paths = {"src": sp, "tgt": tp, flag: big[flag]}
+        capsys.readouterr()
+        assert main([*train_args(paths["src"], paths["tgt"], out), *extra]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: row '{word}' in the {where} table has a norm that is not finite\n")
+        assert not out.exists()
+    # past the gate, gan's steps may meet the row as a numeric failure (exit 2)
+    assert main(train_args(big["src"], tp, out, mode="gan", max_steps=1)) in (0, 2)
+    assert (out / "manifest.json").exists()
+    assert not capsys.readouterr().err.startswith("error: ")
+
+
 def test_train_twice_same_seed_identical_checkpoints(tmp_path, parses):
     sp, tp, _, _ = write_tables(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -564,8 +594,8 @@ def test_overflowing_mapping_exits_1(tmp_path, capsys):
             warnings.simplefilter("always")
             assert main(argv) == 1
         assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr() == ("", "error: query row 's0001' has a norm that "
-                                           "is not finite\n")
+        assert capsys.readouterr() == ("", "error: row 's0001' in the queries has a "
+                                           "norm that is not finite\n")
 
 
 def test_mapping_that_overflows_a_value_exits_1(tmp_path, capsys):
@@ -1349,6 +1379,225 @@ def test_failed_sidecar_write_leaves_no_file(tmp_path, capsys, monkeypatch, pars
     assert run_command(capsys, argv) == first
     assert parses == ["src.vec", "tgt.vec"] * 2
     assert list(tmp_path.glob("*.xlcache*")) == []
+
+
+# -- mapping sidecars -------------------------------------------------------------
+
+
+@pytest.fixture
+def mapping_reads(monkeypatch):
+    """Names of the mapping files read and checked whole (``read_checkpoint``
+    or ``load_matrix``), in order; a mapping read from its sidecar is not."""
+    from xlingmap import cli, training
+
+    names = []
+
+    def recording(read):
+        def wrapper(path, *args):
+            names.append(Path(path).name)
+            return read(path, *args)
+        return wrapper
+
+    monkeypatch.setattr(training, "read_checkpoint", recording(read_checkpoint))
+    monkeypatch.setattr(cli, "load_matrix", recording(load_matrix))
+    return names
+
+
+def mapping_files(tmp_path, checkpoint):
+    """A copy of ``checkpoint`` (``map.xlaae``) and its weight as a text
+    matrix (``map.txt``) in ``tmp_path``."""
+    files = {"checkpoint": tmp_path / "map.xlaae", "matrix": tmp_path / "map.txt"}
+    files["checkpoint"].write_bytes(Path(checkpoint).read_bytes())
+    save_matrix(read_checkpoint(checkpoint)[1]["encoder.weight"], files["matrix"])
+    return files
+
+
+def sidecar_of(path) -> Path:
+    return Path(f"{path}.xlcache")
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "matrix"])
+@pytest.mark.parametrize("command", ["nn", "eval", "map"])
+def test_warm_command_reads_the_mapping_from_its_sidecar(
+        tmp_path, capsys, mapping_reads, sidecar_checkpoint, command, kind):
+    sp, tp, _, _ = write_tables(tmp_path)
+    mapping = mapping_files(tmp_path, sidecar_checkpoint)[kind]
+    argv = table_commands(str(mapping), sp, tp, tmp_path)[command]
+    cold = run_command(capsys, argv)
+    assert cold[0] == 0 and mapping_reads == [mapping.name]
+    # a table sidecar of no tokens and a square matrix
+    magic, header = sidecar_of(mapping).read_bytes().split(b"\n")[:2]
+    assert magic == b"xlingmap table sidecar 3" and header.split()[5:8] == [b"6", b"6", b"0"]
+    mapping_reads.clear()
+    assert run_command(capsys, argv) == cold and mapping_reads == []
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "matrix"])
+def test_rewritten_mapping_is_read_again(tmp_path, capsys, mapping_reads,
+                                         sidecar_checkpoint, kind):
+    sp, tp, _, _ = write_tables(tmp_path)
+    mapping = mapping_files(tmp_path, sidecar_checkpoint)[kind]
+    age(mapping)
+    argv = table_commands(str(mapping), sp, tp, tmp_path)["nn"]
+    first = run_command(capsys, argv)
+    # W with its first two rows swapped, of the same size, written in place
+    if kind == "matrix":
+        lines = mapping.read_bytes().splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
+        rewritten = b"".join(lines)
+    else:
+        header, arrays = read_checkpoint(mapping)
+        write_checkpoint(tmp_path / "swapped.xlaae", header, {
+            **arrays, "encoder.weight": arrays["encoder.weight"][[1, 0, 2, 3, 4, 5]]})
+        rewritten = (tmp_path / "swapped.xlaae").read_bytes()
+    before = os.stat(mapping)
+    mapping.write_bytes(rewritten)
+    assert (os.stat(mapping).st_ino, os.stat(mapping).st_size) == (before.st_ino,
+                                                                   before.st_size)
+    mapping_reads.clear()
+    got = run_command(capsys, argv)
+    assert mapping_reads == [mapping.name]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    (fresh / mapping.name).write_bytes(rewritten)
+    assert got == run_command(capsys, table_commands(str(fresh / mapping.name), sp, tp,
+                                                     fresh)["nn"])
+    assert got[1] != first[1]
+
+
+@pytest.mark.parametrize("damage", ["bit flip in W", "truncated", "foreign"])
+@pytest.mark.parametrize("kind", ["checkpoint", "matrix"])
+def test_damaged_mapping_sidecar_is_ignored_and_replaced(
+        tmp_path, capsys, mapping_reads, sidecar_checkpoint, kind, damage):
+    sp, tp, _, _ = write_tables(tmp_path)
+    files = mapping_files(tmp_path, sidecar_checkpoint)
+    commands = {k: table_commands(str(path), sp, tp, tmp_path)["eval"]
+                for k, path in files.items()}
+    cold = {k: run_command(capsys, argv) for k, argv in commands.items()}
+    assert cold["checkpoint"] == cold["matrix"]
+    sidecar = sidecar_of(files[kind])
+    other = sidecar_of(files["matrix" if kind == "checkpoint" else "checkpoint"])
+    good = sidecar.read_bytes()
+    at = len(good) - 8 * 6 * 6 + 100  # a byte of W
+    sidecar.write_bytes({
+        "bit flip in W": good[:at] + bytes([good[at] ^ 0x10]) + good[at + 1:],
+        "truncated": good[:-1],
+        # the other file's sidecar: the same W under another stat key
+        "foreign": other.read_bytes()}[damage])
+    mapping_reads.clear()
+    assert run_command(capsys, commands[kind]) == cold[kind]
+    assert mapping_reads == [files[kind].name] and sidecar.read_bytes() == good
+
+
+def test_a_mapping_that_fails_a_check_leaves_no_sidecar(tmp_path, capsys, mapping_reads,
+                                                        sidecar_checkpoint):
+    # every refusal repeats on the next call, with its message; a device
+    # (here /dev/null) is no regular file, and gets no sidecar either
+    sp, tp, _, _ = write_tables(tmp_path)
+    header, arrays = read_checkpoint(sidecar_checkpoint)
+    good = Path(sidecar_checkpoint).read_bytes()
+    bad = {name: tmp_path / f"{name}.xlaae" for name in (
+        "magic", "digest", "unweighted", "biased", "wide", "nan")}
+    bad["magic"].write_bytes(b"1\xff 2\n" + good[8:])
+    bad["digest"].write_bytes(good[:100] + bytes([good[100] ^ 1]) + good[101:])
+    nan = arrays["encoder.weight"].copy()
+    nan[:, 2] = np.nan
+    write_checkpoint(bad["unweighted"], header,
+                     {k: v for k, v in arrays.items() if k != "encoder.weight"})
+    for name, replaced in (("biased", {"encoder.enc_bias": np.zeros(6)}),
+                           ("wide", {"encoder.weight": arrays["encoder.weight"][:, :4]}),
+                           ("nan", {"encoder.weight": nan})):
+        write_checkpoint(bad[name], header, {**arrays, **replaced})
+    save_matrix(np.eye(2, 3), tmp_path / "wide.txt")
+    (tmp_path / "malformed.txt").write_text("2 2\n1 0\n0 x\n", encoding="utf-8")
+    for mapping, message in [
+        (bad["magic"], f"{bad['magic']}:1: non-integer header fields"),
+        (bad["digest"], f"{bad['digest']}: digest mismatch (corrupt checkpoint)"),
+        (bad["unweighted"], f"{bad['unweighted']}: checkpoint has no encoder weight"),
+        (bad["biased"], f"{bad['biased']}: encoder bias is not supported"),
+        (bad["wide"], f"{bad['wide']}: mapping weight has shape (6, 4), not square"),
+        (tmp_path / "wide.txt", f"{tmp_path / 'wide.txt'}: mapping weight has shape "
+                                "(2, 3), not square"),
+        (bad["nan"], "embedding matrix contains non-finite values in row 's0'"),
+        (tmp_path / "malformed.txt", f"{tmp_path / 'malformed.txt'}:3: unparseable value"),
+        (Path("/dev/null"), "/dev/null: empty file"),
+    ]:
+        argv = table_commands(str(mapping), sp, tp, tmp_path)["nn"]
+        mapping_reads.clear()
+        for _ in range(2):
+            assert run_command(capsys, argv) == (1, "", f"error: {message}\n", None)
+        assert mapping_reads == [mapping.name] * 2
+        assert not sidecar_of(mapping).exists()
+
+
+def test_stdin_as_the_mapping_leaves_no_sidecar(tmp_path, capsys, sidecar_checkpoint):
+    # /dev/stdin names another file in each process: here a regular file,
+    # the mapping, each time
+    import subprocess
+
+    import xlingmap
+
+    sp, tp, _, _ = write_tables(tmp_path)
+    files = mapping_files(tmp_path, sidecar_checkpoint)
+    want = run_command(capsys, table_commands(str(files["checkpoint"]), sp, tp, tmp_path)["nn"])
+    sidecars = sorted(tmp_path.glob("*.xlcache*"))
+    argv = table_commands("/dev/stdin", sp, tp, tmp_path)["nn"]
+    env = {**os.environ, "PYTHONPATH": str(Path(xlingmap.__file__).parents[1])}
+    for path in [*files.values()] * 2:
+        with open(path, "rb") as stdin:
+            proc = subprocess.run([sys.executable, "-m", "xlingmap.cli", *argv], stdin=stdin,
+                                  capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want[:3]
+    assert sorted(tmp_path.glob("*.xlcache*")) == sidecars
+    assert not Path("/dev/stdin.xlcache").exists()
+
+
+def test_resume_never_reads_a_mapping_sidecar(tmp_path, capsys, monkeypatch, mapping_reads,
+                                              sidecar_checkpoint):
+    from xlingmap import cli
+
+    sp, tp, _, _ = write_tables(tmp_path)
+    checkpoint = mapping_files(tmp_path, sidecar_checkpoint)["checkpoint"]
+    assert run_command(capsys, table_commands(str(checkpoint), sp, tp, tmp_path)["eval"])[0] == 0
+    assert sidecar_of(checkpoint).exists()
+    read, sidecars = cli._read_sidecar, []
+    monkeypatch.setattr(cli, "_read_sidecar", lambda sidecar, *args, **kwargs: (
+        sidecars.append(sidecar.name) or read(sidecar, *args, **kwargs)))
+    mapping_reads.clear()
+    assert main(["resume", "--checkpoint", str(checkpoint), "--src", str(sp), "--tgt", str(tp),
+                 "--out", str(tmp_path / "resumed"), "--max-steps", "5"]) == 0
+    # the digest is verified on every read
+    assert mapping_reads == ["map.xlaae"]
+    assert sidecars == ["src.vec.xlcache", "tgt.vec.xlcache"]
+
+
+def test_mapping_and_table_sidecars_never_stand_in_for_each_other(tmp_path, capsys,
+                                                                 sidecar_checkpoint):
+    from xlingmap.cli import _load_table
+
+    sp, tp, _, _ = write_tables(tmp_path)
+    files = mapping_files(tmp_path, sidecar_checkpoint)
+    matrix = str(files["matrix"])
+    # a text matrix read as a table: its rows lack a token
+    nn_on_matrix = ["nn", "--checkpoint", str(files["checkpoint"]), "--src", matrix,
+                    "--tgt", str(tp), "--words", "s0"]
+    refused = (1, "", f"error: {matrix}:2: expected 6 values, found 5\n", None)
+    assert run_command(capsys, nn_on_matrix) == refused
+    assert run_command(capsys, table_commands(matrix, sp, tp, tmp_path)["eval"])[0] == 0
+    mapping_sidecar = sidecar_of(matrix).read_bytes()
+    assert run_command(capsys, nn_on_matrix) == refused
+    assert sidecar_of(matrix).read_bytes() == mapping_sidecar
+    # a table of 6 rows of 6 values, as the mapping: its table sidecar is no
+    # mapping's, so the file is read as a text matrix, and refused, each time
+    square = tmp_path / "square.vec"
+    save_embeddings(random_table(6, 6, seed=4, prefix="s"), square)
+    argv = table_commands(str(square), sp, tp, tmp_path)["nn"]
+    want = run_command(capsys, argv)
+    assert want[0] == 1 and not sidecar_of(square).exists()
+    _load_table(square)
+    table_sidecar = sidecar_of(square).read_bytes()
+    assert run_command(capsys, argv) == want
+    assert sidecar_of(square).read_bytes() == table_sidecar
 
 
 # -- sidecars of several checksummed blocks ----------------------------------------

@@ -226,7 +226,8 @@ def test_knn_rejects_bad_input():
                                   "zero row 'q1' in the queries"),
                                  # finite values whose norm overflows
                                  (as_table([[1.0, 0, 0], [1e300, 0, 1e300]]), 2,
-                                  "query row 'q1' has a norm that is not finite")):
+                                  "row 'q1' in the queries has a norm that is not "
+                                  "finite")):
         with pytest.raises(ValueError, match=fragment), np.errstate(all="ignore"):
             knn(queries, t, k)
     # a zero target row scores NaN and ranks last, without a numpy warning

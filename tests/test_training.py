@@ -62,6 +62,26 @@ def tables():
     return random_table(30, 6, seed=1, prefix="s"), random_table(30, 6, seed=2, prefix="t")
 
 
+@pytest.mark.parametrize("mode, normalize, passes", [
+    ("aae", False, 2), ("aae", True, 2), ("gan", False, 0), ("gan", True, 2)])
+def test_trainer_takes_each_tables_norms_once(tables, monkeypatch, mode, normalize,
+                                               passes):
+    # the raw norms decide the row rule: normalize_rows computes them, and a
+    # table it returns needs no second pass (gan without normalize none)
+    from xlingmap import embed_io
+    from xlingmap.layers import _row_norms
+
+    counted = []
+    monkeypatch.setattr(embed_io, "_row_norms",
+                        lambda matrix: counted.append(len(matrix)) or _row_norms(matrix))
+    src, tgt = (random_table(30, 6, seed=seed, prefix=p) for seed, p in ((1, "s"), (2, "t")))
+    tr = Trainer(tiny_cfg(mode=mode, normalize=normalize), src, tgt)
+    assert counted == [30] * passes
+    want = [t.matrix / np.linalg.norm(t.matrix, axis=1)[:, None] if normalize else t.matrix
+            for t in tables]
+    assert [t.matrix.tobytes() for t in (tr.src, tr.tgt)] == [w.tobytes() for w in want]
+
+
 def test_first_step_losses_are_ln2(tables):
     src, tgt = tables
     for mode in ("gan", "aae"):
