@@ -22,8 +22,8 @@ source words. The mapping of ``--checkpoint`` is read from a sidecar of the
 same format holding no tokens, once the file has passed its checks.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numeric failure during
-training. ``XLINGMAP_THREADS`` caps BLAS threads (default 1, keeping runs
-bit-reproducible).
+training (``optim.NumericFailure``). ``XLINGMAP_THREADS`` caps BLAS threads
+(default 1, keeping runs bit-reproducible).
 """
 from __future__ import annotations
 
@@ -69,12 +69,11 @@ from .evaluation import (
 )
 from .layers import _row_norms
 from .models import ModelConfig, PRESETS
-from .optim import NonFiniteGradient
+from .optim import NumericFailure
 from .sampling import SUBSAMPLE_FORMULAS, SamplerConfig
 from .training import (
     CHECKPOINT_MAGIC,
     TRAIN_MODES,
-    NonFiniteMetric,
     TrainConfig,
     Trainer,
     encoder_from_checkpoint,
@@ -256,19 +255,22 @@ def _load_inputs(args, **tables):
     each flag in ``tables`` (``_load_table`` of its path and the words
     given), each of W's dimension. W is read from the sidecar
     ``<file>.xlcache``, read-only, when that was written from the file as it
-    is now. Otherwise the file is read and checked whole: a checkpoint (its
-    digest and every entry) if it opens with the magic bytes, else a text
-    matrix. A finite square W of a regular file whose stat key did not
-    change during the read then goes to the sidecar, as a table's does."""
+    is now. Otherwise the file is read and checked whole, through one
+    handle, so a pipe reads too: a checkpoint (its digest and every entry)
+    if it opens with the magic bytes, else a text matrix. A finite square W
+    of a regular file whose stat key did not change during the read then
+    goes to the sidecar, as a table's does (a pipe has no stat key)."""
     path = Path(args.checkpoint)
     sidecar = path.with_name(path.name + ".xlcache")
     key = _file_key(path)
     weight = _read_sidecar(sidecar, key, mapping=True) if key else None
     if weight is None:
         with open(args.checkpoint, "rb") as fh:
-            magic = fh.read(len(CHECKPOINT_MAGIC))
-        load = encoder_from_checkpoint if magic == CHECKPOINT_MAGIC else load_matrix
-        weight = load(args.checkpoint)
+            # a pipe's first read may stop inside the magic bytes: the bytes
+            # it gave decide then, as a text matrix opens with a digit, not "X"
+            head = fh.peek(len(CHECKPOINT_MAGIC))[:len(CHECKPOINT_MAGIC)]
+            checkpoint = head != b"" and CHECKPOINT_MAGIC.startswith(head)
+            weight = (encoder_from_checkpoint if checkpoint else load_matrix)(fh)
         if weight.ndim != 2 or weight.shape[0] != weight.shape[1]:
             raise UsageError(f"{args.checkpoint}: mapping weight has shape "
                              f"{weight.shape}, not square")
@@ -403,10 +405,6 @@ def _map_flags(p) -> None:
     p.add_argument("--out", required=True, help="output embedding file")
 
 
-# map, nn and eval silence numpy's floating-point warnings: rows that a
-# mapping overflows fail a check (the table's, or knn's on the query rows),
-# so that stderr holds only the error line
-@np.errstate(all="ignore")
 def _cmd_map(args) -> int:
     weight, src = _load_inputs(args, src=None)
     mapped = EmbeddingTable(src.vocab, src.matrix @ weight)
@@ -422,7 +420,6 @@ def _nn_flags(p) -> None:
     p.add_argument("--k", type=int, default=10)
 
 
-@np.errstate(all="ignore")
 def _cmd_nn(args) -> int:
     words = [w for w in args.words.split(",") if w]
     if not words:
@@ -451,7 +448,6 @@ def _eval_flags(p) -> None:
     p.add_argument("--out", help="write the JSON report here as well")
 
 
-@np.errstate(all="ignore")
 def _cmd_eval(args) -> int:
     # only the dictionary's source words are ranked, so only their rows of
     # --src are read and mapped
@@ -527,11 +523,15 @@ def main(argv=None) -> int:
     parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command][2](args)
+        # numpy's floating-point warnings are silenced: a value that
+        # overflows fails a check (a table's, a row norm's, or training's
+        # NumericFailure), so that stderr holds only the error line
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command][2](args)
     except (UsageError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (NonFiniteMetric, NonFiniteGradient) as err:
+    except NumericFailure as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 2
 

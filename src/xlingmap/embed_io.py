@@ -685,9 +685,12 @@ def save_matrix(matrix, path) -> None:
     _write_rows(path, f"{matrix.shape[0]} {matrix.shape[1]}", matrix)
 
 
-def load_matrix(path) -> np.ndarray:
+def load_matrix(source) -> np.ndarray:
     """Read a matrix written by ``save_matrix``, with the embedding reader's
-    row rules (no token)."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        return _read_rows(fh, path, _read_header(fh, path), None)
+    row rules (no token), from the path ``source`` or the buffered binary
+    file ``source`` open at its start, named in messages by its ``name``."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            return load_matrix(fh)
+    path = Path(source.name)
+    return _read_rows(source, path, _read_header(source, path), None)

@@ -60,18 +60,12 @@ def init_semi_orthogonal(rows: int, cols: int, rng: Rng) -> np.ndarray:
 
 
 class EncoderDecoder:
-    """Training's map f -> f @ W and reverse map z -> z @ W.T, sharing one
-    stored weight W (outside training, the mapping is W alone). Stateless: the
-    generator objective computes the weight gradient from the rows it mapped."""
+    """The generator: one stored weight W, the Param ``encoder.weight``, which
+    training applies as the map f -> f @ W and its tied reverse z -> z @ W.T
+    (outside training, the mapping is W alone)."""
 
     def __init__(self, weight):
         self.weight = Param("encoder.weight", weight)
-
-    def encode(self, f):
-        return f @ self.weight.value
-
-    def decode(self, z):
-        return z @ self.weight.value.T
 
     def params(self):
         return [self.weight]

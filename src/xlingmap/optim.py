@@ -24,10 +24,8 @@ class Param:
         self.grad = np.zeros_like(self.value)
 
 
-class NonFiniteGradient(FloatingPointError):
-    def __init__(self, param_name: str):
-        super().__init__(f"non-finite gradient in parameter {param_name!r}")
-        self.param_name = param_name
+class NumericFailure(FloatingPointError):
+    """Training made a number that is not finite: a gradient or a record value."""
 
 
 class Adam:
@@ -67,9 +65,9 @@ class Adam:
         with np.errstate(over="ignore"):
             g2 = g * g
             if not np.isfinite(g2).all():
-                raise NonFiniteGradient(next(
-                    p.name for p in self.params
-                    if not np.isfinite(p.grad * p.grad).all()))
+                name = next(p.name for p in self.params
+                            if not np.isfinite(p.grad * p.grad).all())
+                raise NumericFailure(f"non-finite gradient in parameter {name!r}")
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t

@@ -11,7 +11,7 @@ generator and exists purely as an over/underfitting probe.
 Each record of the metrics log is a plain dict, built once: ``step``
 returns the ``step`` record, ``evaluate`` the ``eval`` record, each checked
 to hold finite values, and ``run`` writes them as it receives them, and an
-``error`` record before it re-raises a numeric failure (the README's
+``error`` record before it re-raises a ``NumericFailure`` (the README's
 "Metrics log" lists every field).
 
 ``TrainConfig`` and ``Trainer.__init__`` are the one gate for what training
@@ -40,7 +40,7 @@ from .evaluation import collapse_metric, distribution_match_report, monitor_accu
 from .layers import adversarial_loss, bce_loss, cosine_dissim_loss
 from .models import Discriminator, EncoderDecoder, ModelConfig, build_models
 from .numerics import RNG_ALGORITHM, Rng
-from .optim import Adam, NonFiniteGradient
+from .optim import Adam, NumericFailure
 from .sampling import SamplerConfig, build_adjusted, sample_batch
 
 CHECKPOINT_MAGIC = b"XLAAE001"
@@ -69,17 +69,11 @@ def _field(header: dict, *keys: str):
     return value
 
 
-class NonFiniteMetric(RuntimeError):
-    def __init__(self, step: int, detail: str):
-        super().__init__(f"non-finite metric at step {step}: {detail}")
-        self.step = step
-
-
 def _checked(record: dict) -> dict:
-    """``record``; :class:`NonFiniteMetric` if a value other than its
+    """``record``; :class:`NumericFailure` if a value other than its
     ``type`` and ``step`` is not finite."""
     if not all(math.isfinite(v) for k, v in record.items() if k not in ("type", "step")):
-        raise NonFiniteMetric(record["step"], repr(record))
+        raise NumericFailure(f"non-finite metric at step {record['step']}: {record!r}")
     return record
 
 
@@ -148,14 +142,15 @@ def _joint_pass(cfg: TrainConfig, encoder: EncoderDecoder, disc: Discriminator,
     separately hands the discriminator a degenerate shortcut (batch-level
     statistics differ between the classes even when individual rows
     overlap), which produces runaway discriminator wins and garbage
-    generator gradients. The generator descends λr·``loss_recon`` +
-    λa·``loss_adv`` + λc·``loss_cos`` under ``cfg.weights``; a term of weight
-    0 is not computed and reads 0. Returns (the joint batch, loss values,
-    disc BCE, encoder weight gradient).
+    generator gradients. The generator descends λr·``loss_recon`` (f against
+    its reconstruction ``e_hat @ W.T``) + λa·``loss_adv`` + λc·``loss_cos``
+    under ``cfg.weights``; a term of weight 0 is not computed and reads 0.
+    Returns (the joint batch, loss values, disc BCE, encoder weight gradient).
     """
     lambda_r, lambda_a, lambda_c = cfg.weights
     n = e.shape[0]
-    joint = np.vstack([e, encoder.encode(f)])
+    w = encoder.weight.value
+    joint = np.vstack([e, f @ w])
     e_hat = joint[n:]
     p = disc.forward(joint, rng)
     disc_bce, grad_bce = bce_loss(p[:n], p[n:])
@@ -167,9 +162,9 @@ def _joint_pass(cfg: TrainConfig, encoder: EncoderDecoder, disc: Discriminator,
     grad_from_disc = disc.backward(np.stack(channels))
     terms = []  # each computed term, weighted, and its gradient w.r.t. e_hat
     if lambda_r:
-        losses["loss_recon"], grad_recon = cosine_dissim_loss(f, encoder.decode(e_hat))
+        losses["loss_recon"], grad_recon = cosine_dissim_loss(f, e_hat @ w.T)
         grad_recon = lambda_r * grad_recon
-        terms.append((lambda_r * losses["loss_recon"], grad_recon @ encoder.weight.value))
+        terms.append((lambda_r * losses["loss_recon"], grad_recon @ w))
     if lambda_a:
         terms.append((lambda_a * losses["loss_adv"], grad_from_disc[n:]))
     if lambda_c:
@@ -245,11 +240,11 @@ class Trainer:
     # -- single training steps -------------------------------------------
 
     # numpy's floating-point warnings are silenced: what overflows shows as
-    # NonFiniteGradient from Adam, or as NonFiniteMetric from the record
+    # a NumericFailure, from Adam's gradient check or the record's
     @np.errstate(all="ignore")
     def step(self) -> dict:
         """Both players from one joint-batch pass, then the monitor. Returns
-        the step record; raises :class:`NonFiniteMetric` unless every value
+        the step record; raises :class:`NumericFailure` unless every value
         but its ``type`` and ``step`` is finite."""
         t0 = time.perf_counter()
         n = self.cfg.batch_size
@@ -289,7 +284,7 @@ class Trainer:
         f = sample_batch(self.src_cum, self.src, EVAL_SIZE, rng)
         e = sample_batch(self.tgt_cum, self.tgt, EVAL_SIZE, rng)
         return _checked({"type": "eval", "step": self.step_count,
-                         **distribution_match_report(self.encoder.encode(f), e,
+                         **distribution_match_report(f @ self.encoder.weight.value, e,
                                                      self.d_monitor)})
 
     # -- the outer loop ------------------------------------------------------
@@ -313,7 +308,7 @@ class Trainer:
                     if self.step_count % self.cfg.eval_every == 0:
                         emit(self.evaluate())
                         metrics_fh.flush()
-                except (NonFiniteMetric, NonFiniteGradient) as err:
+                except NumericFailure as err:
                     emit({"type": "error", "step": self.step_count, "message": str(err)})
                     metrics_fh.flush()
                     self.save_checkpoint(out / "checkpoint_diagnostic.xlaae")
@@ -445,12 +440,17 @@ def write_checkpoint(path, header: dict, arrays: dict) -> None:
         raise
 
 
-def read_checkpoint(path, names=None):
-    """Parse and verify a checkpoint; returns (header, arrays), each array
-    writeable and owning its memory. With ``names``, only the arrays of
-    those names are decoded; the digest covers the whole file and every
-    directory entry is still walked."""
-    data = Path(path).read_bytes()
+def read_checkpoint(source, names=None):
+    """Parse and verify the checkpoint at the path ``source``, or in the
+    binary file ``source`` from where it stands to its end, named in
+    messages by its ``name``; returns (header, arrays), each array writeable
+    and owning its memory. With ``names``, only the arrays of those names
+    are decoded; the digest covers the whole file and every directory entry
+    is still walked."""
+    if isinstance(source, (str, os.PathLike)):
+        data, path = Path(source).read_bytes(), source
+    else:
+        data, path = source.read(), source.name
     end = len(data) - 32  # where the payload's SHA-256 digest begins
     if end < len(CHECKPOINT_MAGIC) + 8:
         raise CheckpointError(f"{path}: truncated checkpoint")
@@ -495,9 +495,11 @@ def read_checkpoint(path, names=None):
     return header, arrays
 
 
-def encoder_from_checkpoint(path) -> np.ndarray:
-    """The mapping weight W (``encoder.weight``) of a checkpoint."""
-    arrays = read_checkpoint(path, {"encoder.weight", "encoder.enc_bias"})[1]
+def encoder_from_checkpoint(source) -> np.ndarray:
+    """The mapping weight W (``encoder.weight``) of a checkpoint, read as
+    ``read_checkpoint`` reads ``source``."""
+    arrays = read_checkpoint(source, {"encoder.weight", "encoder.enc_bias"})[1]
+    path = source if isinstance(source, (str, os.PathLike)) else source.name
     if "encoder.weight" not in arrays:
         raise CheckpointError(f"{path}: checkpoint has no encoder weight")
     if "encoder.enc_bias" in arrays:

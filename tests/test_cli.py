@@ -964,6 +964,50 @@ def test_synth_zipf_counts_beyond_the_floats_or_int64(tmp_path, capsys, zipf):
                       [round(1e6 / r ** -9.9) for r in range(1, 21)])
 
 
+def test_synth_keeps_numpy_warnings_off_stderr(tmp_path, capsys):
+    # means of 1e308 overflow to inf: the table check refuses the rows, and
+    # numpy's RuntimeWarnings stay off stderr, as for every command
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--dim", "4", "--source-size", "10",
+                 "--target-size", "10", "--means-scale", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: embedding matrix contains non-finite values in row "
+                        r"'s\d{4}'\n", captured.err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    ("synth", "--dim", "dim, sizes and component count must be positive"),
+    ("train", "--eval-every", "eval/checkpoint intervals must be >= 1"),
+    ("train", "--checkpoint-every", "eval/checkpoint intervals must be >= 1"),
+])
+def test_a_zero_size_or_interval_exits_1_writing_nothing(tmp_path, capsys, command,
+                                                         flag, message):
+    out = tmp_path / "out"
+    if command == "train":
+        sp, tp, _, _ = write_tables(tmp_path)
+        argv = train_args(sp, tp, out)  # the flag given last wins
+    else:
+        argv = ["synth", "--out", str(out)]
+    capsys.readouterr()
+    assert main([*argv, flag, "0"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_eval_skips_blank_dictionary_lines(tmp_path, capsys, sidecar_checkpoint):
+    sp, tp, _, _ = write_tables(tmp_path)
+    argv = table_commands(sidecar_checkpoint, sp, tp, tmp_path)["eval"]
+    want = run_command(capsys, argv)
+    assert want[0] == 0 and json.loads(want[1])["resolvable"] == 4
+    dictionary = Path(argv[argv.index("--dict") + 1])
+    lines = dictionary.read_text(encoding="utf-8").splitlines()
+    dictionary.write_text("\n" + "\n\n".join(lines) + "\n\n", encoding="utf-8")
+    assert run_command(capsys, argv) == want
+
+
 @pytest.fixture(scope="module")
 def mismatch_inputs(tmp_path_factory):
     """A d = 6 checkpoint and encoder matrix (a text matrix file), d = 6
@@ -1387,14 +1431,15 @@ def test_failed_sidecar_write_leaves_no_file(tmp_path, capsys, monkeypatch, pars
 @pytest.fixture
 def mapping_reads(monkeypatch):
     """Names of the mapping files read and checked whole (``read_checkpoint``
-    or ``load_matrix``), in order; a mapping read from its sidecar is not."""
+    or ``load_matrix``, of a path or an open file), in order; a mapping read
+    from its sidecar is not."""
     from xlingmap import cli, training
 
     names = []
 
     def recording(read):
         def wrapper(path, *args):
-            names.append(Path(path).name)
+            names.append(Path(getattr(path, "name", path)).name)
             return read(path, *args)
         return wrapper
 
@@ -1550,6 +1595,61 @@ def test_stdin_as_the_mapping_leaves_no_sidecar(tmp_path, capsys, sidecar_checkp
         assert (proc.returncode, proc.stdout, proc.stderr) == want[:3]
     assert sorted(tmp_path.glob("*.xlcache*")) == sidecars
     assert not Path("/dev/stdin.xlcache").exists()
+
+
+def test_a_piped_mapping_reads_as_its_file(tmp_path, capsys, monkeypatch,
+                                          sidecar_checkpoint):
+    # the kind of mapping is told from the handle its loader then reads, so a
+    # pipe, read once, gives the file's output, names itself at a malformed
+    # line and has no sidecar; a pipe whose first read stops inside the magic
+    # bytes is still a checkpoint. The pipe is opened by its /dev/fd name, as
+    # `cat map.txt | xlingmap nn --checkpoint /dev/stdin` opens it: a second
+    # open finds it empty
+    from xlingmap import cli
+
+    sp, tp, _, _ = write_tables(tmp_path)
+    files = mapping_files(tmp_path, sidecar_checkpoint)
+    told = threading.Event()  # set once --checkpoint is taken for a checkpoint
+    read = cli.encoder_from_checkpoint
+    monkeypatch.setattr(cli, "encoder_from_checkpoint", lambda fh: told.set() or read(fh))
+
+    def feed(fd, payload, split):
+        # the first ``split`` bytes alone until the kind is told, then the rest
+        with contextlib.suppress(BrokenPipeError), open(fd, "wb", buffering=0) as fh:
+            fh.write(payload[:split])
+            if split:
+                told.wait(timeout=5)
+            fh.write(payload[split:])
+
+    checkpoint, matrix = (files[kind].read_bytes() for kind in ("checkpoint", "matrix"))
+    lines = matrix.split(b"\n")
+    lines[2] = lines[2].rsplit(b" ", 1)[0] + b" x"  # the second row's last value
+    from_file = {kind: run_command(capsys, table_commands(str(path), sp, tp, tmp_path)["nn"])
+                 for kind, path in files.items()}
+    assert from_file["checkpoint"][:3] == from_file["matrix"][:3]
+    assert from_file["checkpoint"][0] == 0
+    sidecars = sorted(tmp_path.glob("*.xlcache*"))
+    for payload, split, want in [
+        (checkpoint, 0, from_file["checkpoint"]),
+        (checkpoint, 3, from_file["checkpoint"]),
+        (matrix, 0, from_file["matrix"]),
+        (b"\n".join(lines), 0, (1, "", "error: {}:3: unparseable value\n", None)),
+    ]:
+        told.clear()
+        r, w = os.pipe()
+        writer = threading.Thread(target=feed, args=(w, payload, split), daemon=True)
+        writer.start()
+        try:
+            pipe = f"/dev/fd/{r}"
+            got = run_command(capsys, table_commands(pipe, sp, tp, tmp_path)["nn"])
+            assert got == (*want[:2], want[2].format(pipe), want[3])
+            assert told.is_set() == (payload is checkpoint)
+            assert not Path(f"{pipe}.xlcache").exists()
+        finally:
+            os.close(r)
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert sorted(tmp_path.glob("*.xlcache*")) == sidecars
 
 
 def test_resume_never_reads_a_mapping_sidecar(tmp_path, capsys, monkeypatch, mapping_reads,

@@ -4,7 +4,6 @@ import pytest
 from xlingmap import models
 from xlingmap.models import (
     Discriminator,
-    EncoderDecoder,
     ModelConfig,
     PRESETS,
     build_models,
@@ -72,23 +71,6 @@ def test_model_config_validation():
         with pytest.raises(ValueError):
             ModelConfig(dim=4, **bad)
     ModelConfig(dim=4, leaky_slope=0.99, dropout_rate=0.0)
-
-
-def test_encode_identity_weight():
-    enc = EncoderDecoder(np.eye(5))
-    f = np.random.default_rng(0).normal(size=(4, 5))
-    assert np.array_equal(enc.encode(f), f)
-    assert np.array_equal(enc.decode(f), f)
-    assert np.array_equal(enc.decode(np.zeros((3, 5))), np.zeros((3, 5)))
-
-
-def test_encode_orthogonal_preserves_norms():
-    enc = EncoderDecoder(init_semi_orthogonal(8, 8, Rng(2)))
-    f = np.random.default_rng(1).normal(size=(6, 8))
-    z = enc.encode(f)
-    assert np.max(np.abs(np.linalg.norm(z, axis=1) - np.linalg.norm(f, axis=1))) < 1e-10
-    back = enc.decode(z)
-    assert np.max(np.abs(back - f)) < 1e-10
 
 
 def test_tied_cosine_loss_grad_check():

@@ -12,11 +12,10 @@ from xlingmap.cli import main
 from xlingmap.embed_io import save_embeddings
 from xlingmap.models import ModelConfig
 from xlingmap.numerics import Rng
-from xlingmap.optim import NonFiniteGradient
+from xlingmap.optim import NumericFailure
 from xlingmap.sampling import SamplerConfig
 from xlingmap.training import (
     CheckpointError,
-    NonFiniteMetric,
     TrainConfig,
     Trainer,
     encoder_from_checkpoint,
@@ -299,6 +298,8 @@ def test_checkpoint_reader_errors_and_arrays(tmp_path):
     # with names, only those arrays are decoded
     header, back = read_checkpoint(path, {"s", "absent"})
     assert header["step"] == 3 and list(back) == ["s"]
+    with open(path, "rb") as fh:  # an open file reads as its path does
+        assert read_checkpoint(fh, {"s"})[1]["s"].tobytes() == back["s"].tobytes()
     assert np.array_equal(back["s"], arrays["s"]) and back["s"].flags.owndata
     payload = path.read_bytes()[:-32]
     for body, message in [(payload[:-8], "truncated checkpoint"),
@@ -307,13 +308,17 @@ def test_checkpoint_reader_errors_and_arrays(tmp_path):
                           (b"XLAAE002" + payload[8:], "bad magic bytes")]:
         path.write_bytes(body + hashlib.sha256(body).digest())
         for names in (None, {"w"}):
-            with pytest.raises(CheckpointError, match=f": {message}$"):
+            # a path or an open file, named in the message as given
+            with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {message}$"):
                 read_checkpoint(path, names)
+            with open(str(path), "rb") as fh, pytest.raises(
+                    CheckpointError, match=f"^{re.escape(str(path))}: {message}$"):
+                read_checkpoint(fh, names)
 
 
 def test_encoder_read_detects_damage_in_other_arrays(tables, tmp_path):
     # encoder_from_checkpoint decodes only the encoder weight, but the digest
-    # still covers every array
+    # still covers every array; its messages name the path as given
     src, tgt = tables
     path = tmp_path / "e.ckpt"
     Trainer(tiny_cfg(), src, tgt).save_checkpoint(path)
@@ -323,7 +328,11 @@ def test_encoder_read_detects_damage_in_other_arrays(tables, tmp_path):
     blob = bytearray(path.read_bytes())
     blob[-32 - last.nbytes // 2] ^= 0x10  # inside the last array's values
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="digest"):
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: digest"):
+        encoder_from_checkpoint(path)
+    write_checkpoint(path, header, {k: v for k, v in arrays.items() if k != "encoder.weight"})
+    with pytest.raises(CheckpointError,
+                       match=f"^{re.escape(str(path))}: checkpoint has no encoder weight$"):
         encoder_from_checkpoint(path)
 
 
@@ -386,7 +395,7 @@ def test_non_finite_metric_halts_with_diagnostic(tables, tmp_path):
     tr = Trainer(tiny_cfg(max_steps=50), src, tgt)
     tr.step()
     tr.encoder.weight.value[...] = np.nan
-    with pytest.raises(NonFiniteGradient):
+    with pytest.raises(NumericFailure):
         tr.run(out_dir=tmp_path)
     assert (tmp_path / "checkpoint_diagnostic.xlaae").exists()
 
@@ -397,7 +406,7 @@ def test_a_row_mapped_to_zero_is_a_numeric_failure(tables, tmp_path):
     src, tgt = tables
     tr = Trainer(tiny_cfg(max_steps=5, lambda_a=0.0, lambda_c=0.0), src, tgt)
     tr.encoder.weight.value[...] = 0.0
-    with pytest.raises(NonFiniteGradient, match="encoder.weight"):
+    with pytest.raises(NumericFailure, match="encoder.weight"):
         tr.run(out_dir=tmp_path)
     records = [json.loads(l) for l in (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert records[-1]["type"] == "error"
@@ -410,9 +419,8 @@ def test_non_finite_step_record_halts_with_diagnostic(tables, tmp_path, monkeypa
     src, tgt = tables
     monkeypatch.setattr(training, "collapse_metric", lambda rows: (math.nan, 1.0))
     tr = Trainer(tiny_cfg(max_steps=50), src, tgt)
-    with pytest.raises(NonFiniteMetric) as err:
+    with pytest.raises(NumericFailure, match=r"^non-finite metric at step 1: ") as err:
         tr.run(out_dir=tmp_path)
-    assert err.value.step == 1
     assert "'collapse_cos': nan" in str(err.value)
     records = [json.loads(l) for l in (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert records == [{"type": "error", "step": 1, "message": str(err.value)}]
