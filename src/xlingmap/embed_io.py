@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import os
 import stat
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,14 +74,11 @@ _INT64 = np.iinfo(np.int64)
 
 def _fromstring(text, count: int, dtype=np.float64, sep: str = " "):
     """``np.fromstring(text, dtype, sep=sep)`` if it gives ``count`` values,
-    else ``None``. numpy < 2 only warns on unmatched text and returns the
-    values before it, so the warning is raised as an error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            values = np.fromstring(text, dtype=dtype, sep=sep)
-        except (ValueError, DeprecationWarning):
-            return None
+    else ``None``. numpy 2 raises ``ValueError`` on unmatched text."""
+    try:
+        values = np.fromstring(text, dtype=dtype, sep=sep)
+    except ValueError:
+        return None
     return values if values.size == count else None
 
 
@@ -547,10 +543,7 @@ class Vocabulary:
         return token in self._index
 
     def index(self, token: str) -> int:
-        try:
-            return self._index[token]
-        except KeyError:
-            raise KeyError(f"token {token!r} not in vocabulary") from None
+        return self._index[token]
 
 
 class EmbeddingTable:

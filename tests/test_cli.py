@@ -1219,6 +1219,31 @@ def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr() == want
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("nn", "--checkpoint"), ("nn", "--src"), ("nn", "--tgt"), ("eval", "--checkpoint"),
+    ("eval", "--src"), ("eval", "--tgt"), ("eval", "--dict"), ("map", "--checkpoint"),
+    ("map", "--src"), ("train", "--src"), ("train", "--tgt"), ("train", "--src-freq"),
+    ("train", "--tgt-freq"), ("resume", "--checkpoint")])
+def test_a_missing_input_file_exits_1_writing_nothing(tmp_path, capsys, sidecar_checkpoint,
+                                                       command, flag):
+    # the open's error names the file; inputs read before it may keep their
+    # sidecars, but the missing path gets none, and --out is not created
+    sp, tp, _, _ = write_tables(tmp_path)
+    out, freq, missing = tmp_path / "out", tmp_path / "freq.tsv", tmp_path / "missing"
+    freq.write_text("s0\t2\n", encoding="utf-8")
+    argv = {**table_commands(sidecar_checkpoint, sp, tp, tmp_path),
+            "train": train_args(sp, tp, out, src_freq=freq, tgt_freq=freq),
+            "resume": ["resume", "--checkpoint", sidecar_checkpoint, "--src", str(sp),
+                       "--tgt", str(tp), "--out", str(out)]}[command]
+    argv[argv.index(flag) + 1] = str(missing)
+    written = Path(argv[argv.index("--out") + 1]) if "--out" in argv else missing
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+    assert not written.exists() and not missing.exists() and not sidecar_of(missing).exists()
+
+
 def crlf_copy(path, out):
     """Write ``path`` to ``out`` with every line ending in CRLF, and every
     second row with its one trailing space between the CR and the LF (a

@@ -1,7 +1,6 @@
 import itertools
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +37,8 @@ def test_vocabulary_invariants():
         Vocabulary(["a b"])
     with pytest.raises(ValueError):
         Vocabulary([])
+    with pytest.raises(KeyError):
+        v.index("d")
 
 
 def test_load_literal_file(tmp_path):
@@ -479,13 +480,11 @@ def test_reader_values_equal_float(tmp_path, text):
 
 def float_parse(text, count):
     """numpy's float parse of a whole block, the reader's parse before the
-    integer route, with unmatched text an error on every numpy version."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            values = np.fromstring(text, sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
+    integer route."""
+    try:
+        values = np.fromstring(text, sep=" ")
+    except ValueError:
+        return None
     return values if values.size == count else None
 
 
@@ -892,7 +891,7 @@ def test_reader_rejects_what_only_float_accepted(tmp_path, value):
         load_embeddings(path)
 
 
-def test_reader_keeps_ascii_whitespace_rules(tmp_path):
+def test_reader_keeps_ascii_whitespace_rules(tmp_path, monkeypatch):
     # float() strips \r, \v and \f around a value, which numpy's parse also
     # takes as separators: CRLF files load, a value split by them does not
     path = tmp_path / "e.vec"
@@ -902,38 +901,29 @@ def test_reader_keeps_ascii_whitespace_rules(tmp_path):
         path.write_text(f"2 2\na 1 0\n{row}\n", encoding="utf-8")
         with pytest.raises(EmbedFormatError, match=r":3: unparseable value$"):
             load_embeddings(path)
+    # nor is text after a value's digits, as in "0.5abc", in the float parse
+    # or in the integer parse of the decimals without their points ("05abc");
+    # reads of the first two rows
+    monkeypatch.setattr(embed_io, "READ_BYTES", 24)
+    real, seen = np.fromstring, []
 
-
-def test_numpy1_unmatched_text_warning_is_an_error(tmp_path, monkeypatch):
-    # numpy 1.24-1.26 only warn on unmatched text and return the values
-    # before it, so "0.5abc" would give a full-length block, in the float
-    # parse and in the integer parse of the decimals without their points
-    # ("05abc" read as 5); the reader must reject it on those versions too,
-    # whatever numpy runs the test
-    real = np.fromstring
-    seen = []
-
-    def numpy1_fromstring(text, dtype=float, sep=""):
-        if isinstance(text, bytes):
-            text = text.decode()
+    def recording(text, dtype=float, sep=""):
         seen.append((np.dtype(dtype), text))
-        head = text.replace("abc", "")
-        if head != text:
-            warnings.warn("string or file could not be read to its end due "
-                          "to unmatched data", DeprecationWarning, stacklevel=2)
-        return real(head, dtype=dtype, sep=sep)
+        return real(text, dtype=dtype, sep=sep)
 
-    monkeypatch.setattr(embed_io.np, "fromstring", numpy1_fromstring)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert numpy1_fromstring("1 0.5abc", sep=" ").size == 2
-        assert numpy1_fromstring(b"15 05abc", np.int64, sep=" ").tolist() == [15, 5]
-    monkeypatch.setattr(embed_io, "READ_BYTES", 24)  # the first two rows
-    path = tmp_path / "e.vec"
+    monkeypatch.setattr(embed_io.np, "fromstring", recording)
     for rows in ("a 1 0\nb 1 0.5abc\nc 0 1\n", "a 1.5 0.25\nb 1.5 0.5abc\nc 0.5 1.5\n"):
         path.write_text("3 2\n" + rows, encoding="utf-8")
-        seen.clear()
         with pytest.raises(EmbedFormatError, match=r":3: unparseable value$"):
             load_embeddings(path)
-    # the decimal rows went through the integer parse, which saw the "abc"
-    assert (np.dtype(np.int64), "15 025 15 05abc") in seen
+    assert (np.dtype(np.int64), b"15 025 15 05abc") in seen
+
+
+def test_numpy_raises_on_unmatched_text():
+    # the reader takes a ValueError from np.fromstring as the refusal of
+    # text that is not all values: numpy 2 raises where numpy 1 only warned
+    # and returned the values before that text
+    with pytest.raises(ValueError):
+        np.fromstring(b"1 0.5abc", sep=" ")
+    with pytest.raises(ValueError):
+        np.fromstring(b"15 05abc", dtype=np.int64, sep=" ")
