@@ -158,7 +158,9 @@ def collapse_metric(outputs):
     m = int(nonzero.sum())
     if m < 2:
         return 1.0, std
-    unit = outputs[nonzero] / norms[nonzero, None]
+    # the boolean-index copy only when a row is zero
+    unit = (outputs / norms[:, None] if m == len(norms)
+            else outputs[nonzero] / norms[nonzero, None])
     s = unit.sum(axis=0)
     # sum over i<j of cos_ij equals (||sum of units||^2 - m) / 2
     mean_cos = (float(s @ s) - m) / (m * (m - 1))

@@ -3,7 +3,9 @@ discriminator, with orthogonal initialization throughout.
 
 Two discriminators with identical structure but independent initializations
 are built per run: one trains against the generator, the other only observes
-the same batches and serves as an over/underfitting monitor.
+the same batches and serves as an over/underfitting monitor. The two share
+one :class:`Workspace`: each runs its training-mode forward and backward in
+turn, so one set of per-block buffers serves the run.
 """
 from __future__ import annotations
 
@@ -71,6 +73,22 @@ class EncoderDecoder:
         return [self.weight]
 
 
+class Workspace:
+    """The per-block (n, k) buffer pairs that training-mode forwards write
+    and the following backward reads, allocated once per batch size, and
+    ``owner``, the discriminator whose training-mode forward wrote them last.
+
+    Discriminators that share one workspace overwrite each other's
+    activations, so each backward must follow its own forward.
+    """
+
+    __slots__ = ("buffers", "owner")
+
+    def __init__(self):
+        self.buffers = None
+        self.owner = None
+
+
 class Discriminator:
     """Input projection d->k, T residual blocks, and a sigmoid output layer.
 
@@ -83,10 +101,16 @@ class Discriminator:
     updates the running statistics by exponential moving average and draws
     inverted-dropout masks; inference mode uses the running statistics and
     no dropout. ``forward`` keeps what ``backward`` needs from the last
-    training-mode call in one slot.
+    training-mode call in one slot, its activations in the buffers of
+    ``workspace``: the run's, shared with the other discriminator by
+    :func:`build_models`, or one of its own when none is given. A backward
+    must follow this discriminator's own training-mode forward, with no
+    other's on the workspace between them; inference-mode forwards do not
+    touch it.
     """
 
-    def __init__(self, name: str, cfg: ModelConfig, rng: Rng):
+    def __init__(self, name: str, cfg: ModelConfig, rng: Rng,
+                 workspace: Workspace | None = None):
         k = cfg.block_dim
         self.name = name
         self.cfg = cfg
@@ -107,7 +131,7 @@ class Discriminator:
         self.output_bias = Param(f"{name}.output.bias", np.zeros(1))
         self.running = [(np.zeros(k), np.ones(k)) for _ in range(cfg.depth)]
         self._cache = None
-        self._work = None
+        self.workspace = Workspace() if workspace is None else workspace
 
     def forward(self, x, rng: Rng | None = None, training: bool = True):
         """Probability column for a batch; training mode takes an ``rng`` for
@@ -127,12 +151,17 @@ class Discriminator:
         # leaky ReLU is positively homogeneous, so c * leaky(y) = leaky(c * y).
         scale = 1.0 / (1.0 - rate)
         steps = []
-        if training and (self._work is None or len(self._work[0][0]) != len(x)):
-            # Cached arrays are allocated once per batch size: freed every step,
-            # their pages go back to the system and fault in again, slowly.
+        work = [(None, None)] * cfg.depth
+        if training:
+            ws = self.workspace
             shape = (len(x), cfg.block_dim)
-            self._work = [(np.empty(shape), np.empty(shape)) for _ in self.blocks]
-        work = self._work if training else [(None, None)] * cfg.depth
+            if (ws.buffers is None or len(ws.buffers) != cfg.depth
+                    or ws.buffers[0][0].shape != shape):
+                # Cached arrays are allocated once per batch size: freed every
+                # step, their pages go back to the system and fault in again.
+                ws.buffers = [(np.empty(shape), np.empty(shape)) for _ in self.blocks]
+            ws.owner = self
+            work = ws.buffers
         h = x @ self.input.value
         for (weight, gamma, beta), (running_mean, running_var), (z_out, a_out) in zip(
             self.blocks, self.running, work
@@ -177,10 +206,16 @@ class Discriminator:
         are written in place into each ``Param.grad``, or two stacked as
         (2, n, 1) that go through the blocks as one pass: channel 0 alone
         writes the parameter gradients and channel 1's input gradient is
-        returned.
+        returned. A ``RuntimeError`` if another discriminator's
+        training-mode forward has overwritten the shared buffers since.
         """
         x, steps, h, p, scale = self._cache
         self._cache = None
+        owner = self.workspace.owner
+        if owner is not self:
+            raise RuntimeError(
+                f"{self.name}'s backward follows {owner.name}'s training-mode "
+                f"forward, which overwrote its activations in their shared workspace")
         g = np.reshape(grad_p, (-1,) + p.shape) * (p * (1.0 - p))
         np.matmul(h.T, g[0], out=self.output.grad)
         self.output_bias.grad[...] = g[0].sum(axis=0)
@@ -222,9 +257,12 @@ class Discriminator:
 
 
 def build_models(cfg: ModelConfig, rng: Rng):
-    """Encoder/decoder plus two independently initialized discriminators."""
+    """Encoder/decoder plus two independently initialized discriminators
+    that share one :class:`Workspace`."""
     enc = EncoderDecoder(init_semi_orthogonal(cfg.dim, cfg.dim,
                                               rng.substream("encoder_init")))
-    d_train = Discriminator("disc_train", cfg, rng.substream("disc_train_init"))
-    d_monitor = Discriminator("disc_monitor", cfg, rng.substream("disc_monitor_init"))
+    work = Workspace()
+    d_train = Discriminator("disc_train", cfg, rng.substream("disc_train_init"), work)
+    d_monitor = Discriminator("disc_monitor", cfg, rng.substream("disc_monitor_init"),
+                              work)
     return enc, d_train, d_monitor

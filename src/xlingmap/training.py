@@ -257,6 +257,8 @@ class Trainer:
         self.encoder.weight.grad[...] = grad_w
         self.opt_gen.step()
         self.opt_disc.step()
+        # d_train's backward is done: the monitor's forward may reuse the
+        # buffers the two share (``build_models``)
         p = self.d_monitor.forward(joint, self.rngs["dropout_monitor"])
         monitor_bce, grad = bce_loss(p[:n], p[n:])
         self.d_monitor.backward(grad)

@@ -6,6 +6,7 @@ from xlingmap.models import (
     Discriminator,
     ModelConfig,
     PRESETS,
+    Workspace,
     build_models,
     init_semi_orthogonal,
 )
@@ -237,6 +238,47 @@ def test_discriminator_inference_deterministic():
                           disc.forward(x, training=False))
 
 
+def test_shared_workspace_backward_must_follow_own_forward():
+    cfg = ModelConfig(dim=5, block_dim=4, depth=2)
+    work = Workspace()
+    a = Discriminator("disc_a", cfg, Rng(30), work)
+    b = Discriminator("disc_b", cfg, Rng(31), work)
+    x = np.random.default_rng(8).normal(size=(6, 5))
+    a.forward(x, Rng(1))
+    b.forward(x, Rng(2))
+    with pytest.raises(RuntimeError, match="disc_a's backward follows disc_b's"):
+        a.backward(np.ones((6, 1)))
+    # an inference-mode forward leaves the workspace to the last trainer
+    a.forward(x, Rng(1))
+    b.forward(x, training=False)
+    a.backward(np.ones((6, 1)))
+
+
+def test_shared_workspace_matches_fresh_discriminators_across_batch_sizes():
+    # the shared buffers are reallocated at each batch-size change
+    cfg = ModelConfig(dim=5, block_dim=4, depth=3, dropout_rate=0.2)
+    work = Workspace()
+    shared = [Discriminator(f"disc{i}", cfg, Rng(40 + i), work) for i in range(2)]
+    fresh = [Discriminator(f"disc{i}", cfg, Rng(40 + i)) for i in range(2)]
+    assert shared[0].workspace is shared[1].workspace
+    assert fresh[0].workspace is not fresh[1].workspace
+    head = np.random.default_rng(9).normal(size=(4, 1))
+    for disc in shared + fresh:
+        disc.output.value[...] = head
+    data = np.random.default_rng(10)
+    for rows in (6, 8, 6):
+        x = data.normal(size=(rows, 5))
+        grad = data.normal(size=(2, rows, 1))
+        for i in range(2):
+            results = []
+            for disc in (shared[i], fresh[i]):
+                p = disc.forward(x, Rng(50 + rows).substream(disc.name))
+                g_in = disc.backward(grad)
+                results.append([p, g_in] + [q.grad.copy() for q in disc.params()])
+            for got, want in zip(*results):
+                assert np.array_equal(got, want)
+
+
 def test_build_models_contract():
     cfg = ModelConfig(dim=7, block_dim=5, depth=3)
     enc, d1, d2 = build_models(cfg, Rng(12))
@@ -250,6 +292,8 @@ def test_build_models_contract():
             assert np.max(np.abs(bw.T @ bw - np.eye(5))) < 1e-10
     # the two discriminators differ
     assert not np.array_equal(d1.blocks[0][0].value, d2.blocks[0][0].value)
+    # one workspace serves both
+    assert d1.workspace is d2.workspace
     # zero output layers
     x = np.random.default_rng(7).normal(size=(4, 7))
     assert np.all(d1.forward(x, Rng(13)) == 0.5)

@@ -10,7 +10,7 @@ import pytest
 from xlingmap import training
 from xlingmap.cli import main
 from xlingmap.embed_io import save_embeddings
-from xlingmap.models import ModelConfig
+from xlingmap.models import ModelConfig, Workspace
 from xlingmap.numerics import Rng
 from xlingmap.optim import NumericFailure
 from xlingmap.sampling import SamplerConfig
@@ -133,6 +133,58 @@ def test_fixed_seed_runs_bit_identical(tables):
         return [metrics_tuple(tr.step()) for _ in range(10)]
 
     assert run() == run()
+
+
+def _synth_trainer(mode, batch_size, block_dim, depth, **over):
+    from xlingmap.evaluation import SyntheticSpec, synth_generate
+
+    d = synth_generate(SyntheticSpec(dim=16, source_size=200, target_size=200,
+                                     noise_sigma=0.1, seed=4))
+    cfg = TrainConfig(model=ModelConfig(dim=16, block_dim=block_dim, depth=depth),
+                      mode=mode, batch_size=batch_size, seed=5, **over)
+    return lambda: Trainer(cfg, d.src, d.tgt, d.src_freq, d.tgt_freq)
+
+
+@pytest.mark.parametrize("mode", ["gan", "aae"])
+def test_shared_discriminator_workspace_changes_no_bit(mode):
+    build = _synth_trainer(mode, 32, 8, 3, max_steps=30, eval_every=10)
+    shared, separate = build(), build()
+    assert shared.d_train.workspace is shared.d_monitor.workspace
+    separate.d_monitor.workspace = Workspace()
+    logs = []
+    for tr in (shared, separate):
+        log = []
+        for _ in range(30):
+            log.append(metrics_tuple(tr.step()))
+            if tr.step_count % tr.cfg.eval_every == 0:
+                log.append(tuple(sorted(tr.evaluate().items())))
+        logs.append(log)
+    assert logs[0] == logs[1]
+    state = separate._state()
+    for name, value in shared._state().items():
+        assert np.array_equal(value, state[name]), name
+
+
+def test_trainer_holds_one_set_of_discriminator_buffers():
+    import gc
+    import tracemalloc
+
+    n, k, depth = 64, 16, 4
+    build = _synth_trainer("aae", n, k, depth)
+    tracemalloc.start()
+    try:
+        tr = build()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tr.step()
+        tr.step()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one discriminator's buffers: a pair of (2n, k) float64 arrays per block
+    one_set = 2 * depth * (2 * n) * k * 8
+    assert held < 1.5 * one_set, held
 
 
 def test_discriminator_update_leaves_encoder_untouched(tables):
