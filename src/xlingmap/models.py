@@ -151,9 +151,8 @@ class Discriminator:
         # leaky ReLU is positively homogeneous, so c * leaky(y) = leaky(c * y).
         scale = 1.0 / (1.0 - rate)
         steps = []
-        work = [(None, None)] * cfg.depth
+        ws = self.workspace
         if training:
-            ws = self.workspace
             shape = (len(x), cfg.block_dim)
             if (ws.buffers is None or len(ws.buffers) != cfg.depth
                     or ws.buffers[0][0].shape != shape):
@@ -161,7 +160,7 @@ class Discriminator:
                 # step, their pages go back to the system and fault in again.
                 ws.buffers = [(np.empty(shape), np.empty(shape)) for _ in self.blocks]
             ws.owner = self
-            work = ws.buffers
+        work = ws.buffers if training else [(None, None)] * cfg.depth
         h = x @ self.input.value
         for (weight, gamma, beta), (running_mean, running_var), (z_out, a_out) in zip(
             self.blocks, self.running, work
