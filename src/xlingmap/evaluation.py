@@ -65,8 +65,8 @@ def knn(queries: EmbeddingTable, tgt: EmbeddingTable, k: int):
     non-increasing along each row. Ties break by ascending target row index,
     so results are deterministic. Each table's norms are its ``row_norms()``.
     A query row that is zero or whose norm is not finite is an error naming
-    its token (``row_norms("the queries")``). A target row that is zero, or
-    whose norm overflows, scores NaN and ranks last."""
+    its token (``row_norms("the queries")``). A target row whose norm is zero
+    or overflows has no direction: it ranks last, in row order, scoring NaN."""
     if queries.dim != tgt.dim:
         raise ValueError(f"queries have d={queries.dim}, the targets d={tgt.dim}")
     size = len(tgt.vocab)
@@ -74,6 +74,7 @@ def knn(queries: EmbeddingTable, tgt: EmbeddingTable, k: int):
         raise ValueError(f"k={k} outside [1, {size}]")
     q_norms = queries.row_norms("the queries")
     norms = tgt.row_norms()
+    blank = np.flatnonzero(~(np.isfinite(norms) & (norms != 0.0)))
     unit = queries.matrix / q_norms[:, None]
     rows = np.empty((len(unit), k), dtype=np.intp)
     sims = np.empty((len(unit), k))
@@ -81,35 +82,33 @@ def knn(queries: EmbeddingTable, tgt: EmbeddingTable, k: int):
     for start in range(0, len(unit), step):
         block = slice(start, start + step)
         scores = unit[block] @ tgt.matrix.T
-        with np.errstate(invalid="ignore"):  # 0 / 0 on a zero target row
+        with np.errstate(divide="ignore", invalid="ignore"):  # targets in ``blank``
             scores /= norms
         np.clip(scores, -1.0, 1.0, out=scores)
+        scores[:, blank] = -np.inf
         rows[block] = _top_k(scores, k)
         sims[block] = np.take_along_axis(scores, rows[block], axis=1)
+    sims[sims == -np.inf] = np.nan  # the clip bounds every other score to [-1, 1]
     return rows, sims
 
 
 def _top_k(scores, k: int):
     """The columns of each row's ``k`` best scores, best first, ties by
     ascending column: the first ``k`` columns of a stable sort of
-    ``-scores``. Below ``k = V`` it orders only the columns that score at
-    least the row's k-th best, found by a partition."""
+    ``-scores``. A partition finds each row's k-th best score, and only the
+    columns scoring at least that much are ordered. ``scores`` hold no NaN:
+    ``knn`` scores the targets with no direction -inf."""
     size = scores.shape[1]
-    if k < size:
-        # a few rows per partition: a copy of the whole block doubles its memory
-        kth, step = np.empty(len(scores)), max(1, PARTITION_BLOCK // size)
-        for i in range(0, len(scores), step):
-            kth[i:i + step] = np.partition(scores[i:i + step], size - k, axis=1)[:, size - k]
-        # flat indices: np.nonzero on a 2-d mask takes about 15x as long
-        r, c = np.divmod(np.flatnonzero(scores >= kth[:, None]), size)
-        counts = np.bincount(r, minlength=len(scores))
-        # NaN scores, which the sort ranks last, can leave a row short of k
-        # candidates; such a block is sorted whole
-        if counts.min() >= k:
-            order = np.lexsort((c, -scores[r, c], r))
-            first = np.cumsum(counts) - counts
-            return c[order][first[:, None] + np.arange(k)]
-    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    # a few rows per partition: a copy of the whole block doubles its memory
+    kth, step = np.empty(len(scores)), max(1, PARTITION_BLOCK // size)
+    for i in range(0, len(scores), step):
+        kth[i:i + step] = np.partition(scores[i:i + step], size - k, axis=1)[:, size - k]
+    # flat indices: np.nonzero on a 2-d mask takes about 15x as long
+    r, c = np.divmod(np.flatnonzero(scores >= kth[:, None]), size)
+    counts = np.bincount(r, minlength=len(scores))
+    order = np.lexsort((c, -scores[r, c], r))
+    first = np.cumsum(counts) - counts
+    return c[order][first[:, None] + np.arange(k)]
 
 
 def precision_at_k(weight: np.ndarray, src: EmbeddingTable, tgt: EmbeddingTable,

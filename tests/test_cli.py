@@ -645,31 +645,38 @@ def test_zero_source_row_names_its_word(tmp_path, capsys):
 
 def test_zero_target_row_ranks_last(tmp_path, capsys):
     # gan trains on a zero --tgt row, and nn and eval with its mapping rank
-    # that row last, with similarity nan
+    # that row last, with similarity nan; so they rank a row of 1e200 values,
+    # whose norm overflows while its dot products stay finite
     args = synth_eval_args(tmp_path, 30)
     synth = tmp_path / "synth"
-    zeroed = str(with_zero_row(load_embeddings(synth / "tgt.vec"), 4, tmp_path / "zeroed.vec"))
+    tgt = load_embeddings(synth / "tgt.vec")
+    zeroed = str(with_zero_row(tgt, 4, tmp_path / "zeroed.vec"))
+    matrix = tgt.matrix.copy()
+    matrix[4] = 1e200
+    huge = tmp_path / "huge.vec"
+    save_embeddings(EmbeddingTable(tgt.vocab, matrix), huge)
     assert main(["train", "--mode", "gan", "--src", str(synth / "src.vec"), "--tgt", zeroed,
                  "--out", str(tmp_path / "run"), "--k", "4", "--T", "2", "--n", "8",
                  "--max-steps", "1"]) == 0
-    capsys.readouterr()
-    assert main(["nn", "--checkpoint", str(tmp_path / "run" / "checkpoint_final.xlaae"),
-                 "--src", str(synth / "src.vec"), "--tgt", zeroed,
-                 "--words", "s0001,s0002", "--k", "30"]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    for word in ("s0001", "s0002"):
-        lines = [line.split("\t") for line in out.splitlines() if line.startswith(word)]
-        assert len(lines) == 30 and lines[-1][2:] == ["t0005", "nan"]
-        assert "nan" not in [line[3] for line in lines[:-1]]
-    # through the true map every entry ranks its target first, but s0005,
-    # whose zero target ranks 30th of 30
     at = args.index("--tgt")
-    assert main(args[:at + 1] + [zeroed] + args[at + 2:]) == 0
-    out, err = capsys.readouterr()
-    precision = json.loads(out)["precision"]
-    assert err == "" and precision["p@1"] == precision["p@29"] == 29 / 30
-    assert precision["p@30"] == 1.0
+    for table in (zeroed, str(huge)):
+        capsys.readouterr()
+        assert main(["nn", "--checkpoint", str(tmp_path / "run" / "checkpoint_final.xlaae"),
+                     "--src", str(synth / "src.vec"), "--tgt", table,
+                     "--words", "s0001,s0002", "--k", "30"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        for word in ("s0001", "s0002"):
+            lines = [line.split("\t") for line in out.splitlines() if line.startswith(word)]
+            assert len(lines) == 30 and lines[-1][2:] == ["t0005", "nan"], table
+            assert "nan" not in [line[3] for line in lines[:-1]]
+        # through the true map every entry ranks its target first, but s0005,
+        # whose target with no direction ranks 30th of 30
+        assert main(args[:at + 1] + [table] + args[at + 2:]) == 0
+        out, err = capsys.readouterr()
+        precision = json.loads(out)["precision"]
+        assert err == "" and precision["p@1"] == precision["p@29"] == 29 / 30, table
+        assert precision["p@30"] == 1.0
 
 
 def test_eval_and_nn_rank_once(tmp_path, capsys, monkeypatch):

@@ -34,8 +34,8 @@ def assert_matches_brute_force(queries, table, k):
         want = brute_force_knn(q, table, k)
         assert list(got_rows) == [i for i, _ in want]
         assert np.max(np.abs(got_sims - [s for _, s in want])) < 1e-12
-    # below k = V the top k are selected, at k = V every score is sorted:
-    # the selection gives the sort's first k places, bit for bit
+    # every k selects, k = V too: a smaller k gives the first k places of
+    # the k = V ranking, bit for bit
     full_rows, full_sims = knn(queries, table, len(table.vocab))
     assert np.array_equal(rows, full_rows[:, :k])
     assert np.array_equal(sims.view(np.uint64), full_sims[:, :k].view(np.uint64))
@@ -137,39 +137,48 @@ def test_knn_blocks_match_brute_force(monkeypatch):
     for k in (1, 5, 12, 13, 19, 20):
         assert_matches_brute_force(queries, t, k)
 
-    # a finite target row whose norm overflows scores NaN, which the full
-    # sort ranks last: a block holding it is sorted whole
-    huge = EmbeddingTable(Vocabulary([f"w{i}" for i in range(10)]),
-                          np.vstack([rng.normal(size=(4, 8)), np.full(8, 1e308),
-                                     rng.normal(size=(5, 8))]))
-    queries = as_table(np.abs(rng.normal(size=(3, 8))))
-    monkeypatch.setattr(evaluation, "KNN_BLOCK", 20)
-    with np.errstate(over="ignore", invalid="ignore"):
-        full_rows, full_sims = knn(queries, huge, 10)
-        assert np.all(full_rows[:, -1] == 4) and np.isnan(full_sims[:, -1]).all()
-        for k in range(1, 10):
+    # targets with no direction rank last, in row order, with similarity NaN:
+    # finite rows whose norm overflows, with dot products that overflow too
+    # (1e308 against a query of one sign) or stay finite (1e200), a zero row
+    # and a row whose norm underflows to 0
+    blank = [4, 7, 9, 11]
+    matrix = rng.normal(size=(13, 8))
+    matrix[blank] = np.array([1e308, 1e200, 0.0, 1e-200])[:, None]
+    huge = EmbeddingTable(Vocabulary([f"w{i}" for i in range(13)]), matrix)
+    queries = rng.normal(size=(5, 8))
+    queries[0] = np.abs(queries[0])
+    queries = as_table(queries)
+    directed = np.delete(np.arange(13), blank)
+    monkeypatch.setattr(evaluation, "KNN_BLOCK", 2 * 13)
+    with np.errstate(over="ignore"):
+        full_rows, full_sims = knn(queries, huge, 13)
+    assert np.all(full_rows[:, -4:] == blank) and np.isnan(full_sims[:, -4:]).all()
+    others = as_table(matrix[directed])
+    for q, got in zip(queries.matrix, full_rows):
+        assert list(got[:-4]) == [directed[i] for i, _ in brute_force_knn(q, others, 9)]
+    for k in range(1, 14):
+        with np.errstate(over="ignore"):
             rows, sims = knn(queries, huge, k)
-            assert np.array_equal(rows, full_rows[:, :k])
-            assert np.array_equal(sims.view(np.uint64), full_sims[:, :k].view(np.uint64))
+        assert np.array_equal(rows, full_rows[:, :k])
+        assert np.array_equal(sims.view(np.uint64), full_sims[:, :k].view(np.uint64))
 
     # the selection alone against the stable sort, on integer-valued scores
-    # with heavy ties, signed zeros and rows holding NaN, partitioned whole
-    # or one or two rows at a time
+    # with heavy ties, signed zeros and rows holding -inf (knn's targets with
+    # no direction), partitioned whole or one or two rows at a time, with no
+    # full sort at any k
     for seed in range(200):
         rng = np.random.default_rng(seed)
         m, size = rng.integers(1, 6), rng.integers(2, 40)
         scores = rng.integers(-3, 4, size=(m, size)).astype(float)
         scores[scores == 0] = rng.choice([0.0, -0.0], size=int((scores == 0).sum()))
         if seed % 4 == 0:
-            scores[rng.random(scores.shape) < 0.2] = np.nan
+            scores[rng.random(scores.shape) < 0.2] = -np.inf
         for k in {1, int(rng.integers(1, size + 1)), size - 1, size}:
             want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
             with monkeypatch.context() as patch:
                 if seed % 3:
                     patch.setattr(evaluation, "PARTITION_BLOCK", size * (seed % 3))
-                if k < size and not np.isnan(scores).any():
-                    # below k = V, finite scores are never sorted whole
-                    patch.setattr(np, "argsort", None)
+                patch.setattr(np, "argsort", None)
                 got = evaluation._top_k(scores, k)
             assert np.array_equal(got, want), (seed, k)
 
