@@ -20,8 +20,8 @@ from .models import Discriminator, init_semi_orthogonal
 from .numerics import Rng
 
 
-# Similarities per GEMM block in ``knn`` (8 MB of float64) and per partition
-# in ``_top_k`` (64 KB), whatever m is.
+# Similarities per GEMM block in ``_scored_blocks`` (8 MB of float64) and per
+# partition in ``_top_k`` (64 KB), whatever m is.
 KNN_BLOCK, PARTITION_BLOCK = 1 << 20, 1 << 13
 
 
@@ -63,33 +63,45 @@ def knn(queries: EmbeddingTable, tgt: EmbeddingTable, k: int):
     """Exact top-k rows of the table ``tgt`` by cosine similarity for each row
     of the table ``queries``: ``(rows, sims)``, both (m x k), similarities
     non-increasing along each row. Ties break by ascending target row index,
-    so results are deterministic. Each table's norms are its ``row_norms()``.
-    A query row that is zero or whose norm is not finite is an error naming
-    its token (``row_norms("the queries")``). A target row whose norm is zero
-    or overflows has no direction: it ranks last, in row order, scoring NaN."""
-    if queries.dim != tgt.dim:
-        raise ValueError(f"queries have d={queries.dim}, the targets d={tgt.dim}")
+    so results are deterministic. The similarities are ``_scored_blocks``';
+    a target row with no direction ranks last, in row order, scoring NaN."""
     size = len(tgt.vocab)
     if not 1 <= k <= size:
         raise ValueError(f"k={k} outside [1, {size}]")
-    q_norms = queries.row_norms("the queries")
-    norms = tgt.row_norms()
-    blank = np.flatnonzero(~(np.isfinite(norms) & (norms != 0.0)))
-    unit = queries.matrix / q_norms[:, None]
-    rows = np.empty((len(unit), k), dtype=np.intp)
-    sims = np.empty((len(unit), k))
-    step = max(1, KNN_BLOCK // size)
-    for start in range(0, len(unit), step):
-        block = slice(start, start + step)
-        scores = unit[block] @ tgt.matrix.T
-        with np.errstate(divide="ignore", invalid="ignore"):  # targets in ``blank``
-            scores /= norms
-        np.clip(scores, -1.0, 1.0, out=scores)
-        scores[:, blank] = -np.inf
+    rows = np.empty((len(queries.vocab), k), dtype=np.intp)
+    sims = np.empty((len(queries.vocab), k))
+    for block, scores in _scored_blocks(queries, tgt):
         rows[block] = _top_k(scores, k)
         sims[block] = np.take_along_axis(scores, rows[block], axis=1)
     sims[sims == -np.inf] = np.nan  # the clip bounds every other score to [-1, 1]
     return rows, sims
+
+
+def _scored_blocks(queries: EmbeddingTable, tgt: EmbeddingTable):
+    """The cosine similarity of each row of the table ``queries`` to each
+    row of the table ``tgt``, a block of query rows at a time: ``(block,
+    scores)``, ``block`` the slice of query rows and ``scores`` their
+    (rows x V) similarities, clipped to [-1, 1], from one GEMM against the
+    whole target table. Each table's norms are its ``row_norms()``. A query
+    row that is zero or whose norm is not finite is an error naming its
+    token (``row_norms("the queries")``). A target row whose norm is zero or
+    overflows has no direction: it scores -inf."""
+    if queries.dim != tgt.dim:
+        raise ValueError(f"queries have d={queries.dim}, the targets d={tgt.dim}")
+    q_norms = queries.row_norms("the queries")
+    norms = tgt.row_norms()
+    blank = np.flatnonzero(~(np.isfinite(norms) & (norms != 0.0)))
+    unit = queries.matrix / q_norms[:, None]
+    step = max(1, KNN_BLOCK // len(norms))
+    for start in range(0, len(unit), step):
+        block = slice(start, min(start + step, len(unit)))
+        # only the targets in ``blank`` overflow the GEMM or divide by 0 or inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            scores = unit[block] @ tgt.matrix.T
+            scores /= norms
+            np.clip(scores, -1.0, 1.0, out=scores)
+            scores[:, blank] = -np.inf
+        yield block, scores
 
 
 def _top_k(scores, k: int):
@@ -115,28 +127,46 @@ def precision_at_k(weight: np.ndarray, src: EmbeddingTable, tgt: EmbeddingTable,
                    dictionary: BilingualDictionary, k: int) -> dict:
     """The report ``eval`` prints, ``{"precision": {"p@1": ...}, "resolvable":
     r, "unresolvable": u}``: p@j is the fraction of resolvable entries whose
-    top j contains an accepted target, from one ranking of every entry.
-    ``src`` is mapped whole, as ``src.matrix @ weight``."""
-    mapped = src.matrix @ weight
-    # entry i's accepted rows offset by i * V: one membership test for all
+    top j in ``knn``'s ranking contains an accepted target. That is the
+    fraction with fewer than j targets ahead of their best accepted target
+    (highest score, then lowest row), counted on ``_scored_blocks``' scores
+    with no ranking. ``src`` is mapped whole, as ``src.matrix @ weight``."""
     size = len(tgt.vocab)
-    words, accepted = [], []
+    words, accepted, counts = [], [], []
     for src_tok, targets in dictionary.entries.items():
         rows = [tgt.vocab.index(t) for t in targets if t in tgt.vocab]
         if src_tok in src.vocab and rows:
-            accepted.extend(len(words) * size + row for row in rows)
+            accepted.extend(rows)
+            counts.append(len(rows))
             words.append(src_tok)
     if not words:
         raise ValueError("no resolvable dictionary entries")
+    if not 1 <= k <= size:
+        raise ValueError(f"k={k} outside [1, {size}]")
+    mapped = src.matrix @ weight
     queries = EmbeddingTable(Vocabulary(words), mapped[[src.vocab.index(w) for w in words]])
-    ranked, _ = knn(queries, tgt, k)
-    # both sides hold each value once (a ranking repeats no row), which
-    # spares np.isin its np.unique passes
-    hit = np.isin(ranked + np.arange(0, len(words) * size, size)[:, None], accepted,
-                  assume_unique=True)
-    precision = np.logical_or.accumulate(hit, axis=1).mean(axis=0)
+    # entry i's accepted rows are accepted[bounds[i]:bounds[i + 1]]
+    accepted = np.array(accepted, dtype=np.intp)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    owner = np.repeat(np.arange(len(words)), counts)
+    ahead = np.empty(len(words), dtype=np.intp)
+    for block, scores in _scored_blocks(queries, tgt):
+        pairs = slice(bounds[block.start], bounds[block.stop])
+        entry, cols = owner[pairs] - block.start, accepted[pairs]
+        firsts = bounds[block] - pairs.start
+        got = scores[entry, cols]
+        best = np.maximum.reduceat(got, firsts)
+        row = np.minimum.reduceat(np.where(got == best[entry], cols, size), firsts)
+        ahead[block] = np.count_nonzero(scores > best[:, None], axis=1)
+        # the targets that tie with the best at a lower row: few, so found
+        # by position
+        r, c = np.divmod(np.flatnonzero(scores == best[:, None]), size)
+        ahead[block] += np.bincount(r[c < row[r]], minlength=len(scores))
+    # hits[j - 1]: the entries with fewer than j targets ahead
+    hits = np.cumsum(np.bincount(np.minimum(ahead, k), minlength=k + 1)[:k])
+    precision = (hits / len(words)).tolist()
     return {
-        "precision": {f"p@{j}": float(p) for j, p in enumerate(precision, start=1)},
+        "precision": {f"p@{j}": p for j, p in enumerate(precision, start=1)},
         "resolvable": len(words),
         "unresolvable": len(dictionary.entries) - len(words),
     }

@@ -682,20 +682,29 @@ def test_zero_target_row_ranks_last(tmp_path, capsys):
 def test_eval_and_nn_rank_once(tmp_path, capsys, monkeypatch):
     from xlingmap import cli, evaluation
 
-    calls = []
+    calls, scored = [], []
 
     def counting(queries, *args):
         calls.append(len(queries.vocab))
         return real(queries, *args)
 
-    real = evaluation.knn
+    def counting_scores(queries, tgt):
+        scored.append(len(queries.vocab))
+        return real_scores(queries, tgt)
+
+    real, real_scores = evaluation.knn, evaluation._scored_blocks
     monkeypatch.setattr(evaluation, "knn", counting)
     monkeypatch.setattr(cli, "knn", counting)
+    monkeypatch.setattr(evaluation, "_scored_blocks", counting_scores)
     args = synth_eval_args(tmp_path, 10)
     capsys.readouterr()
-    assert main(args) == 0
+    with monkeypatch.context() as patch:  # no selection, no membership test
+        patch.setattr(evaluation, "_top_k", None)
+        patch.setattr(np, "isin", None)
+        assert main(args) == 0
     report = json.loads(capsys.readouterr().out)
-    assert calls == [30]  # every resolvable entry in one ranking
+    # every resolvable entry scored in one pass, and none ranked
+    assert scored == [30] and calls == []
     values = [report["precision"][f"p@{k}"] for k in range(1, 11)]
     assert len(report["precision"]) == 10 and values == sorted(values)
     assert (report["resolvable"], report["unresolvable"]) == (30, 0)

@@ -150,15 +150,13 @@ def test_knn_blocks_match_brute_force(monkeypatch):
     queries = as_table(queries)
     directed = np.delete(np.arange(13), blank)
     monkeypatch.setattr(evaluation, "KNN_BLOCK", 2 * 13)
-    with np.errstate(over="ignore"):
-        full_rows, full_sims = knn(queries, huge, 13)
+    full_rows, full_sims = knn(queries, huge, 13)
     assert np.all(full_rows[:, -4:] == blank) and np.isnan(full_sims[:, -4:]).all()
     others = as_table(matrix[directed])
     for q, got in zip(queries.matrix, full_rows):
         assert list(got[:-4]) == [directed[i] for i, _ in brute_force_knn(q, others, 9)]
     for k in range(1, 14):
-        with np.errstate(over="ignore"):
-            rows, sims = knn(queries, huge, k)
+        rows, sims = knn(queries, huge, k)
         assert np.array_equal(rows, full_rows[:, :k])
         assert np.array_equal(sims.view(np.uint64), full_sims[:, :k].view(np.uint64))
 
@@ -280,7 +278,21 @@ def test_precision_monotone_in_k():
     assert values[-1] == 1.0  # k = |vocab| always hits
 
 
-def test_precision_matches_per_k_brute_force():
+def ranked_report(weight, src, tgt, d, k):
+    """The report ``eval`` prints, by the ranking formula: an entry hits at
+    j when the first j targets of knn's full ranking hold an accepted one."""
+    words = [w for w, targets in d.entries.items()
+             if w in src.vocab and any(t in tgt.vocab for t in targets)]
+    mapped = (src.matrix @ weight)[[src.vocab.index(w) for w in words]]
+    ranked, _ = knn(EmbeddingTable(Vocabulary(words), mapped), tgt, len(tgt.vocab))
+    hit = np.array([[tgt.vocab.tokens[r] in d.entries[w] for r in rows]
+                    for w, rows in zip(words, ranked)])
+    precision = np.logical_or.accumulate(hit, axis=1).mean(axis=0)[:k]
+    return {"precision": {f"p@{j}": float(p) for j, p in enumerate(precision, start=1)},
+            "resolvable": len(words), "unresolvable": len(d.entries) - len(words)}
+
+
+def test_precision_matches_per_k_brute_force(monkeypatch):
     src = random_table(30, 4, seed=23, prefix="s")
     base = random_table(15, 4, seed=24, prefix="t")
     # every target row twice, so accepted targets tie with rejected ones
@@ -301,6 +313,47 @@ def test_precision_matches_per_k_brute_force():
             top = {tgt.vocab.tokens[i] for i, _ in brute_force_knn(src.matrix[src.vocab.index(s)], tgt, k)}
             hits += bool(top & entries[s])
         assert rep["precision"][f"p@{k}"] == hits / 30
+    for k in range(1, 31):
+        assert precision_at_k(np.eye(4), src, tgt, d, k) == ranked_report(
+            np.eye(4), src, tgt, d, k)
+
+    # targets parallel to v, tying at exactly 1.0 (some only after the clip:
+    # their quotients round past 1), and targets with no direction: a row
+    # whose dot products overflow (against a query of one sign), one whose
+    # norm overflows with dot products finite, a zero row and a row whose
+    # norm underflows to 0
+    v = np.array([1.0, 2.0, 3.0])
+    matrix = rng.normal(size=(24, 3))
+    parallel = [1, 4, 5, 8, 10, 12, 14, 15, 17, 19, 20, 23]
+    matrix[parallel] = np.multiply.outer([1, 3, 5, 6, 7, 9, 10, 11, 13, 0.1, 0.3, 0.7], v)
+    blank = [2, 9, 16, 21]
+    matrix[blank] = np.array([1.7e308, 1e200, 0.0, 1e-200])[:, None]
+    tgt = EmbeddingTable(Vocabulary([f"t{i}" for i in range(24)]), matrix)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        assert np.any(v / np.linalg.norm(v) @ matrix[parallel].T / tgt.row_norms()[parallel] > 1.0)
+    queries = np.vstack([v, 4.0 * v, -v, np.abs(rng.normal(size=(2, 3))), rng.normal(size=(3, 3))])
+    src = EmbeddingTable(Vocabulary([f"s{i}" for i in range(8)]), queries)
+    entries = {"s0": {"t23"}, "s1": {"t17", "t20", "t22"},
+               # only targets with no direction: every directed target ranks first
+               "s2": {"t2", "t16"}, "s3": {"t9", "t21", "t3"}, "s4": {"t21"},
+               "s5": {"t0", "t16", "absent"}, "s6": {"t19", "t2"}, "s7": {"t11"},
+               "missing": {"t0"}, "s8": {"absent"}}
+    d = BilingualDictionary(entries)
+    # three entries per block: the 8 span two full blocks and a partial one
+    monkeypatch.setattr(evaluation, "KNN_BLOCK", 3 * 24 + 5)
+    _, sims = knn(src, tgt, 24)
+    assert np.all(sims[:2, :12] == 1.0) and np.isnan(sims[:, -4:]).all()
+    for k in range(1, 25):
+        rep = precision_at_k(np.eye(3), src, tgt, d, k)
+        assert rep == ranked_report(np.eye(3), src, tgt, d, k)
+    assert rep["resolvable"] == 8 and rep["unresolvable"] == 2
+    # each entry alone hits first at its rank: s0 and s1 after the parallels
+    # at lower rows, s2 after the 20 directed targets, s4 after every other
+    # target
+    for word, rank in (("s0", 12), ("s1", 9), ("s2", 21), ("s4", 24)):
+        alone = BilingualDictionary({word: entries[word]})
+        p = precision_at_k(np.eye(3), src, tgt, alone, 24)["precision"]
+        assert (p[f"p@{rank - 1}"], p[f"p@{rank}"]) == (0.0, 1.0), word
 
 
 def test_precision_counts_unresolvable():
